@@ -5,23 +5,29 @@ subscriptions, and fans published messages out to every matching
 subscriber. Delivery is at-most-once with no persistence; durability
 belongs to the store, not the bus.
 
-Per session there is one reader thread and one writer thread draining a
-bounded outbound queue. A full subscriber queue first pauses the
-publishers feeding it: the publisher's reader waits for room, so TCP
-pushes back on the publisher. Only a subscriber that drains nothing for
-``SLOW_CONSUMER_GRACE`` seconds while its queue stays full is evicted as a
-slow consumer. SUB/UNSUB are acknowledged with ``+OK`` so clients can
-synchronize on subscription visibility.
+One thread runs a ``selectors`` loop over the listener and every session,
+so no state is shared between threads. Each session keeps the encoded
+frames it has not yet sent and writes them with one ``send`` per writable
+event. A session whose frames land in a peer already holding
+``queue_frames`` pending frames is not read again until that peer drains
+to half of that, so TCP pushes back on publishers; the peer may be the
+session itself, for its own ``+OK`` and ``PONG`` replies. A peer that
+holds a session back, or sits at the bound, and drains nothing for
+``SLOW_CONSUMER_GRACE`` seconds is evicted as a slow consumer. SUB/UNSUB
+are acknowledged with ``+OK`` so clients can synchronize on subscription
+visibility.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
+import selectors
 import socket
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from selectors import EVENT_READ, EVENT_WRITE
 
 from . import wire
 from .wire import Frame, Subject
@@ -29,226 +35,56 @@ from .wire import Frame, Subject
 logger = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_FRAMES = 8192
-# How long a full subscriber queue may stall its publishers without
-# draining a frame before the subscriber is evicted as a slow consumer.
+# How long a session may hold others back, or sit at the bound, without
+# draining a byte before it is evicted as a slow consumer.
 SLOW_CONSUMER_GRACE = 2.0
 DEFAULT_PING_INTERVAL = 30.0
-
 
 class SubjectRouter:
     """Routing table mapping (session, sid) subscriptions to patterns.
 
-    Thread-safe; `route` holds the lock while collecting matches so that
-    a subscription is either fully visible to a publish or not at all.
+    Not thread-safe: the broker's loop is its only user.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._subs: dict[int, dict[int, Subject]] = {}
 
     def register(self, session_id: int, sid: int, pattern: Subject) -> None:
-        with self._lock:
-            sids = self._subs.setdefault(session_id, {})
-            if sid in sids:
-                raise ValueError(f"duplicate sid {sid}")
-            sids[sid] = pattern
+        sids = self._subs.setdefault(session_id, {})
+        if sid in sids:
+            raise ValueError(f"duplicate sid {sid}")
+        sids[sid] = pattern
 
     def unregister(self, session_id: int, sid: int) -> bool:
-        with self._lock:
-            sids = self._subs.get(session_id, {})
-            return sids.pop(sid, None) is not None
+        return self._subs.get(session_id, {}).pop(sid, None) is not None
 
     def drop_session(self, session_id: int) -> None:
-        with self._lock:
-            self._subs.pop(session_id, None)
+        self._subs.pop(session_id, None)
 
     def route(self, subject: Subject) -> list[tuple[int, int]]:
         """All (session, sid) pairs whose pattern matches ``subject``."""
-        with self._lock:
-            return [
-                (session_id, sid)
-                for session_id, sids in self._subs.items()
-                for sid, pattern in sids.items()
-                if wire.subject_matches(pattern, subject)
-            ]
-
-
-@dataclass
-class SessionStats:
-    frames_in: int = 0
-    frames_out: int = 0
-    last_activity: float = field(default_factory=time.monotonic)
+        return [
+            (session_id, sid)
+            for session_id, sids in self._subs.items()
+            for sid, pattern in sids.items()
+            if wire.subject_matches(pattern, subject)
+        ]
 
 
 class _Session:
-    def __init__(self, broker: "Broker", session_id: int, sock: socket.socket):
-        self.broker = broker
+    def __init__(self, session_id: int, sock: socket.socket):
         self.id = session_id
         self.sock = sock
-        # Outbound queue; None is the writer's stop sentinel. One lock guards
-        # the queue and the session state below it.
-        self._out: deque[Frame | None] = deque()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._last_drain = time.monotonic()
-        self._shut = False  # takes no further frames: evicted or closed
-        self.stats = SessionStats()
         self.alive = True
-        self.ping_outstanding = 0
-        self.reader = threading.Thread(
-            target=self._read_loop, name=f"broker-r{session_id}", daemon=True
-        )
-        self.writer = threading.Thread(
-            target=self._write_loop, name=f"broker-w{session_id}", daemon=True
-        )
-
-    def start(self) -> None:
-        self.reader.start()
-        self.writer.start()
-
-    # -- outbound ------------------------------------------------------------
-
-    def send(self, frame: Frame) -> None:
-        """Queue a frame for the writer; frames for a shut session are dropped.
-
-        A MSG that finds the queue full pauses the calling thread (the
-        publisher's reader) until there is room, so TCP pushes back on the
-        publisher. The wait ends, and the session is evicted as a slow
-        consumer, once the queue has stayed full for ``SLOW_CONSUMER_GRACE``
-        seconds without the writer draining a frame; a progressing
-        subscriber only slows its publishers down. Control frames never
-        wait: a subscriber under back-pressure sits at the bound, so they
-        may overrun it up to twice its size before the session counts as
-        slow.
-        """
-        with self._lock:
-            if frame.kind == wire.MSG:
-                bound = self.broker.queue_frames
-                started = time.monotonic()
-                while len(self._out) >= bound and not self._shut:
-                    left = max(started, self._last_drain) + SLOW_CONSUMER_GRACE
-                    left -= time.monotonic()
-                    if left <= 0:
-                        break
-                    self._not_full.wait(left)
-            else:
-                bound = 2 * self.broker.queue_frames
-            if self._shut:
-                return
-            if len(self._out) < bound:
-                self._out.append(frame)
-                self._not_empty.notify()
-                return
-            self._shut_with()
-        # The writer is stuck in a send the peer does not read, so nothing
-        # more (an -ERR included) can reach the peer: close under it.
-        logger.warning("session %d: slow consumer, dropping", self.id)
-        self.close()
-
-    def _write_loop(self) -> None:
-        try:
-            while True:
-                with self._lock:
-                    while not self._out:
-                        self._not_empty.wait()
-                    frame = self._out.popleft()
-                    self._last_drain = time.monotonic()
-                    self._not_full.notify()
-                if frame is None:
-                    break
-                self.sock.sendall(wire.encode_frame(frame))
-                self.stats.frames_out += 1
-        except OSError:
-            pass
-        finally:
-            self.close()
-
-    # -- inbound ---------------------------------------------------------------
-
-    def _read_loop(self) -> None:
-        # On protocol errors this returns WITHOUT closing: the writer flushes
-        # the queued -ERR, hits the sentinel, and closes the session itself.
-        buf = bytearray()
-        while self.alive:
-            try:
-                chunk = self.sock.recv(65536)
-            except OSError:
-                break
-            if not chunk:
-                break
-            buf += chunk
-            self.stats.last_activity = time.monotonic()
-            self.ping_outstanding = 0
-            while True:
-                try:
-                    got = wire.parse_frame(buf, self.broker.max_payload)
-                except wire.MalformedFrame as exc:
-                    self._protocol_error(str(exc))
-                    return
-                if got is None:
-                    break
-                frame, used = got
-                del buf[:used]
-                self.stats.frames_in += 1
-                if not self._dispatch(frame):
-                    return
-        self.close()
-
-    def _dispatch(self, frame: Frame) -> bool:
-        k = frame.kind
-        if k == wire.PUB:
-            self.broker.route(frame.subject, frame.payload)
-        elif k == wire.SUB:
-            try:
-                self.broker.router.register(self.id, frame.sid, frame.subject)
-            except ValueError as exc:
-                self._protocol_error(str(exc))
-                return False
-            self.send(Frame(wire.OK))
-        elif k == wire.UNSUB:
-            self.broker.router.unregister(self.id, frame.sid)  # idempotent
-            self.send(Frame(wire.OK))
-        elif k == wire.PING:
-            self.send(Frame(wire.PONG))
-        elif k == wire.PONG:
-            pass  # activity already noted
-        else:
-            self._protocol_error(f"unexpected verb {k}")
-            return False
-        return True
-
-    def _protocol_error(self, message: str) -> None:
-        # Drop the backlog so the -ERR goes out next; the writer closes after.
-        logger.info("session %d: protocol error: %s", self.id, message)
-        with self._lock:
-            if not self._shut:
-                self._shut_with(Frame(wire.ERR, message=message), None)
-
-    def _shut_with(self, *last: Frame | None) -> None:
-        """Replace the queue with ``last`` and take no further frames.
-
-        Call with ``_lock`` held. Wakes the writer and every publisher
-        waiting for room, so none of them waits on a shut session.
-        """
-        self._shut = True
-        self._out.clear()
-        self._out.extend(last)
-        self._not_empty.notify()
-        self._not_full.notify_all()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self.alive:
-                return
-            self.alive = False
-            self._shut_with(None)
-        self.broker._remove_session(self)
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.sock.close()
+        self.closing = False  # sends what is pending, then closes
+        self.inbuf = bytearray()
+        self.out: list[bytes] = []  # encoded frames not yet sent
+        self.events = 0  # selector events registered for ``sock``
+        self.held_by: set[_Session] = set()  # peers whose backlog pauses us
+        self.holding: set[_Session] = set()  # sessions our backlog pauses
+        self.last_drain = time.monotonic()
+        self.last_activity = self.last_drain
+        self.pinged = False
 
 
 class Broker:
@@ -269,12 +105,14 @@ class Broker:
         self.ping_interval = ping_interval
         self.router = SubjectRouter()
         self._sessions: dict[int, _Session] = {}
-        self._lock = threading.Lock()
-        self._next_id = 1
+        self._ids = itertools.count(1)
+        self._selector = selectors.DefaultSelector()
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._ticker_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
+        self._wake: socket.socket | None = None  # stop() writes here
+        self._thread: threading.Thread | None = None
+        self._stopping = False
+        self._reading: _Session | None = None  # whose frames are dispatched
+        self._ready: list[_Session] = []  # released; parse what they buffered
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -285,30 +123,25 @@ class Broker:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
         listener.listen(128)
-        listener.settimeout(0.5)  # lets the accept loop notice stop()
+        listener.setblocking(False)
         self.port = listener.getsockname()[1]
         self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="broker-accept", daemon=True
+        wake, self._wake = socket.socketpair()
+        self._selector.register(listener, EVENT_READ)
+        self._selector.register(wake, EVENT_READ)
+        self._thread = threading.Thread(
+            target=self._serve, args=(wake,), name="broker", daemon=True
         )
-        self._accept_thread.start()
-        self._ticker_thread = threading.Thread(
-            target=self._keepalive_loop, name="broker-keepalive", daemon=True
-        )
-        self._ticker_thread.start()
+        self._thread.start()
         logger.info("broker listening on %s:%d", self.host, self.port)
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None:
-            self._listener.close()
-        with self._lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
+        if self._thread is not None:
+            self._stopping = True
+            self._wake.send(b"\0")
+            self._thread.join(timeout=5)
+            self._thread = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -320,66 +153,216 @@ class Broker:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- serving -------------------------------------------------------------
+    # -- the loop ------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
+    def _serve(self, wake: socket.socket) -> None:
+        tick = min(self.ping_interval, SLOW_CONSUMER_GRACE) / 4
+        next_tick = time.monotonic() + tick
+        try:
+            while not self._stopping:
+                for key, events in self._selector.select(next_tick - time.monotonic()):
+                    session = key.data
+                    if session is not None:
+                        if events & EVENT_WRITE:
+                            self._flush(session)
+                        if events & EVENT_READ and session.alive:
+                            self._read(session)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+                while self._ready:
+                    session = self._ready.pop()
+                    if session.alive and not session.held_by:
+                        self._parse(session)
+                if time.monotonic() >= next_tick:
+                    self._tick()
+                    next_tick = time.monotonic() + tick
+        finally:
+            for session in list(self._sessions.values()):
+                self._close(session)
+            self._selector.close()
+            self._listener.close()
+            wake.close()
+            self._wake.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, addr = self._listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        session = _Session(next(self._ids), sock)
+        self._sessions[session.id] = session
+        self._watch(session)
+        logger.debug("session %d connected from %s", session.id, addr)
+
+    def _tick(self) -> None:
+        """Keepalive, and eviction of sessions that stall others."""
+        now = time.monotonic()
+        for session in list(self._sessions.values()):
+            if session.held_by:
+                session.last_activity = now  # unread by our choice, not idle
+            stalls = session.holding or len(session.out) >= self.queue_frames
+            idle = now - session.last_activity
+            if stalls and now - session.last_drain > SLOW_CONSUMER_GRACE:
+                logger.warning("session %d: slow consumer, dropping", session.id)
+                self._close(session)
+            elif idle > 2 * self.ping_interval:
+                logger.info("session %d: keepalive timeout", session.id)
+                self._close(session)
+            elif idle > self.ping_interval and not (session.pinged or session.closing):
+                session.pinged = True
+                self._send(session, wire.encode_frame(Frame(wire.PING)))
+
+    def _watch(self, session: _Session) -> None:
+        """Register the events ``session`` waits for: input unless paused,
+        output while frames are pending."""
+        paused = session.held_by or session.closing
+        events = (0 if paused else EVENT_READ) | (EVENT_WRITE if session.out else 0)
+        if events == session.events:
+            return
+        if not session.events:
+            self._selector.register(session.sock, events, session)
+        elif not events:
+            self._selector.unregister(session.sock)
+        else:
+            self._selector.modify(session.sock, events, session)
+        session.events = events
+
+    # -- outbound ------------------------------------------------------------
+
+    def _send(self, session: _Session, data: bytes) -> None:
+        """Queue an encoded frame; the session being read waits while the
+        receiver holds ``queue_frames`` frames or more."""
+        if not session.out:
+            session.last_drain = time.monotonic()  # the grace starts now
+        session.out.append(data)
+        reader = self._reading
+        if reader is not None and len(session.out) >= self.queue_frames:
+            reader.held_by.add(session)
+            session.holding.add(reader)
+        self._watch(session)
+
+    def _flush(self, session: _Session) -> None:
+        data = b"".join(session.out)
+        try:
+            sent = session.sock.send(data)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(session)
+            return
+        # Replace the frames sent, and the part sent of the next, by its rest.
+        ends = list(itertools.accumulate(map(len, session.out)))
+        done = bisect.bisect_right(ends, sent)
+        session.out[: done + 1] = [data[sent : ends[done]]] if done < len(ends) else []
+        session.last_drain = time.monotonic()
+        if session.closing and not session.out:
+            self._close(session)
+            return
+        if len(session.out) <= self.queue_frames // 2:
+            self._release(session)
+        self._watch(session)
+
+    def _release(self, session: _Session) -> None:
+        """Resume the sessions that ``session``'s backlog held back."""
+        for held in session.holding:
+            held.held_by.discard(session)
+            if not held.held_by:
+                self._ready.append(held)
+        session.holding.clear()
+
+    # -- inbound ---------------------------------------------------------------
+
+    def _read(self, session: _Session) -> None:
+        try:
+            chunk = session.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._close(session)
+            return
+        session.inbuf += chunk
+        session.last_activity = time.monotonic()
+        session.pinged = False
+        self._parse(session)
+
+    def _parse(self, session: _Session) -> None:
+        """Dispatch buffered frames until the input runs out or is paused."""
+        self._reading = session
+        while not session.held_by and not session.closing:
             try:
-                sock, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+                got = wire.parse_frame(session.inbuf, self.max_payload)
+            except wire.MalformedFrame as exc:
+                self._protocol_error(session, str(exc))
                 break
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                session_id = self._next_id
-                self._next_id += 1
-                session = _Session(self, session_id, sock)
-                self._sessions[session_id] = session
-            logger.debug("session %d connected from %s", session_id, addr)
-            session.start()
+            if got is None:
+                break
+            frame, used = got
+            del session.inbuf[:used]
+            self._dispatch(session, frame)
+        self._reading = None
+        self._watch(session)
 
-    def _keepalive_loop(self) -> None:
-        while not self._stopping.wait(self.ping_interval / 2):
-            now = time.monotonic()
-            with self._lock:
-                sessions = list(self._sessions.values())
-            for session in sessions:
-                idle = now - session.stats.last_activity
-                if idle > 2 * self.ping_interval:
-                    logger.info("session %d: keepalive timeout", session.id)
-                    session.close()
-                elif idle > self.ping_interval and session.ping_outstanding < 2:
-                    session.ping_outstanding += 1
-                    session.send(Frame(wire.PING))
+    def _dispatch(self, session: _Session, frame: Frame) -> None:
+        k = frame.kind
+        if k == wire.PUB:
+            self.route(frame.subject, frame.payload)
+        elif k == wire.SUB:
+            try:
+                self.router.register(session.id, frame.sid, frame.subject)
+            except ValueError as exc:
+                self._protocol_error(session, str(exc))
+                return
+            self._send(session, wire.encode_frame(Frame(wire.OK)))
+        elif k == wire.UNSUB:
+            self.router.unregister(session.id, frame.sid)  # idempotent
+            self._send(session, wire.encode_frame(Frame(wire.OK)))
+        elif k == wire.PING:
+            self._send(session, wire.encode_frame(Frame(wire.PONG)))
+        elif k != wire.PONG:  # a PONG only counts as activity
+            self._protocol_error(session, f"unexpected verb {k}")
 
-    def _remove_session(self, session: _Session) -> None:
+    def _protocol_error(self, session: _Session, message: str) -> None:
+        # Drop the backlog so the -ERR goes out next, then close.
+        logger.info("session %d: protocol error: %s", session.id, message)
         self.router.drop_session(session.id)
-        with self._lock:
-            self._sessions.pop(session.id, None)
+        session.closing = True
+        session.out = [wire.encode_frame(Frame(wire.ERR, message=message))]
+        self._release(session)
+        self._watch(session)
+
+    def _close(self, session: _Session) -> None:
+        if not session.alive:
+            return
+        session.alive = False
+        del self._sessions[session.id]
+        self.router.drop_session(session.id)
+        if session.events:
+            self._selector.unregister(session.sock)
+        self._release(session)
+        for holder in session.held_by:
+            holder.holding.discard(session)
+        try:
+            session.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        session.sock.close()
 
     # -- routing ---------------------------------------------------------------
 
     def route(self, subject: Subject, payload: bytes) -> list[tuple[int, int]]:
         """Fan a publish out to all matching subscriptions.
 
-        Returns the delivery set as (session, sid) pairs; delivery to a
-        dead session is silently dropped (at-most-once).
+        Returns the delivery set as (session, sid) pairs.
         """
         deliveries = self.router.route(subject)
-        if not deliveries:
-            return deliveries
-        with self._lock:
-            targets = [
-                (self._sessions.get(session_id), session_id, sid)
-                for session_id, sid in deliveries
-            ]
-        for session, _session_id, sid in targets:
-            if session is not None and session.alive:
-                session.send(Frame(wire.MSG, subject=subject, sid=sid, payload=payload))
+        for session_id, sid in deliveries:
+            frame = Frame(wire.MSG, subject=subject, sid=sid, payload=payload)
+            self._send(self._sessions[session_id], wire.encode_frame(frame))
         return deliveries
 
     def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)

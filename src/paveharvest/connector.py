@@ -133,21 +133,6 @@ class IngestMetrics:
     def rejected_total(self) -> int:
         return sum(self.rejected.values())
 
-    def latency_percentile_us(self, q: float) -> int:
-        """Conservative percentile from the histogram (bucket upper bound)."""
-        total = sum(self.latency_counts)
-        if total == 0:
-            return 0
-        rank = math.ceil(q * total)
-        seen = 0
-        for i, count in enumerate(self.latency_counts):
-            seen += count
-            if seen >= rank:
-                if i < len(self.latency_bounds_us):
-                    return self.latency_bounds_us[i]
-                return self.latency_bounds_us[-1] * 2  # overflow bucket
-        return self.latency_bounds_us[-1] * 2
-
 
 def render_metrics_text(m: IngestMetrics) -> str:
     """Plaintext name/value lines for the /metrics endpoint."""

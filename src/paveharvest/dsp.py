@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as _signal
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +163,9 @@ def smooth(series: Series, config: DspConfig) -> Series:
     if n * w <= _DIRECT_CONV_LIMIT:
         interior = np.convolve(series.y, weights, mode="valid")
     else:
-        interior = _signal.oaconvolve(series.y, weights, mode="valid")
+        from scipy import signal  # imported here: scipy is slow to import
+
+        interior = signal.oaconvolve(series.y, weights, mode="valid")
     out = np.empty(n, dtype=float)
     out[half : n - half] = interior
     for i in range(half):
@@ -196,13 +197,15 @@ def detect_extrema(series: Series, config: DspConfig) -> list[Extremum]:
     span = float(series.y.max() - series.y.min())
     if span == 0.0:
         return []
+    from scipy import signal  # imported here: scipy is slow to import
+
     threshold = config.prominence_fraction * span
     out: list[Extremum] = []
     for kind, sig in ((MAXIMA, series.y), (MINIMA, -series.y)):
-        candidates, _ = _signal.find_peaks(sig)
+        candidates, _ = signal.find_peaks(sig)
         if len(candidates) == 0:
             continue
-        prominences = _signal.peak_prominences(sig, candidates)[0]
+        prominences = signal.peak_prominences(sig, candidates)[0]
         eligible = candidates[prominences >= threshold]
         kept = _greedy_separate(
             eligible, sig, series.t, config.min_separation_s

@@ -10,7 +10,8 @@ chunks are append-only binary segment files:
 Duplicates on (sensor, ts) are reported and resolved last-write-wins at
 read time; out-of-order arrival within a chunk is normal and sorted
 lazily on first read. A ``manifest`` sidecar at the root lists sealed
-chunks. One writer per chunk at a time; readers see fully flushed
+chunks; it is rewritten by a retention sweep and on closing a store that
+took inserts. One writer per chunk at a time; readers see fully flushed
 records only (a torn trailing record is ignored).
 """
 
@@ -195,6 +196,7 @@ class Store:
         self._chunks: dict[ChunkKey, _Chunk] = {}
         self._open_per_sensor: dict[str, ChunkKey] = {}
         self._sealed: set[ChunkKey] = set()
+        self._inserted = False  # the manifest is rewritten on close only if set
         self._closed = False
         self._scan()
 
@@ -234,6 +236,7 @@ class Store:
                 report.note(status)
             for chunk in touched:
                 chunk.flush()
+            self._inserted = self._inserted or bool(touched)
         return report
 
     def _insert_one(self, sample: Sample, touched: set[_Chunk]) -> str:
@@ -403,7 +406,10 @@ class Store:
             self._open_per_sensor.clear()
             for chunk in self._chunks.values():
                 chunk.close()
-            self._write_manifest()
+            # Counting records loads every sealed segment, so a read-only
+            # session leaves the manifest as the last writer left it.
+            if self._inserted:
+                self._write_manifest()
             self._closed = True
 
     def _ensure_open(self) -> None:

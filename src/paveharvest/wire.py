@@ -26,7 +26,6 @@ MAX_CONTROL_LINE = 4096
 CRLF = b"\r\n"
 
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_TOPIC_LEVEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 #: Frame kinds, matching the wire verbs.
 PUB = "PUB"
@@ -37,8 +36,6 @@ PING = "PING"
 PONG = "PONG"
 OK = "OK"
 ERR = "ERR"
-
-FRAME_KINDS = frozenset({PUB, SUB, UNSUB, MSG, PING, PONG, OK, ERR})
 
 
 class WireError(Exception):
@@ -133,7 +130,7 @@ def mqtt_topic_to_subject(topic: str) -> Subject:
             if i != last:
                 raise InvalidTopic(f"'#' must be the final level: {topic!r}")
             tokens.append(">")
-        elif _TOPIC_LEVEL_RE.match(level):
+        elif _TOKEN_RE.match(level):
             tokens.append(level)
         else:
             raise InvalidTopic(f"bad topic level {level!r} in {topic!r}")

@@ -373,3 +373,71 @@ def test_client_surfaces_broker_error(broker):
             # duplicate sid is a protocol error -> -ERR, session dropped
             c._send(wire.Frame(wire.SUB, subject=Subject.parse("x"), sid=1))
             c.subscribe("c.d", lambda s, p, i: None)
+
+
+# --- one loop for every session ----------------------------------------------
+
+
+def test_broker_runs_one_thread_at_fifty_sessions():
+    before = set(threading.enumerate())
+    b = Broker(ping_interval=60.0).start()
+    socks = []
+    try:
+        socks = [socket.create_connection(b.address, timeout=5) for _ in range(50)]
+        assert wait_for_sessions(b, 50)
+        assert len(set(threading.enumerate()) - before) == 1
+    finally:
+        for sock in socks:
+            sock.close()
+        b.stop()
+
+
+def test_stop_is_prompt_and_closes_every_session():
+    b = Broker(ping_interval=60.0).start()
+    socks = [socket.create_connection(b.address, timeout=5) for _ in range(10)]
+    try:
+        assert wait_for_sessions(b, len(socks))
+        started = time.monotonic()
+        b.stop()
+        assert time.monotonic() - started < 0.2
+        for sock in socks:
+            assert sock.recv(16) == b""
+    finally:
+        for sock in socks:
+            sock.close()
+        b.stop()
+
+
+def test_pinging_non_reader_evicted_while_others_are_served():
+    """A session that never reads its PONGs stalls only itself, then goes."""
+    b = Broker(queue_frames=16, ping_interval=60.0).start()
+    lazy = socket.create_connection(b.address, timeout=5)
+    other = socket.create_connection(b.address, timeout=5)
+    try:
+        lazy.sendall(b"SUB flood.> 1\r\n")
+        assert wait_for_sessions(b, 2)
+
+        def flood():
+            pings = b"PING\r\n" * 1000
+            try:
+                while True:
+                    lazy.sendall(pings)
+            except OSError:
+                pass  # the broker closed the session
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        flooder.start()
+        deadline = time.monotonic() + 10
+        while b.session_count() == 2 and time.monotonic() < deadline:
+            other.sendall(b"PING\r\n")
+            assert other.recv(16) == b"PONG\r\n"
+            time.sleep(0.05)
+        assert b.session_count() == 1
+        flooder.join(timeout=5)
+        assert not flooder.is_alive()
+        other.sendall(b"PING\r\n")
+        assert other.recv(16) == b"PONG\r\n"
+    finally:
+        lazy.close()
+        other.close()
+        b.stop()

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paveharvest
 from helpers import asg_raw_text, laser_raw_text
 from paveharvest.cli import build_parser, main
 from paveharvest.timeutil import format_rfc3339
@@ -18,6 +23,22 @@ def run_cli(argv, capsys):
     out = capsys.readouterr()
     return code, out.out, out.err
 
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Commands that do no signal processing do not pay for importing scipy."""
+    src = str(Path(paveharvest.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, paveharvest.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 # --- argument parsing -----------------------------------------------------
 

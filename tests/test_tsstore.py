@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
     DEFAULT_CHUNK_SPAN_US,
@@ -264,6 +265,29 @@ def test_manifest_written_on_close(tmp_path):
     manifest = (root / "manifest").read_text()
     assert "a\t0\t1" in manifest
     assert f"b\t{DEFAULT_CHUNK_SPAN_US}\t1" in manifest
+
+
+def test_read_only_session_leaves_manifest_and_chunks_alone(tmp_path, monkeypatch):
+    """Closing a store that took no inserts loads no chunk it did not read."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample(s, h * HOUR + 5, h) for s in "ab" for h in range(4)])
+    before = (root / "manifest").read_bytes()
+    loaded = []
+    real_load = tsstore._Chunk.load
+
+    def load(chunk):
+        if chunk.values is None:
+            loaded.append(chunk.key)
+        real_load(chunk)
+
+    monkeypatch.setattr(tsstore._Chunk, "load", load)
+    store = Store(root)
+    got = store.query_range("b", 2 * HOUR, 3 * HOUR)
+    assert got == [Sample("b", 2 * HOUR + 5, 2.0)]
+    store.close()
+    assert (root / "manifest").read_bytes() == before
+    assert loaded == [ChunkKey("b", 2 * HOUR)]
 
 
 def test_segment_header_size_is_32_bytes(tmp_path):
