@@ -13,6 +13,7 @@ their real geometry. All operations are pure.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -168,20 +169,32 @@ def smooth(series: Series, config: DspConfig) -> Series:
         interior = signal.oaconvolve(series.y, weights, mode="valid")
     out = np.empty(n, dtype=float)
     out[half : n - half] = interior
-    for i in range(half):
-        out[i] = _edge_fit(series.y, i, half, config.polyorder)
-        j = n - 1 - i
-        out[j] = _edge_fit(series.y, j, half, config.polyorder)
+    edge = _edge_weights(w, config.polyorder)
+    out[:half] = edge @ series.y[:w]
+    out[n - half :] = (edge @ series.y[n - w :][::-1])[::-1]
     return Series(t=series.t, y=out, unit=series.unit)
 
 
-def _edge_fit(y: np.ndarray, i: int, half: int, polyorder: int) -> float:
-    lo = max(0, i - half)
-    hi = min(len(y) - 1, i + half)
-    x = (np.arange(lo, hi + 1) - i) / half
-    order = min(polyorder, hi - lo)
-    coeffs = np.polyfit(x, y[lo : hi + 1], order)
-    return coeffs[-1]  # value at x = 0
+@functools.lru_cache(maxsize=8)  # 4 MB each at window 1001
+def _edge_weights(window: int, polyorder: int) -> np.ndarray:
+    """Weights giving the first ``window // 2`` smoothed values from the
+    first ``window`` samples; read-only, as every caller shares it.
+
+    Row ``i`` fits a polynomial to samples ``0 .. i + half`` (the window
+    centred on ``i``, cut at the series start) and reads it at ``i``. A
+    fit's value is linear in the data, so each row is the constant-term
+    row of the fit's pseudo-inverse. The right edge is the same map on
+    the reversed tail.
+    """
+    half = window // 2
+    weights = np.zeros((half, window))
+    for i in range(half):
+        x = (np.arange(i + half + 1) - i) / half
+        order = min(polyorder, i + half)
+        design = np.vander(x, order + 1, increasing=True)
+        weights[i, : i + half + 1] = np.linalg.pinv(design)[0]
+    weights.flags.writeable = False
+    return weights
 
 
 def detect_extrema(series: Series, config: DspConfig) -> list[Extremum]:

@@ -251,63 +251,17 @@ def parse_raw_log(path: str | Path, kind: str = "auto") -> RawFile:
     partial series plus a warning.
     """
     path = Path(path)
-    header: dict[str, str] = {}
-    times: list[float] = []
-    columns: list[list[float]] = []
-    warnings: list[str] = []
     lines = path.read_text(encoding="utf-8").splitlines()
-    header_lines = 0
-    data_seen = False
-    n_values = 0
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            if data_seen:
-                raise FormatError("header line after data rows", lineno)
-            body = text.lstrip("#").strip()
-            if ":" not in body:
-                raise FormatError("header line needs 'key: value'", lineno)
-            key, _, value = body.partition(":")
-            header[key.strip().lower()] = value.strip()
-            header_lines += 1
-            continue
-        parts = text.split(",")
-        is_last_line = lineno == len(lines)
-        try:
-            values = [float(p) for p in parts]
-            if not all(np.isfinite(values)):
-                raise ValueError("non-finite value")
-        except ValueError:
-            if is_last_line:
-                warnings.append(f"line {lineno}: truncated row dropped")
-                break
-            raise FormatError(f"bad number in row: {text!r}", lineno) from None
-        if not data_seen:
-            if len(values) < 2:
-                raise FormatError("data rows need seconds plus >=1 value", lineno)
-            n_values = len(values) - 1
-            columns = [[] for _ in range(n_values)]
-            data_seen = True
-        elif len(values) != n_values + 1:
-            if is_last_line:
-                warnings.append(f"line {lineno}: truncated row dropped")
-                break
-            raise FormatError(
-                f"expected {n_values + 1} columns, got {len(values)}", lineno
-            )
-        if times and values[0] <= times[-1]:
-            raise FormatError("seconds column must be strictly increasing", lineno)
-        times.append(values[0])
-        for i in range(n_values):
-            columns[i].append(values[i + 1])
-    if not data_seen:
-        raise FormatError("no data rows", len(lines) + 1)
+    header, header_lines, start = _read_header(lines)
+    columns = _parse_block(lines, start)
+    warnings: list[str] = []
+    if columns is None:
+        columns, warnings = _parse_rows(lines, start)
+    n_values = len(columns) - 1
 
     resolved_kind = _resolve_kind(kind, header, path)
     unit = header.get("unit", UNITS[resolved_kind])
-    t = np.asarray(times)
+    t = columns[0]
 
     line_after_header = header_lines + 1
     if resolved_kind in LASER_KINDS:
@@ -316,8 +270,8 @@ def parse_raw_log(path: str | Path, kind: str = "auto") -> RawFile:
                 "laser rows are seconds,laser_mm,beam_mm", line_after_header
             )
         channels = [
-            RawChannel(series=Series(t=t, y=np.asarray(columns[0]), unit=unit)),
-            RawChannel(series=Series(t=t, y=np.asarray(columns[1]), unit=unit)),
+            RawChannel(series=Series(t=t, y=columns[1], unit=unit)),
+            RawChannel(series=Series(t=t, y=columns[2], unit=unit)),
         ]
         return RawFile(resolved_kind, header, channels, warnings)
 
@@ -341,13 +295,97 @@ def parse_raw_log(path: str | Path, kind: str = "auto") -> RawFile:
                 raise FormatError(f"bad calibration: {exc}", line_after_header) from exc
         channels.append(
             RawChannel(
-                series=Series(t=t, y=np.asarray(columns[i]), unit=unit),
+                series=Series(t=t, y=columns[i + 1], unit=unit),
                 cal=cal,
                 gage_id=gages[i],
                 placement=placements[i],
             )
         )
     return RawFile(resolved_kind, header, channels, warnings)
+
+
+def _read_header(lines: list[str]) -> tuple[dict[str, str], int, int]:
+    """The leading ``#`` lines: the header, how many lines it took, and
+    the index of the first data line. Blank lines are skipped."""
+    header: dict[str, str] = {}
+    count = 0
+    for index, line in enumerate(lines):
+        text = line.strip()
+        if not text:
+            continue
+        if not text.startswith("#"):
+            return header, count, index
+        body = text.lstrip("#").strip()
+        if ":" not in body:
+            raise FormatError("header line needs 'key: value'", index + 1)
+        key, _, value = body.partition(":")
+        header[key.strip().lower()] = value.strip()
+        count += 1
+    return header, count, len(lines)
+
+
+def _parse_block(lines: list[str], start: int) -> np.ndarray | None:
+    """The data rows from ``lines[start:]`` in one vectorized pass, as a
+    (columns, rows) array; None when any row breaks the format, which
+    :func:`_parse_rows` then reports."""
+    rows = [text for text in (line.strip() for line in lines[start:]) if text]
+    if not rows:
+        return None
+    commas = rows[0].count(",")
+    if commas < 1 or any(row.count(",") != commas for row in rows):
+        return None
+    try:
+        # float() semantics per field, as in the row loop
+        values = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    columns = values.reshape(len(rows), commas + 1).T.copy()
+    if not (np.diff(columns[0]) > 0).all():
+        return None
+    return columns
+
+
+def _parse_rows(lines: list[str], start: int) -> tuple[np.ndarray, list[str]]:
+    """The data rows from ``lines[start:]`` one at a time, as a (columns,
+    rows) array plus warnings; raises :class:`FormatError` at the first
+    bad line, except that a bad final line is dropped with a warning."""
+    rows: list[list[float]] = []
+    warnings: list[str] = []
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            raise FormatError("header line after data rows", lineno)
+        parts = text.split(",")
+        is_last_line = lineno == len(lines)
+        try:
+            values = [float(p) for p in parts]
+            if not all(np.isfinite(values)):
+                raise ValueError("non-finite value")
+        except ValueError:
+            if is_last_line:
+                warnings.append(f"line {lineno}: truncated row dropped")
+                break
+            raise FormatError(f"bad number in row: {text!r}", lineno) from None
+        if not rows:
+            if len(values) < 2:
+                raise FormatError("data rows need seconds plus >=1 value", lineno)
+        elif len(values) != len(rows[0]):
+            if is_last_line:
+                warnings.append(f"line {lineno}: truncated row dropped")
+                break
+            raise FormatError(
+                f"expected {len(rows[0])} columns, got {len(values)}", lineno
+            )
+        if rows and values[0] <= rows[-1][0]:
+            raise FormatError("seconds column must be strictly increasing", lineno)
+        rows.append(values)
+    if not rows:
+        raise FormatError("no data rows", len(lines) + 1)
+    return np.array(rows).T.copy(), warnings
 
 
 def _resolve_kind(kind: str, header: dict[str, str], path: Path) -> str:

@@ -12,7 +12,8 @@ read time; out-of-order arrival within a chunk is normal and sorted
 lazily on first read. A ``manifest`` sidecar at the root lists sealed
 chunks; it is rewritten by a retention sweep and on closing a store that
 took inserts. One writer per chunk at a time; readers see fully flushed
-records only (a torn trailing record is ignored).
+records only (a torn trailing record is ignored, and cut off before the
+next append).
 """
 
 from __future__ import annotations
@@ -152,6 +153,13 @@ class _Chunk:
                         b"\0" * 8,
                     )
                 )
+            else:
+                # A crash can leave a torn record at the end; appending after
+                # it would misframe every record written from here on.
+                size = self._fh.tell()
+                torn = (size - HEADER_SIZE) % RECORD_SIZE
+                if torn:
+                    self._fh.truncate(size - torn)
         return self._fh
 
     def append(self, ts: int, v: float) -> None:

@@ -41,6 +41,20 @@ def savgol_oracle(y, window, order):
     return out
 
 
+def edge_oracle(y, window, order):
+    """Independent per-sample fit over the truncated one-sided window, for
+    the samples within half a window of either end (NaN elsewhere)."""
+    h = window // 2
+    n = len(y)
+    out = np.full(n, np.nan)
+    for i in list(range(h)) + list(range(n - h, n)):
+        lo, hi = max(0, i - h), min(n - 1, i + h)
+        x = (np.arange(lo, hi + 1) - i) / h
+        coeffs = np.polyfit(x, y[lo : hi + 1], min(order, hi - lo))
+        out[i] = np.polyval(coeffs, 0.0)
+    return out
+
+
 # --- weights ------------------------------------------------------------
 
 
@@ -97,6 +111,21 @@ def test_smooth_matches_per_window_lsq_oracle():
     h = 50
     scale = np.maximum(np.abs(want[h:-h]), 1e-9)
     assert np.all(np.abs(got[h:-h] - want[h:-h]) / scale <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "window,order", [(51, 2), (51, 3), (101, 2), (101, 3), (1001, 2), (1001, 3)]
+)
+def test_smooth_edges_match_one_sided_lsq_oracle(window, order):
+    rng = np.random.default_rng(window + order)
+    h = window // 2
+    for n in (window, window + 1, 5000):
+        y = rng.normal(size=n)
+        got = smooth(series(y), DspConfig(window=window, polyorder=order)).y
+        want = edge_oracle(y, window, order)
+        edges = np.r_[0:h, n - h : n]
+        scale = np.maximum(np.abs(want[edges]), 1e-9)
+        assert np.all(np.abs(got[edges] - want[edges]) / scale <= 1e-9), n
 
 
 def test_smooth_is_linear():

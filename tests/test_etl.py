@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import asg_raw_text, laser_raw_text, raw_text, tc_raw_text
 from paveharvest import etl
@@ -151,6 +152,141 @@ def test_explicit_kind_overrides_missing_header(tmp_path):
     assert parse_raw_log(path, kind="tc").kind == "TC"
     with pytest.raises(etl.EtlError):
         parse_raw_log(path)  # auto needs the header
+
+
+# Malformed and unusual raw logs with what the row-by-row parser gives for
+# them: ("error", line, message), or ("ok", header, t, channel values,
+# warnings).
+PARSE_CASES = {
+    "bad_number_mid_file": (
+        "# kind: TC\n0.0,1.0\n0.1,1.x\n0.2,1.2\n",
+        ("error", 3, "line 3: bad number in row: '0.1,1.x'"),
+    ),
+    "nan_mid_file": (
+        "# kind: TC\n0.0,1.0\n0.1,nan\n0.2,1.2\n",
+        ("error", 3, "line 3: bad number in row: '0.1,nan'"),
+    ),
+    "inf_mid_file": (
+        "# kind: TC\n0.0,1.0\n0.1,2.0\n0.2,-inf\n0.3,1.2\n",
+        ("error", 4, "line 4: bad number in row: '0.2,-inf'"),
+    ),
+    "repeated_seconds": (
+        "# kind: TC\n0.0,1.0\n0.1,1.1\n0.1,1.2\n0.2,1.3\n",
+        ("error", 4, "line 4: seconds column must be strictly increasing"),
+    ),
+    "decreasing_seconds_last_row": (
+        "# kind: TC\n0.0,1.0\n0.1,1.1\n0.05,1.2\n",
+        ("error", 4, "line 4: seconds column must be strictly increasing"),
+    ),
+    "header_after_data": (
+        "# kind: TC\n0.0,1.0\n0.1,1.1\n# unit: degC\n0.2,1.2\n",
+        ("error", 4, "line 4: header line after data rows"),
+    ),
+    "header_last_line": (
+        "# kind: TC\n0.0,1.0\n0.1,1.1\n# unit: degC\n",
+        ("error", 4, "line 4: header line after data rows"),
+    ),
+    "columns_change_mid_file": (
+        "# kind: TC\n0.0,1.0,2.0\n0.1,1.1\n0.2,1.2,2.2\n",
+        ("error", 3, "line 3: expected 3 columns, got 2"),
+    ),
+    "short_last_row": (
+        "# kind: ASG\n0.0,1.0,2.0\n0.1,1.1,2.1\n0.2,1.2\n",
+        ("ok", {"kind": "ASG"}, [0.0, 0.1], [[1.0, 1.1], [2.0, 2.1]],
+         ["line 4: truncated row dropped"]),
+    ),
+    "trailing_comma_last_row": (
+        "# kind: TC\n0.0,1.0\n0.1,1.1\n0.2,\n",
+        ("ok", {"kind": "TC"}, [0.0, 0.1], [[1.0, 1.1]],
+         ["line 4: truncated row dropped"]),
+    ),
+    "cut_exponent_last_row": (
+        "# kind: TC\n0.0,1.0\n0.1,1.1\n0.2,1.2e",
+        ("ok", {"kind": "TC"}, [0.0, 0.1], [[1.0, 1.1]],
+         ["line 4: truncated row dropped"]),
+    ),
+    "short_row_before_blank_last_line": (
+        "# kind: ASG\n0.0,1.0,2.0\n0.1,1.1\n\n",
+        ("error", 3, "line 3: expected 3 columns, got 2"),
+    ),
+    "blank_lines_between_rows": (
+        "# kind: TC\n\n0.0,1.0\n\n\n0.1,1.1\n   \n0.2,1.2\n",
+        ("ok", {"kind": "TC"}, [0.0, 0.1, 0.2], [[1.0, 1.1, 1.2]], []),
+    ),
+    "crlf": (
+        "# kind: TC\r\n# unit: degC\r\n0.0,1.0\r\n0.1,1.1\r\n0.2,1.2\r\n",
+        ("ok", {"kind": "TC", "unit": "degC"}, [0.0, 0.1, 0.2], [[1.0, 1.1, 1.2]], []),
+    ),
+    "spaces_around_commas": (
+        "# kind: TC\n0.0 , 1.0\n 0.1,\t1.1 \n0.2 ,1.2\n",
+        ("ok", {"kind": "TC"}, [0.0, 0.1, 0.2], [[1.0, 1.1, 1.2]], []),
+    ),
+    "duplicate_header_keys": (
+        "# kind: TC\n# unit: degC\n# unit: degF\n0.0,1.0\n0.1,1.1\n",
+        ("ok", {"kind": "TC", "unit": "degF"}, [0.0, 0.1], [[1.0, 1.1]], []),
+    ),
+    "duplicate_header_keys_count_as_lines": (
+        "# kind: ASG\n# gage: 1\n# gage: 1,2,3\n0.0,1.0,2.0\n",
+        ("error", 4, "line 4: gage lists 3 values for 2 channels"),
+    ),
+    "one_column": (
+        "# kind: TC\n0.0\n0.1\n",
+        ("error", 2, "line 2: data rows need seconds plus >=1 value"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_parse_raw_log_cases(tmp_path, name):
+    text, want = PARSE_CASES[name]
+    path = tmp_path / "log.txt"
+    path.write_bytes(text.encode())
+    if want[0] == "error":
+        with pytest.raises(FormatError) as err:
+            parse_raw_log(path)
+        assert (err.value.line, str(err.value)) == want[1:]
+        return
+    header, t, values, warnings = want[1:]
+    raw = parse_raw_log(path)
+    assert raw.header == header
+    assert raw.warnings == warnings
+    assert len(raw.channels) == len(values)
+    for channel, y in zip(raw.channels, values):
+        assert channel.series.t.tolist() == t
+        assert channel.series.y.tolist() == y
+
+
+_FORMATS = (repr, "{:.6f}".format, "{:.3e}".format, "{:g}".format)
+
+
+@st.composite
+def well_formed_logs(draw):
+    """Raw-log text whose rows all parse: strictly increasing seconds, the
+    same column count throughout, finite values in assorted notations,
+    with blank lines and spaces around commas mixed in."""
+    n_values = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
+    finite = st.floats(-1e300, 1e300)  # rounding by a format keeps it finite
+    lines = ["# kind: TC"] * draw(st.integers(0, 2))
+    for t in np.cumsum(steps) - draw(st.floats(0, 1e3)):
+        fields = [repr(float(t))]
+        fields += [draw(st.sampled_from(_FORMATS))(draw(finite)) for _ in range(n_values)]
+        sep = draw(st.sampled_from([",", ", ", " ,"]))
+        lines.append(sep.join(fields))
+        lines += [""] * draw(st.integers(0, 1))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(well_formed_logs())
+def test_vectorized_parse_equals_row_loop(text):
+    lines = text.splitlines()
+    _, _, start = etl._read_header(lines)
+    fast = etl._parse_block(lines, start)
+    slow, warnings = etl._parse_rows(lines, start)
+    assert fast is not None and warnings == []
+    assert fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
 
 
 # --- per-kind processing -----------------------------------------------------

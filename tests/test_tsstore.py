@@ -9,7 +9,9 @@ from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
     DEFAULT_CHUNK_SPAN_US,
     HEADER_SIZE,
+    RECORD_SIZE,
     ChunkKey,
+    CorruptSegment,
     Sample,
     Store,
     chunk_for,
@@ -216,6 +218,36 @@ def test_torn_trailing_record_ignored(tmp_path):
         fh.write(b"\x01\x02\x03")  # torn write
     with Store(root) as store:
         assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0)]
+
+
+def test_append_after_a_cut_at_every_offset(tmp_path):
+    """A crash can cut a segment at any byte; the next session appends after
+    the last whole record, and nothing is lost or invented."""
+    records = [Sample("a", 10, 1.0), Sample("a", 20, 2.0), Sample("a", 30, 3.0)]
+    with Store(tmp_path / "whole") as store:
+        store.insert(records)
+    whole = next((tmp_path / "whole" / "a").glob("*.seg"))
+    data = whole.read_bytes()
+    assert len(data) == HEADER_SIZE + 3 * RECORD_SIZE
+    new = Sample("a", 40, 4.0)
+    for cut in range(len(data) + 1):
+        root = tmp_path / f"cut{cut}"
+        seg = root / "a" / whole.name
+        seg.parent.mkdir(parents=True)
+        seg.write_bytes(data[:cut])
+        if cut < HEADER_SIZE:
+            with pytest.raises(CorruptSegment):
+                tsstore._Chunk(ChunkKey("a", 0), seg, DEFAULT_CHUNK_SPAN_US).load()
+            with Store(root) as store:
+                assert store.insert([new]).statuses == ["corrupt-segment"]
+            assert seg.read_bytes() == data[:cut]
+            continue
+        with Store(root) as store:
+            assert store.insert([new]).statuses == ["ack"]
+        kept = records[: (cut - HEADER_SIZE) // RECORD_SIZE]
+        with Store(root) as store:
+            assert store.query_range("a", 0, 100) == kept + [new], cut
+        assert verify_segments(root) == [], cut
 
 
 def test_corrupt_segment_refuses_writes(tmp_path):
