@@ -6,22 +6,28 @@ Delivery is at-most-once end to end: a record that fails validation or
 storage is counted by reason and never retried; gaps are surfaced through
 per-sensor sequence accounting instead.
 
+The bus reader hands records to one writer thread through a bounded list
+under one lock and condition. A full list stalls the reader, so the bus
+holds the publisher back; the writer takes up to ``batch_size`` records
+the moment its last insert returns (group commit).
+
 Metrics are readable at any time as a consistent snapshot, and optionally
 served as plaintext ``GET /metrics``.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import logging
 import math
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import wire
+from .broker import SLOW_CONSUMER_GRACE
 from .client import BusClient, BusError
 from .timeutil import now_us
 from .tsstore import Sample, Store
@@ -31,7 +37,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_WILDCARD = "site.>"
 DEFAULT_BATCH_SIZE = 500
-DEFAULT_BATCH_AGE_S = 0.2
 DEFAULT_QUEUE_CAP = 10_000
 BACKOFF_BASE_S = 1.0
 BACKOFF_CAP_S = 30.0
@@ -114,8 +119,8 @@ class IngestMetrics:
     """Point-in-time ingest counters.
 
     ``received == accepted + sum(rejected.values()) + in_flight`` at every
-    snapshot; once the queue has drained, received = accepted + rejected
-    exactly.
+    snapshot, where ``in_flight`` is the records queued plus the batch being
+    inserted; once drained, received = accepted + rejected exactly.
     """
 
     received: int = 0
@@ -132,6 +137,13 @@ class IngestMetrics:
     @property
     def rejected_total(self) -> int:
         return sum(self.rejected.values())
+
+
+class _Handoff(list):
+    """Records waiting for the writer; guarded by the connector's lock."""
+
+    def qsize(self) -> int:
+        return len(self)
 
 
 def render_metrics_text(m: IngestMetrics) -> str:
@@ -170,7 +182,7 @@ class Connector:
         broker_addr: tuple[str, int] | None = None,
         wildcard: str = DEFAULT_WILDCARD,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        batch_age_s: float = DEFAULT_BATCH_AGE_S,
+        batch_age_s: float = 0.0,
         queue_cap: int = DEFAULT_QUEUE_CAP,
         backoff_base_s: float = BACKOFF_BASE_S,
         backoff_cap_s: float = BACKOFF_CAP_S,
@@ -181,12 +193,16 @@ class Connector:
         self.broker_addr = broker_addr
         self.wildcard = wildcard
         self.batch_size = batch_size
-        self.batch_age_s = batch_age_s
+        self.batch_age_s = batch_age_s  # opt-in linger for fuller batches
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.on_insert = on_insert
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_cap)
+        self._queue = _Handoff()
+        self._queue_cap = queue_cap
         self._mlock = threading.Lock()
+        self._cond = threading.Condition(self._mlock)
+        self._inserting = 0  # records of the batch in store.insert
+        self._last_take = time.monotonic()
         self._received = 0
         self._accepted = 0
         self._rejected: collections.Counter = collections.Counter()
@@ -209,66 +225,70 @@ class Connector:
     # -- ingest path -------------------------------------------------------
 
     def ingest(self, subject: Subject, payload: bytes, recv_wall_us: int | None = None) -> None:
-        """Count one delivered message and queue it for storage."""
-        with self._mlock:
-            self._received += 1
+        """Count one delivered message and hand it to the writer.
+
+        While the handoff is full this waits for the writer to take a
+        batch. Only once the writer has taken nothing for
+        ``SLOW_CONSUMER_GRACE`` (the broker's own eviction grace) is the
+        record counted as overflow, so a stalled store shows up as counted
+        loss before the broker would evict the connector.
+        """
+        reason = OVERFLOW
         try:
             record = transform(subject, payload, recv_wall_us)
         except Reject as exc:
-            self._reject(exc.reason)
-            return
-        self._track_seq(record)
-        try:
-            self._queue.put_nowait(record)
-        except queue.Full:
-            self._reject(OVERFLOW)
-
-    def _reject(self, reason: str) -> None:
-        with self._mlock:
+            record, reason = None, exc.reason
+        pending = self._queue
+        with self._cond:
+            while record is not None and len(pending) >= self._queue_cap:
+                left = self._last_take + SLOW_CONSUMER_GRACE - time.monotonic()
+                if left <= 0:
+                    break
+                self._cond.wait(left)
+            self._received += 1
+            if record is not None:
+                self._track_seq(record)
+                if len(pending) < self._queue_cap:
+                    pending.append(record)
+                    if len(pending) == 1:  # the grace counts from here
+                        self._last_take = time.monotonic()
+                        self._cond.notify_all()
+                    elif len(pending) == self.batch_size:
+                        self._cond.notify_all()  # ends a linger
+                    return
             self._rejected[reason] += 1
 
     def _track_seq(self, record: StoreRecord) -> None:
-        with self._mlock:
-            last = self._last_seq.get(record.sensor_key)
-            if last is not None:
-                if record.seq <= last:
-                    self._duplicate_seq += 1
-                elif record.seq > last + 1:
-                    self._seq_gaps += record.seq - last - 1
-            if last is None or record.seq > last:
-                self._last_seq[record.sensor_key] = record.seq
+        last = self._last_seq.get(record.sensor_key)
+        if last is not None:
+            if record.seq <= last:
+                self._duplicate_seq += 1
+            elif record.seq > last + 1:
+                self._seq_gaps += record.seq - last - 1
+        if last is None or record.seq > last:
+            self._last_seq[record.sensor_key] = record.seq
 
     def _write_loop(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            if batch:
-                self._insert(batch)
+        while batch := self._take():
+            self._insert(batch)
 
-    def _next_batch(self) -> list[StoreRecord] | None:
-        """Block for the first record, then fill until size or age limit."""
-        try:
-            first = self._queue.get(timeout=0.1)
-        except queue.Empty:
-            return [] if not self._stop.is_set() else None
-        if first is None:
-            return None
-        batch = [first]
-        deadline = time.monotonic() + self.batch_age_s
-        while len(batch) < self.batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is None:
-                self._queue.put(None)  # keep the sentinel for the outer loop
-                break
-            batch.append(item)
-        return batch
+    def _take(self) -> list[StoreRecord]:
+        """Wait for records, then take up to ``batch_size`` of them at once;
+        an empty batch once stopped and drained."""
+        with self._cond:
+            while not self._queue and not self._stop.is_set():
+                self._cond.wait()
+            if self.batch_age_s > 0:
+                self._cond.wait_for(
+                    lambda: len(self._queue) >= self.batch_size or self._stop.is_set(),
+                    self.batch_age_s,
+                )
+            batch = self._queue[: self.batch_size]
+            del self._queue[: self.batch_size]
+            self._inserting = len(batch)
+            self._last_take = time.monotonic()
+            self._cond.notify_all()  # room for a waiting ingest
+            return batch
 
     def _insert(self, batch: list[StoreRecord]) -> None:
         samples = [Sample(r.sensor_key, r.ts, r.v) for r in batch]
@@ -280,7 +300,11 @@ class Connector:
             statuses = [STORE] * len(batch)
         wall = now_us()
         second = wall // 1_000_000
-        with self._mlock:
+        if self.on_insert is not None:
+            for record, status in zip(batch, statuses):
+                if status in ("ack", "duplicate"):
+                    self.on_insert(record, wall)
+        with self._cond:
             for record, status in zip(batch, statuses):
                 if status in ("ack", "duplicate"):
                     self._accepted += 1
@@ -291,20 +315,14 @@ class Connector:
             if len(self._rate_counts) > 64:
                 for s in sorted(self._rate_counts)[:-16]:
                     del self._rate_counts[s]
-        if self.on_insert is not None:
-            for record, status in zip(batch, statuses):
-                if status in ("ack", "duplicate"):
-                    self.on_insert(record, wall)
+            self._inserting = 0
+            self._cond.notify_all()  # a batch is counted: wakes drain()
 
     def _observe_latency(self, delta_us: int) -> None:
         if delta_us < 0:
             self._skew += 1
             delta_us = 0
-        for i, bound in enumerate(LATENCY_BOUNDS_US):
-            if delta_us <= bound:
-                self._latency_counts[i] += 1
-                return
-        self._latency_counts[-1] += 1
+        self._latency_counts[bisect.bisect_left(LATENCY_BOUNDS_US, delta_us)] += 1
 
     # -- metrics ------------------------------------------------------------
 
@@ -320,7 +338,7 @@ class Connector:
                 received=self._received,
                 accepted=self._accepted,
                 rejected=dict(self._rejected),
-                in_flight=self._queue.qsize(),
+                in_flight=len(self._queue) + self._inserting,
                 duplicate_seq=self._duplicate_seq,
                 seq_gaps=self._seq_gaps,
                 skew_events=self._skew,
@@ -334,13 +352,10 @@ class Connector:
 
     def drain(self, timeout: float = 30.0) -> bool:
         """Wait until everything received has been stored or rejected."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            m = self.metrics_snapshot()
-            if m.in_flight == 0 and m.received == m.accepted + m.rejected_total:
-                return True
-            time.sleep(0.02)
-        return False
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not self._queue and not self._inserting, timeout
+            )
 
     # -- consumer ------------------------------------------------------------
 
@@ -395,7 +410,8 @@ class Connector:
             self._client.close()
         if self._consumer is not None:
             self._consumer.join(timeout=5)
-        self._queue.put(None)
+        with self._cond:
+            self._cond.notify_all()  # the writer drains what is left, then exits
         if self._writer is not None:
             self._writer.join(timeout=10)
         if self._http is not None:

@@ -350,9 +350,13 @@ def _parse_block(lines: list[str], start: int) -> np.ndarray | None:
 def _parse_rows(lines: list[str], start: int) -> tuple[np.ndarray, list[str]]:
     """The data rows from ``lines[start:]`` one at a time, as a (columns,
     rows) array plus warnings; raises :class:`FormatError` at the first
-    bad line, except that a bad final line is dropped with a warning."""
+    bad line, except that a bad final row (only blank lines may follow it)
+    is dropped with a warning."""
     rows: list[list[float]] = []
     warnings: list[str] = []
+    last_row = len(lines)
+    while last_row > start and not lines[last_row - 1].strip():
+        last_row -= 1
     for lineno, line in enumerate(lines[start:], start=start + 1):
         text = line.strip()
         if not text:
@@ -360,7 +364,7 @@ def _parse_rows(lines: list[str], start: int) -> tuple[np.ndarray, list[str]]:
         if text.startswith("#"):
             raise FormatError("header line after data rows", lineno)
         parts = text.split(",")
-        is_last_line = lineno == len(lines)
+        is_last_line = lineno == last_row
         try:
             values = [float(p) for p in parts]
             if not all(np.isfinite(values)):

@@ -1,12 +1,13 @@
 """Connector transform, counting and end-to-end ingest tests."""
 
 import json
+import threading
 import time
 import urllib.request
 
 import pytest
 
-from paveharvest.broker import Broker
+from paveharvest.broker import SLOW_CONSUMER_GRACE, Broker
 from paveharvest.client import BusClient
 from paveharvest.connector import (
     Connector,
@@ -27,6 +28,29 @@ EPC_SUBJ = Subject.parse("site.65.daq.1.sensor.epc3")
 
 def payload(ts=1_700_000_000_000_000, v=12.5, seq=9, unit="kPa"):
     return SamplePayload(ts=ts, v=v, seq=seq, unit=unit).encode()
+
+
+def conserved(m):
+    return m.received == m.accepted + m.rejected_total + m.in_flight
+
+
+def publish_sensors(address, n, sensors=16):
+    """Publish ``n`` samples round-robin over ``sensors`` sensors as fast as
+    the bus accepts them; returns how many were published."""
+    with BusClient(*address) as pub:
+        for i in range(n):
+            seq, sensor = divmod(i, sensors)
+            pub.publish(
+                f"site.65.daq.1.sensor.s{sensor}",
+                payload(ts=1_000_000 * (seq + 1) + sensor, v=float(i), seq=seq + 1),
+            )
+    return n
+
+
+def wait_received(conn, n, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while conn.metrics_snapshot().received < n and time.monotonic() < deadline:
+        time.sleep(0.02)
 
 
 # --- transform -----------------------------------------------------------
@@ -124,6 +148,32 @@ def test_queue_overflow_counted(tmp_path):
         assert m.received == m.accepted + m.rejected_total + m.in_flight
 
 
+def test_conservation_holds_while_a_batch_is_inserted(tmp_path):
+    with Store(tmp_path / "db") as store:
+        insert = store.insert
+
+        def slow_insert(samples):
+            time.sleep(0.3)
+            return insert(samples)
+
+        store.insert = slow_insert
+        conn = Connector(store).start()
+        for i in range(10):
+            conn.ingest(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1))
+        snapshots = []
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            snapshots.append(conn.metrics_snapshot())
+            if snapshots[-1].accepted == 10:
+                break
+            time.sleep(0.01)
+        conn.stop()
+    assert snapshots[-1].accepted == 10
+    assert len(snapshots) >= 20  # at least one whole insert was observed
+    assert [m for m in snapshots if not conserved(m)] == []
+    assert max(m.in_flight for m in snapshots) > 0
+
+
 def test_store_failure_counts_rejected_store(tmp_path):
     store = Store(tmp_path / "db")
     store.close()  # writes now fail
@@ -173,6 +223,75 @@ def test_end_to_end_counting(tmp_path):
     assert m.rejected_total == 0
     assert m.seq_gaps == 0
     assert stored == 180
+
+
+def test_bus_replay_at_full_speed_loses_nothing(tmp_path):
+    n = 20_000
+    with Broker().start() as broker, Store(tmp_path / "db") as store:
+        conn = Connector(store, broker_addr=broker.address, queue_cap=200).start()
+        assert conn.wait_ready()
+        publish_sensors(broker.address, n)
+        wait_received(conn, n)
+        assert conn.drain()
+        m = conn.metrics_snapshot()
+        stored = store.count()
+        conn.stop()
+    assert m.rejected == {}
+    assert m.received == m.accepted == n
+    assert stored == n
+    assert m.seq_gaps == 0
+
+
+def test_store_stall_behind_broker_ends_as_counted_overflow(tmp_path):
+    """A store that blocks longer than the grace first holds the bus back,
+    then sheds load as counted overflow; the broker never evicts the
+    connector, so every published sample is received and accounted for."""
+    n = 20_000
+    entered, release = threading.Event(), threading.Event()
+    published = []
+    with Broker().start() as broker, Store(tmp_path / "db") as store:
+        insert = store.insert
+
+        def stalled_insert(samples):
+            entered.set()
+            release.wait(30)
+            return insert(samples)
+
+        store.insert = stalled_insert
+        conn = Connector(store, broker_addr=broker.address, queue_cap=200).start()
+        assert conn.wait_ready()
+        client = conn._client
+        publisher = threading.Thread(
+            target=lambda: published.append(publish_sensors(broker.address, n)),
+            daemon=True,
+        )
+        publisher.start()
+        try:
+            assert entered.wait(10)
+            stalled_at = time.monotonic()
+            while time.monotonic() < stalled_at + SLOW_CONSUMER_GRACE - 0.5:
+                m = conn.metrics_snapshot()
+                assert m.rejected == {}, "loss counted before the grace ran out"
+                assert conserved(m)
+                time.sleep(0.05)
+            deadline = stalled_at + SLOW_CONSUMER_GRACE + 2
+            while not conn.metrics_snapshot().rejected and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert conn.metrics_snapshot().rejected.get("overflow", 0) > 0
+        finally:
+            release.set()
+        publisher.join(30)
+        wait_received(conn, n)
+        assert conn.drain()
+        m = conn.metrics_snapshot()
+        stored = store.count()
+        assert conn._client is client and not client.closed  # not evicted
+        conn.stop()
+    assert published == [n]
+    assert m.received == n
+    assert m.received == m.accepted + m.rejected_total
+    assert set(m.rejected) == {"overflow"}
+    assert stored == m.accepted > 0
 
 
 def test_replay_is_idempotent_against_store(tmp_path):

@@ -207,7 +207,8 @@ PARSE_CASES = {
     ),
     "short_row_before_blank_last_line": (
         "# kind: ASG\n0.0,1.0,2.0\n0.1,1.1\n\n",
-        ("error", 3, "line 3: expected 3 columns, got 2"),
+        ("ok", {"kind": "ASG"}, [0.0], [[1.0], [2.0]],
+         ["line 3: truncated row dropped"]),
     ),
     "blank_lines_between_rows": (
         "# kind: TC\n\n0.0,1.0\n\n\n0.1,1.1\n   \n0.2,1.2\n",
