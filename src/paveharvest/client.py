@@ -84,6 +84,8 @@ class BusClient:
             raise BusError(self._last_error or "no ack for SUB")
         if self._last_error is not None:
             raise BusError(self._last_error)
+        if self.closed:
+            raise BusError("connection closed")
         return sid
 
     def unsubscribe(self, sid: int, ack_timeout: float = 5.0) -> None:
@@ -115,9 +117,9 @@ class BusClient:
             if not self._closed.is_set():
                 logger.debug("bus reader stopped: %s", exc)
         finally:
-            was_closed = self._closed.is_set()
             self.close()
-            if not was_closed and self.on_disconnect is not None:
+            self._acks.release()  # wakes a subscribe waiting on this connection
+            if self.on_disconnect is not None:
                 self.on_disconnect()
 
     def _handle(self, frame: Frame) -> None:

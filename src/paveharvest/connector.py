@@ -395,8 +395,11 @@ class Connector:
             logger.info("subscribed to %s", self.wildcard)
             backoff = self.backoff_base_s
             self._ready.set()
-            while not disconnected.is_set() and not self._stop.is_set():
-                disconnected.wait(0.2)
+            # stop() closes self._client, which ends the reader and sets
+            # `disconnected`; a stop that read self._client before this
+            # client was stored is caught by the check.
+            if not self._stop.is_set():
+                disconnected.wait()
             self._ready.clear()
             client.close()
             if not self._stop.is_set():

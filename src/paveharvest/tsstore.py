@@ -8,17 +8,18 @@ chunks are append-only binary segment files:
     records:        ts i64 LE (us), value f64 LE, 16 bytes each
 
 Duplicates on (sensor, ts) are reported and resolved last-write-wins at
-read time; out-of-order arrival within a chunk is normal and sorted
-lazily on first read. A ``manifest`` sidecar at the root lists sealed
-chunks; it is rewritten by a retention sweep and on closing a store that
-took inserts. One writer per chunk at a time; readers see fully flushed
-records only (a torn trailing record is ignored, and cut off before the
-next append).
+read time; out-of-order arrival within a chunk is normal. The segment
+file is the only copy of a chunk's values: a read decodes it into
+ts-sorted numpy columns, and a chunk that takes writes keeps only the set
+of its timestamps, for duplicate checks and record counts. A
+``manifest`` sidecar at the root lists sealed chunks; it is rewritten by
+a retention sweep and on closing a store that took inserts. One writer
+per chunk at a time; readers see fully flushed records only (a torn
+trailing record is ignored, and cut off before the next append).
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import logging
 import math
@@ -29,12 +30,15 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 from urllib.parse import quote, unquote
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 MAGIC = b"TSEG"
 VERSION = 1
 HEADER = struct.Struct("<4sIQq8s")
 RECORD = struct.Struct("<qd")
+RECORD_DTYPE = np.dtype([("ts", "<i8"), ("v", "<f8")])
 HEADER_SIZE = HEADER.size  # 32
 RECORD_SIZE = RECORD.size  # 16
 
@@ -101,14 +105,18 @@ class InsertReport:
 
 
 class _Chunk:
-    """In-process state for one on-disk segment."""
+    """In-process state for one on-disk segment.
+
+    ``values`` holds the decoded (ts, v) columns until the next append;
+    ``stamps`` holds the timestamps present from the chunk's first write on.
+    """
 
     def __init__(self, key: ChunkKey, path: Path, span: int):
         self.key = key
         self.path = path
         self.span = span
-        self.values: dict[int, float] | None = None  # ts -> last value
-        self.sorted_view: list[tuple[int, float]] | None = None
+        self.values: tuple[np.ndarray, np.ndarray] | None = None
+        self.stamps: set[int] | None = None
         self.corrupt = False
         self._fh = None
 
@@ -117,26 +125,28 @@ class _Chunk:
         return self.key.window_start + self.span
 
     def load(self) -> None:
+        """Decode the segment into ts-ascending, last-write-wins columns."""
         if self.values is not None:
             return
-        values: dict[int, float] = {}
+        records = np.empty(0, RECORD_DTYPE)
         if self.path.exists():
-            raw = self.path.read_bytes()
-            self._check_header(raw)
-            body = raw[HEADER_SIZE:]
-            usable = len(body) - len(body) % RECORD_SIZE  # drop torn tail
-            for ts, v in RECORD.iter_unpack(body[:usable]):
-                values[ts] = v  # later record wins
-        self.values = values
+            try:
+                khash, start, records = _decode_segment(self.path.read_bytes())
+            except CorruptSegment as exc:
+                raise CorruptSegment(f"{self.path}: {exc}") from None
+            if khash != key_hash(self.key.sensor) or start != self.key.window_start:
+                raise CorruptSegment(f"{self.path}: header does not match chunk key")
+        # The first of a ts in reverse file order is its last write.
+        ts, last = np.unique(records["ts"][::-1], return_index=True)
+        self.values = (ts, records["v"][::-1][last])
 
-    def _check_header(self, raw: bytes) -> None:
-        if len(raw) < HEADER_SIZE:
-            raise CorruptSegment(f"{self.path}: truncated header")
-        magic, version, khash, start, _ = HEADER.unpack_from(raw)
-        if magic != MAGIC or version != VERSION:
-            raise CorruptSegment(f"{self.path}: bad magic/version")
-        if khash != key_hash(self.key.sensor) or start != self.key.window_start:
-            raise CorruptSegment(f"{self.path}: header does not match chunk key")
+    def held(self) -> set[int]:
+        """Timestamps the chunk holds; kept for the store's life once asked for."""
+        if self.stamps is None:
+            self.load()
+            assert self.values is not None
+            self.stamps = set(self.values[0].tolist())
+        return self.stamps
 
     def open_for_append(self):
         if self._fh is None:
@@ -163,18 +173,11 @@ class _Chunk:
         return self._fh
 
     def append(self, ts: int, v: float) -> None:
+        """Write one record; call :meth:`held` first."""
         self.open_for_append().write(RECORD.pack(ts, v))
-        assert self.values is not None
-        self.values[ts] = v
-        self.sorted_view = None
-
-    def view(self) -> list[tuple[int, float]]:
-        """ts-sorted, last-write-wins view; cached until the next write."""
-        if self.sorted_view is None:
-            self.load()
-            assert self.values is not None
-            self.sorted_view = sorted(self.values.items())
-        return self.sorted_view
+        assert self.stamps is not None
+        self.stamps.add(ts)
+        self.values = None
 
     def flush(self) -> None:
         if self._fh is not None:
@@ -186,9 +189,12 @@ class _Chunk:
             self._fh = None
 
     def count(self) -> int:
+        """Live records; decodes the segment only if the chunk took no writes."""
+        if self.stamps is not None:
+            return len(self.stamps)
         self.load()
         assert self.values is not None
-        return len(self.values)
+        return len(self.values[0])
 
 
 class Store:
@@ -261,12 +267,11 @@ class Store:
         if chunk.corrupt:
             return "corrupt-segment"
         try:
-            chunk.load()
+            duplicate = ts in chunk.held()
         except CorruptSegment as exc:
             logger.error("%s", exc)
             chunk.corrupt = True
             return "corrupt-segment"
-        duplicate = ts in chunk.values  # type: ignore[operator]
         try:
             chunk.append(ts, v)
         except OSError as exc:
@@ -300,20 +305,26 @@ class Store:
             if lo <= key.window_start < t1
         ]
 
+    def _columns(self, sensor: str, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1."""
+        ts_parts, v_parts = [np.empty(0, np.int64)], [np.empty(0)]
+        for chunk in self._sensor_chunks(sensor, t0, t1):
+            chunk.load()
+            assert chunk.values is not None
+            ts, v = chunk.values
+            lo, hi = np.searchsorted(ts, (t0, t1))
+            ts_parts.append(ts[lo:hi])
+            v_parts.append(v[lo:hi])
+        return np.concatenate(ts_parts), np.concatenate(v_parts)
+
     def query_range(self, sensor: str, t0: int, t1: int) -> list[Sample]:
         """Samples with t0 <= ts < t1, ascending; unknown sensor is empty."""
         if t0 > t1:
             raise ValueError("t0 must not exceed t1")
-        out: list[Sample] = []
         with self._lock:
             self._ensure_open()
-            for chunk in self._sensor_chunks(sensor, t0, t1):
-                view = chunk.view()
-                out.extend(
-                    Sample(sensor, ts, v)
-                    for ts, v in _slice_view(view, t0, t1)
-                )
-        return out
+            ts, v = self._columns(sensor, t0, t1)
+        return [Sample(sensor, t, x) for t, x in zip(ts.tolist(), v.tolist())]
 
     def downsample(
         self, sensor: str, t0: int, t1: int, bucket: int, agg: str
@@ -323,28 +334,23 @@ class Store:
             raise ValueError("bucket must be positive")
         if agg not in AGGREGATES:
             raise ValueError(f"agg must be one of {AGGREGATES}")
-        acc: dict[int, list] = {}
         with self._lock:
             self._ensure_open()
-            for chunk in self._sensor_chunks(sensor, t0, t1):
-                for ts, v in _slice_view(chunk.view(), t0, t1):
-                    start = ts - ts % bucket
-                    cell = acc.get(start)
-                    if cell is None:
-                        acc[start] = [v, v, v, 1]  # sum, min, max, count
-                    else:
-                        cell[0] += v
-                        if v < cell[1]:
-                            cell[1] = v
-                        if v > cell[2]:
-                            cell[2] = v
-                        cell[3] += 1
-        out = []
-        for start in sorted(acc):
-            s, mn, mx, n = acc[start]
-            value = {"avg": s / n, "min": mn, "max": mx, "count": n}[agg]
-            out.append((start, value))
-        return out
+            ts, v = self._columns(sensor, t0, t1)
+        if not len(ts):
+            return []
+        starts = ts - ts % bucket
+        # starts >= 0 (stored ts are positive), so a -1 before them opens
+        # the first bucket.
+        first = np.flatnonzero(np.diff(starts, prepend=-1))
+        counts = np.diff(first, append=len(ts))
+        if agg == "count":
+            values = counts
+        elif agg == "avg":
+            values = np.add.reduceat(v, first) / counts
+        else:
+            values = (np.minimum if agg == "min" else np.maximum).reduceat(v, first)
+        return list(zip(starts[first].tolist(), values.tolist()))
 
     def count(self, sensor: str | None = None) -> int:
         """Live (deduplicated) record count, optionally for one sensor."""
@@ -431,12 +437,19 @@ class Store:
         self.close()
 
 
-def _slice_view(
-    view: list[tuple[int, float]], t0: int, t1: int
-) -> list[tuple[int, float]]:
-    lo = bisect.bisect_left(view, (t0,))
-    hi = bisect.bisect_left(view, (t1,))
-    return view[lo:hi]
+def _decode_segment(raw: bytes) -> tuple[int, int, np.ndarray]:
+    """Key hash, window start and whole records (``RECORD_DTYPE``) of a segment.
+
+    A torn trailing record is left out. Raises :class:`CorruptSegment` on a
+    short header or a wrong magic or version.
+    """
+    if len(raw) < HEADER_SIZE:
+        raise CorruptSegment("truncated header")
+    magic, version, khash, start, _ = HEADER.unpack_from(raw)
+    if magic != MAGIC or version != VERSION:
+        raise CorruptSegment("bad magic/version")
+    whole = (len(raw) - HEADER_SIZE) // RECORD_SIZE
+    return khash, start, np.frombuffer(raw, RECORD_DTYPE, whole, HEADER_SIZE)
 
 
 @dataclass
@@ -458,25 +471,22 @@ def verify_segments(root: str | Path, span: int = DEFAULT_CHUNK_SPAN_US) -> list
         sensor = unquote(sensor_dir.name)
         for seg in sorted(sensor_dir.glob("*.seg")):
             raw = seg.read_bytes()
-            if len(raw) < HEADER_SIZE:
-                issues.append(SegmentIssue(str(seg), "truncated header"))
-                continue
-            magic, version, khash, start, _ = HEADER.unpack_from(raw)
-            if magic != MAGIC or version != VERSION:
-                issues.append(SegmentIssue(str(seg), "bad magic/version"))
+            try:
+                khash, start, records = _decode_segment(raw)
+            except CorruptSegment as exc:
+                issues.append(SegmentIssue(str(seg), str(exc)))
                 continue
             if khash != key_hash(sensor):
                 issues.append(SegmentIssue(str(seg), "sensor-key hash mismatch"))
             if start != int(seg.stem):
                 issues.append(SegmentIssue(str(seg), "window start mismatch"))
-            body = raw[HEADER_SIZE:]
-            if len(body) % RECORD_SIZE:
+            if (len(raw) - HEADER_SIZE) % RECORD_SIZE:
                 issues.append(SegmentIssue(str(seg), "torn trailing record"))
-            usable = len(body) - len(body) % RECORD_SIZE
-            for ts, _v in RECORD.iter_unpack(body[:usable]):
-                if not (start <= ts < start + span):
-                    issues.append(
-                        SegmentIssue(str(seg), f"record ts {ts} outside window")
-                    )
-                    break
+            ts = records["ts"]
+            outside = (ts < start) | (ts >= start + span)
+            if outside.any():
+                first = int(ts[outside.argmax()])
+                issues.append(
+                    SegmentIssue(str(seg), f"record ts {first} outside window")
+                )
     return issues

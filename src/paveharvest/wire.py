@@ -214,13 +214,14 @@ def parse_frame(
     needed. The buffer must start at a frame boundary. Raises
     :class:`MalformedFrame` (or :class:`PayloadTooLarge`) on garbage.
     """
-    data = bytes(buf)
+    # Search and slice in place: the buffer can hold many frames.
+    data = bytes(buf) if isinstance(buf, memoryview) else buf
     eol = data.find(CRLF)
     if eol < 0:
         if len(data) > MAX_CONTROL_LINE:
             raise MalformedFrame("control line too long")
         return None
-    line = data[:eol]
+    line = bytes(data[:eol])
     consumed = eol + 2
 
     if line == b"PING":
@@ -250,7 +251,7 @@ def parse_frame(
         end = consumed + length + 2
         if len(data) < end:
             return None
-        payload = data[consumed : consumed + length]
+        payload = bytes(data[consumed : consumed + length])
         if data[consumed + length : end] != CRLF:
             raise MalformedFrame("payload not CRLF-terminated")
         kind = PUB if verb == b"PUB" else MSG

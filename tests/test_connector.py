@@ -352,6 +352,27 @@ def test_reconnects_after_broker_restart(tmp_path):
             broker.stop()
 
 
+def test_stop_against_a_live_broker_is_prompt(tmp_path):
+    """stop() ends the consumer at once, not at its next poll, also when it
+    races the connect."""
+    with Broker().start() as broker, Store(tmp_path / "db") as store:
+        took = []
+        for _ in range(5):
+            conn = Connector(store, broker_addr=broker.address).start()
+            assert conn.wait_ready()
+            t = time.monotonic()
+            conn.stop()
+            took.append(time.monotonic() - t)
+            assert not conn._consumer.is_alive()
+        assert max(took) < 0.05, took
+        for _ in range(5):
+            conn = Connector(store, broker_addr=broker.address).start()
+            t = time.monotonic()
+            conn.stop()
+            assert time.monotonic() - t < 1.0
+            assert not conn._consumer.is_alive()
+
+
 # --- metrics endpoint --------------------------------------------------------
 
 

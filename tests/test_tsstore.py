@@ -322,6 +322,38 @@ def test_read_only_session_leaves_manifest_and_chunks_alone(tmp_path, monkeypatc
     assert loaded == [ChunkKey("b", 2 * HOUR)]
 
 
+def test_reads_return_plain_python_values(tmp_path):
+    """The CLI writes these to CSV and JSON, which take no numpy scalars."""
+    with Store(tmp_path / "db") as store:
+        store.insert([Sample("a", 10 + i, float(i)) for i in range(20)])
+        for sample in store.query_range("a", 0, 100):
+            assert (type(sample.ts), type(sample.v)) == (int, float)
+        for agg in tsstore.AGGREGATES:
+            for start, value in store.downsample("a", 0, 100, 7, agg):
+                assert type(start) is int
+                assert type(value) is (int if agg == "count" else float)
+
+
+def test_close_after_insert_session_decodes_no_segment(tmp_path, monkeypatch):
+    """Counts for the manifest come from the timestamps a written chunk
+    keeps, so closing does not read back the segments it wrote."""
+    store = Store(tmp_path / "db")
+    for h in range(6):
+        store.insert([Sample(s, h * HOUR + i, float(i)) for s in "ab" for i in (5, 9, 5)])
+    loaded = []
+    real_load = tsstore._Chunk.load
+
+    def load(chunk):
+        loaded.append(chunk.key)
+        real_load(chunk)
+
+    monkeypatch.setattr(tsstore._Chunk, "load", load)
+    store.close()
+    assert loaded == []
+    manifest = (tmp_path / "db" / "manifest").read_text()
+    assert f"b\t{5 * HOUR}\t2" in manifest
+
+
 def test_segment_header_size_is_32_bytes(tmp_path):
     assert HEADER_SIZE == 32
     root = tmp_path / "db"

@@ -149,6 +149,11 @@ def test_frame_parse_leaves_trailing_bytes(frame, extra):
     parsed, used = parse_frame(raw + extra)
     assert used == len(raw)
     assert parsed == frame
+    tail = raw + extra + b"x" * 60_000  # a receive buffer of many frames
+    for buf in (tail, bytearray(tail), memoryview(tail)):
+        got, got_used = parse_frame(buf)
+        assert (got, got_used) == (frame, used)
+        assert type(got.payload) is bytes
 
 
 # --- subjects ----------------------------------------------------------------
