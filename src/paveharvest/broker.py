@@ -39,36 +39,52 @@ DEFAULT_QUEUE_FRAMES = 8192
 # draining a byte before it is evicted as a slow consumer.
 SLOW_CONSUMER_GRACE = 2.0
 DEFAULT_PING_INTERVAL = 30.0
+ROUTE_CACHE_SIZE = 4096  # subjects whose delivery set is kept; all go when full
+
 
 class SubjectRouter:
     """Routing table mapping (session, sid) subscriptions to patterns.
 
-    Not thread-safe: the broker's loop is its only user.
+    Each concrete subject's delivery set is computed once and cached until
+    the table changes, so a warm route costs one dict lookup however many
+    subscriptions there are. Not thread-safe: the broker's loop is its only
+    user.
     """
 
     def __init__(self) -> None:
         self._subs: dict[int, dict[int, Subject]] = {}
+        self._routes: dict[bytes, tuple[tuple[int, int], ...]] = {}
 
     def register(self, session_id: int, sid: int, pattern: Subject) -> None:
         sids = self._subs.setdefault(session_id, {})
         if sid in sids:
             raise ValueError(f"duplicate sid {sid}")
         sids[sid] = pattern
+        self._routes.clear()
 
     def unregister(self, session_id: int, sid: int) -> bool:
-        return self._subs.get(session_id, {}).pop(sid, None) is not None
+        removed = self._subs.get(session_id, {}).pop(sid, None) is not None
+        if removed:
+            self._routes.clear()
+        return removed
 
     def drop_session(self, session_id: int) -> None:
-        self._subs.pop(session_id, None)
+        if self._subs.pop(session_id, None):
+            self._routes.clear()
 
     def route(self, subject: Subject) -> list[tuple[int, int]]:
-        """All (session, sid) pairs whose pattern matches ``subject``."""
-        return [
-            (session_id, sid)
-            for session_id, sids in self._subs.items()
-            for sid, pattern in sids.items()
-            if wire.subject_matches(pattern, subject)
-        ]
+        """All (session, sid) pairs whose pattern matches ``subject``, in a new list."""
+        deliveries = self._routes.get(subject.raw)
+        if deliveries is None:
+            if len(self._routes) >= ROUTE_CACHE_SIZE:
+                self._routes.clear()
+            deliveries = self._routes[subject.raw] = tuple(
+                (session_id, sid)
+                for session_id, sids in self._subs.items()
+                for sid, pattern in sids.items()
+                if wire.subject_matches(pattern, subject)
+            )
+        return list(deliveries)
 
 
 class _Session:
@@ -113,6 +129,11 @@ class Broker:
         self._stopping = False
         self._reading: _Session | None = None  # whose frames are dispatched
         self._ready: list[_Session] = []  # released; parse what they buffered
+        # Counters; the loop thread is their only writer.
+        self._published = 0
+        self._delivered = 0
+        self._unrouted = 0
+        self._evicted = {"slow_consumer": 0, "keepalive": 0, "protocol_error": 0}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -206,9 +227,11 @@ class Broker:
             idle = now - session.last_activity
             if stalls and now - session.last_drain > SLOW_CONSUMER_GRACE:
                 logger.warning("session %d: slow consumer, dropping", session.id)
+                self._evicted["slow_consumer"] += 1
                 self._close(session)
             elif idle > 2 * self.ping_interval:
                 logger.info("session %d: keepalive timeout", session.id)
+                self._evicted["keepalive"] += 1
                 self._close(session)
             elif idle > self.ping_interval and not (session.pinged or session.closing):
                 session.pinged = True
@@ -328,6 +351,7 @@ class Broker:
     def _protocol_error(self, session: _Session, message: str) -> None:
         # Drop the backlog so the -ERR goes out next, then close.
         logger.info("session %d: protocol error: %s", session.id, message)
+        self._evicted["protocol_error"] += 1
         self.router.drop_session(session.id)
         session.closing = True
         session.out = [wire.encode_frame(Frame(wire.ERR, message=message))]
@@ -356,13 +380,31 @@ class Broker:
     def route(self, subject: Subject, payload: bytes) -> list[tuple[int, int]]:
         """Fan a publish out to all matching subscriptions.
 
-        Returns the delivery set as (session, sid) pairs.
+        Returns the delivery set as (session, sid) pairs. Each MSG is the
+        bytes ``encode_frame`` would give, built from the subject's wire
+        spelling and one ``len + payload`` tail per publish.
         """
         deliveries = self.router.route(subject)
+        self._published += 1
+        if not deliveries:
+            self._unrouted += 1
+            return deliveries
+        self._delivered += len(deliveries)
+        tail = b"%d\r\n%s\r\n" % (len(payload), payload)
         for session_id, sid in deliveries:
-            frame = Frame(wire.MSG, subject=subject, sid=sid, payload=payload)
-            self._send(self._sessions[session_id], wire.encode_frame(frame))
+            self._send(self._sessions[session_id], b"MSG %s %d %s" % (subject.raw, sid, tail))
         return deliveries
 
     def session_count(self) -> int:
         return len(self._sessions)
+
+    def stats(self) -> dict:
+        """Counters since start: ``published``, ``delivered`` (one per MSG
+        queued), ``unrouted`` (publishes no subscription matched) and
+        ``evicted`` sessions by reason."""
+        return {
+            "published": self._published,
+            "delivered": self._delivered,
+            "unrouted": self._unrouted,
+            "evicted": dict(self._evicted),
+        }

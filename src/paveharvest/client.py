@@ -64,7 +64,7 @@ class BusClient:
 
     def publish(self, subject: Subject | str, payload: bytes) -> None:
         if isinstance(subject, str):
-            subject = Subject.parse(subject)
+            subject = wire.intern_subject(subject.encode(), False)
         self._send(Frame(wire.PUB, subject=subject, payload=payload))
 
     def subscribe(
@@ -75,7 +75,7 @@ class BusClient:
     ) -> int:
         """Register ``handler`` for ``pattern``; blocks until the broker acks."""
         if isinstance(pattern, str):
-            pattern = Subject.parse(pattern)
+            pattern = wire.intern_subject(pattern.encode(), False)
         sid = self._next_sid
         self._next_sid += 1
         self._handlers[sid] = handler

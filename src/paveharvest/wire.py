@@ -10,18 +10,21 @@ Text-line frames, CRLF-terminated, with an explicit payload byte length:
 
 Subjects are dot-separated token paths. In patterns, ``*`` matches exactly
 one token and a trailing ``>`` matches one or more remaining tokens.
-Everything here is pure functions over byte buffers; no shared state.
+Everything here is pure functions over byte buffers. The one shared
+state is the subject intern, a bounded cache of immutable subjects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MAX_PAYLOAD = 1 << 20  # default cap, configurable per call
 MAX_CONTROL_LINE = 4096
+SUBJECT_CACHE_SIZE = 4096  # interned subjects; least recently used go first
 
 CRLF = b"\r\n"
 
@@ -72,6 +75,8 @@ class Subject:
     """
 
     tokens: tuple[str, ...]
+    #: The wire spelling, ``b"a.b.c"``; unique per subject, since no token holds a dot.
+    raw: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -86,6 +91,7 @@ class Subject:
                 continue
             if not _TOKEN_RE.match(tok):
                 raise InvalidSubject(f"bad subject token: {tok!r}")
+        object.__setattr__(self, "raw", ".".join(self.tokens).encode())
 
     @classmethod
     def parse(cls, text: str) -> "Subject":
@@ -97,6 +103,22 @@ class Subject:
 
     def __str__(self) -> str:
         return ".".join(self.tokens)
+
+
+@functools.lru_cache(maxsize=SUBJECT_CACHE_SIZE)
+def intern_subject(raw: bytes, concrete: bool) -> Subject:
+    """The subject spelled ``raw``, shared by every call with the same arguments.
+
+    Raises :class:`InvalidSubject` on a bad spelling, and on a wildcard if
+    ``concrete``; a failure is not cached, so it raises again on a repeat.
+    """
+    try:
+        subject = Subject.parse(raw.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise InvalidSubject(f"bad subject: {raw!r}") from exc
+    if concrete and subject.is_pattern:
+        raise InvalidSubject(f"wildcard forbidden here: {subject}")
+    return subject
 
 
 def subject_matches(pattern: Subject, subject: Subject) -> bool:
@@ -120,21 +142,15 @@ def subject_matches(pattern: Subject, subject: Subject) -> bool:
 
 def mqtt_topic_to_subject(topic: str) -> Subject:
     """Map an MQTT topic onto a subject: slash to dot, ``+`` to ``*``, final ``#`` to ``>``."""
-    levels = topic.split("/")
-    tokens: list[str] = []
-    last = len(levels) - 1
-    for i, level in enumerate(levels):
-        if level == "+":
-            tokens.append("*")
-        elif level == "#":
-            if i != last:
-                raise InvalidTopic(f"'#' must be the final level: {topic!r}")
-            tokens.append(">")
-        elif _TOKEN_RE.match(level):
-            tokens.append(level)
-        else:
-            raise InvalidTopic(f"bad topic level {level!r} in {topic!r}")
-    return Subject(tuple(tokens))
+    # No topic level may hold '.', '*' or '>'. Without them the mapping is a
+    # swap of characters, and the subject grammar rejects every bad level.
+    if "." in topic or "*" in topic or ">" in topic:
+        raise InvalidTopic(f"bad topic: {topic!r}")
+    text = topic.replace("/", ".").replace("+", "*").replace("#", ">")
+    try:
+        return intern_subject(text.encode(), False)
+    except (InvalidSubject, UnicodeError) as exc:
+        raise InvalidTopic(f"bad topic: {topic!r}") from exc
 
 
 def subject_to_mqtt_topic(subject: Subject) -> str:
@@ -177,15 +193,15 @@ def encode_frame(frame: Frame) -> bytes:
     if k == ERR:
         return b"-ERR " + frame.message.encode() + CRLF
     if k == PUB:
-        head = f"PUB {frame.subject} {len(frame.payload)}".encode()
-        return head + CRLF + frame.payload + CRLF
+        return b"PUB %s %d\r\n%s\r\n" % (frame.subject.raw, len(frame.payload), frame.payload)
     if k == SUB:
-        return f"SUB {frame.subject} {frame.sid}".encode() + CRLF
+        return b"SUB %s %d\r\n" % (frame.subject.raw, frame.sid)
     if k == UNSUB:
-        return f"UNSUB {frame.sid}".encode() + CRLF
+        return b"UNSUB %d\r\n" % frame.sid
     if k == MSG:
-        head = f"MSG {frame.subject} {frame.sid} {len(frame.payload)}".encode()
-        return head + CRLF + frame.payload + CRLF
+        return b"MSG %s %d %d\r\n%s\r\n" % (
+            frame.subject.raw, frame.sid, len(frame.payload), frame.payload
+        )
     raise ValueError(f"unknown frame kind: {k!r}")
 
 
@@ -195,14 +211,11 @@ def _parse_int(token: bytes, what: str) -> int:
     return int(token)
 
 
-def _parse_subject(token: bytes, *, concrete: bool) -> Subject:
+def _parse_subject(token: bytes, concrete: bool) -> Subject:
     try:
-        subject = Subject.parse(token.decode("ascii"))
-    except (InvalidSubject, UnicodeDecodeError) as exc:
-        raise MalformedFrame(f"bad subject: {token!r}") from exc
-    if concrete and subject.is_pattern:
-        raise MalformedFrame(f"wildcard forbidden here: {subject}")
-    return subject
+        return intern_subject(token, concrete)
+    except InvalidSubject as exc:
+        raise MalformedFrame(str(exc)) from exc
 
 
 def parse_frame(
@@ -243,7 +256,7 @@ def parse_frame(
         want = 3 if verb == b"PUB" else 4
         if len(parts) != want:
             raise MalformedFrame(f"{verb.decode()} expects {want - 1} arguments")
-        subject = _parse_subject(parts[1], concrete=True)
+        subject = _parse_subject(parts[1], True)
         sid = _parse_int(parts[2], "sid") if verb == b"MSG" else None
         length = _parse_int(parts[-1], "payload length")
         if length > max_payload:
@@ -260,7 +273,7 @@ def parse_frame(
     if verb == b"SUB":
         if len(parts) != 3:
             raise MalformedFrame("SUB expects 2 arguments")
-        subject = _parse_subject(parts[1], concrete=False)
+        subject = _parse_subject(parts[1], False)
         return Frame(SUB, subject=subject, sid=_parse_int(parts[2], "sid")), consumed
 
     if verb == b"UNSUB":

@@ -1,12 +1,15 @@
 """Broker routing and session behavior tests."""
 
+import itertools
 import random
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from paveharvest import broker as broker_mod
 from paveharvest import wire
 from paveharvest.broker import Broker, SubjectRouter
 from paveharvest.client import BusClient, BusError
@@ -87,6 +90,95 @@ def test_route_matches_quadratic_reference():
             if wire.subject_matches(pattern, subject)
         )
         assert sorted(r.route(subject)) == want
+
+
+# A small alphabet, so that patterns often match and every table change hits
+# subjects whose routes are cached.
+ROUTER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), st.integers(1, 3), st.integers(1, 3),
+                  st.lists(st.sampled_from(["a", "b", "*"]), min_size=1, max_size=3),
+                  st.booleans()),
+        st.tuples(st.just("unregister"), st.integers(1, 3), st.integers(1, 3)),
+        st.tuples(st.just("drop_session"), st.integers(1, 3)),
+    ),
+    max_size=40,
+)
+SMALL_SUBJECTS = [
+    Subject(toks) for n in (1, 2, 3) for toks in itertools.product(("a", "b"), repeat=n)
+]
+
+
+@given(ROUTER_OPS)
+@settings(max_examples=200, deadline=None)
+def test_route_cache_follows_table_changes(ops):
+    """Routes stay exact while subscriptions come and go between them."""
+    r = SubjectRouter()
+    subs: dict[tuple[int, int], Subject] = {}
+    for op in ops:
+        if op[0] == "register":
+            _, session_id, sid, toks, tail = op
+            pattern = Subject(tuple(toks) + ((">",) if tail else ()))
+            if (session_id, sid) in subs:
+                with pytest.raises(ValueError):
+                    r.register(session_id, sid, pattern)
+            else:
+                r.register(session_id, sid, pattern)
+                subs[(session_id, sid)] = pattern
+        elif op[0] == "unregister":
+            _, session_id, sid = op
+            assert r.unregister(session_id, sid) == ((session_id, sid) in subs)
+            subs.pop((session_id, sid), None)
+        else:
+            r.drop_session(op[1])
+            subs = {key: p for key, p in subs.items() if key[0] != op[1]}
+        for subject in SMALL_SUBJECTS:
+            want = sorted(key for key, p in subs.items() if wire.subject_matches(p, subject))
+            for _ in range(2):  # the second from the cache
+                got = r.route(subject)
+                assert sorted(got) == want
+                got.append((99, 99))  # the caller's list is its own
+
+
+def test_route_results_are_copies():
+    b = Broker()
+    b._sessions[1] = object()
+    b._send = lambda session, data: None
+    b.router.register(1, 1, Subject.parse("a.>"))
+    subject = Subject.parse("a.b")
+    b.route(subject, b"x").clear()
+    b.router.route(subject).append((2, 2))
+    assert b.router.route(subject) == [(1, 1)]
+    assert b.route(subject, b"x") == [(1, 1)]
+
+
+def test_warm_route_does_not_scan_subscriptions(monkeypatch):
+    r = SubjectRouter()
+    for i in range(500):
+        r.register(i % 7, i, Subject.parse(f"site.{i}.>"))
+    subject = Subject.parse("site.42.daq.1")
+    assert r.route(subject) == [(42 % 7, 42)]
+    calls = []
+    real = wire.subject_matches
+
+    def counting(pattern, subj):
+        calls.append(pattern)
+        return real(pattern, subj)
+
+    monkeypatch.setattr(wire, "subject_matches", counting)
+    assert r.route(subject) == [(42 % 7, 42)]
+    assert calls == []
+    r.register(8, 1, Subject.parse("site.*.daq.>"))  # a change rescans once
+    assert sorted(r.route(subject)) == [(42 % 7, 42), (8, 1)]
+    assert len(calls) == 501
+
+
+def test_route_cache_is_bounded():
+    r = SubjectRouter()
+    r.register(1, 1, Subject.parse("s.>"))
+    for i in range(3 * broker_mod.ROUTE_CACHE_SIZE):
+        assert r.route(Subject(("s", str(i)))) == [(1, 1)]
+        assert len(r._routes) <= broker_mod.ROUTE_CACHE_SIZE
 
 
 # --- live sessions -----------------------------------------------------------
@@ -440,4 +532,51 @@ def test_pinging_non_reader_evicted_while_others_are_served():
     finally:
         lazy.close()
         other.close()
+        b.stop()
+
+
+# --- counters ----------------------------------------------------------------
+
+
+def test_stats_count_routes_and_evictions():
+    b = Broker(queue_frames=16, ping_interval=60.0).start()
+    try:
+        assert b.stats() == {
+            "published": 0, "delivered": 0, "unrouted": 0,
+            "evicted": {"slow_consumer": 0, "keepalive": 0, "protocol_error": 0},
+        }
+        with make_client(b) as pub:
+            pub.publish("nobody.here", b"x")
+            pub.subscribe("else.where", lambda s, p, i: None)  # acked after the PUB
+            assert b.stats()["published"] == 1
+            assert b.stats()["unrouted"] == 1
+            assert b.stats()["delivered"] == 0
+
+            lazy = socket.create_connection(b.address, timeout=5)
+            lazy.sendall(b"SUB flood.> 1\r\n")
+            assert lazy.recv(16) == b"+OK\r\n"
+            stop = threading.Event()
+
+            def flood():
+                while not stop.is_set():
+                    pub.publish("flood.data", b"x" * 1024)
+
+            flooder = threading.Thread(target=flood, daemon=True)
+            flooder.start()
+            assert wait_for_sessions(b, 1, timeout=10)  # the lazy one is evicted
+            stop.set()
+            flooder.join(timeout=5)
+            lazy.close()
+
+            bad = socket.create_connection(b.address, timeout=5)
+            bad.sendall(b"BOGUS\r\n")
+            assert bad.recv(256).startswith(b"-ERR")
+            bad.close()
+            assert wait_for_sessions(b, 1)
+            stats = b.stats()
+        assert stats["evicted"] == {"slow_consumer": 1, "keepalive": 0, "protocol_error": 1}
+        assert stats["delivered"] >= 16
+        # one subscriber per subject at most: every publish is delivered once or unrouted
+        assert stats["published"] == stats["delivered"] + stats["unrouted"]
+    finally:
         b.stop()

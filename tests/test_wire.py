@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paveharvest import wire
+from paveharvest.broker import Broker
 from paveharvest.wire import (
     Frame,
     InvalidSubject,
@@ -154,6 +155,68 @@ def test_frame_parse_leaves_trailing_bytes(frame, extra):
         got, got_used = parse_frame(buf)
         assert (got, got_used) == (frame, used)
         assert type(got.payload) is bytes
+
+
+# --- the subject intern ------------------------------------------------------
+
+
+def test_subject_intern_is_bounded():
+    assert wire.intern_subject.cache_info().maxsize == wire.SUBJECT_CACHE_SIZE
+    for i in range(10_000):
+        frame, _ = parse_frame(b"PUB flood.s%d 1\r\nx\r\n" % i)
+        assert frame.subject.tokens == ("flood", f"s{i}")
+    assert wire.intern_subject.cache_info().currsize <= wire.SUBJECT_CACHE_SIZE
+
+
+def test_interned_subjects_are_shared():
+    first, _ = parse_frame(b"PUB site.65.daq.1 0\r\n\r\n")
+    again, _ = parse_frame(b"MSG site.65.daq.1 3 0\r\n\r\n")
+    assert again.subject is first.subject
+    assert first.subject.raw == b"site.65.daq.1"
+    topic = mqtt_topic_to_subject("site/+/daq/#")
+    assert mqtt_topic_to_subject("site/+/daq/#") is topic
+    assert topic == Subject.parse("site.*.daq.>")
+
+
+def test_malformed_subject_raises_on_every_repeat():
+    for raw in (b"PUB a..b 1\r\nx\r\n", b"PUB a.\xff 1\r\nx\r\n", b"SUB >.a 1\r\n"):
+        for _ in range(3):
+            with pytest.raises(MalformedFrame):
+                parse_frame(raw)
+    for _ in range(3):
+        with pytest.raises(InvalidTopic):
+            mqtt_topic_to_subject("a/#/b")
+
+
+def test_pattern_bytes_stay_rejected_where_concrete():
+    frame, _ = parse_frame(b"SUB a.* 1\r\n")
+    assert frame.subject == Subject(("a", "*"))
+    for _ in range(2):
+        with pytest.raises(MalformedFrame):
+            parse_frame(b"PUB a.* 1\r\nx\r\n")
+        with pytest.raises(MalformedFrame):
+            parse_frame(b"MSG a.* 1 1\r\nx\r\n")
+
+
+@given(
+    st.lists(st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True), min_size=1, max_size=6),
+    st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True),
+    st.binary(max_size=200),
+)
+def test_msg_bytes_match_encode_frame(tokens, sids, payload):
+    """The MSG the broker builds is byte-identical to ``encode_frame``'s."""
+    b = Broker()
+    sent = []
+    b._send = lambda session, data: sent.append((session, data))
+    subject = wire.intern_subject(".".join(tokens).encode(), True)
+    for sid in sids:
+        b._sessions[sid] = sid
+        b.router.register(sid, sid, Subject(("*",) * len(tokens)))
+    b.route(subject, payload)
+    assert sorted(sent) == sorted(
+        (sid, wire.encode_frame(wire.Frame(wire.MSG, subject=subject, sid=sid, payload=payload)))
+        for sid in sids
+    )
 
 
 # --- subjects ----------------------------------------------------------------
