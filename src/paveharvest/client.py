@@ -20,6 +20,9 @@ logger = logging.getLogger(__name__)
 
 MessageHandler = Callable[[Subject, bytes, int], None]
 
+CONNECT_TIMEOUT_S = 5.0
+ACK_TIMEOUT_S = 5.0  # wait for the broker's +OK to a SUB or UNSUB
+
 
 class BusError(Exception):
     """Connection-level or broker-reported failure."""
@@ -34,11 +37,10 @@ class BusClient:
         port: int,
         max_payload: int = wire.MAX_PAYLOAD,
         on_disconnect: Callable[[], None] | None = None,
-        connect_timeout: float = 5.0,
     ):
         self.max_payload = max_payload
         self.on_disconnect = on_disconnect
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+        self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
@@ -67,12 +69,7 @@ class BusClient:
             subject = wire.intern_subject(subject.encode(), False)
         self._send(Frame(wire.PUB, subject=subject, payload=payload))
 
-    def subscribe(
-        self,
-        pattern: Subject | str,
-        handler: MessageHandler,
-        ack_timeout: float = 5.0,
-    ) -> int:
+    def subscribe(self, pattern: Subject | str, handler: MessageHandler) -> int:
         """Register ``handler`` for ``pattern``; blocks until the broker acks."""
         if isinstance(pattern, str):
             pattern = wire.intern_subject(pattern.encode(), False)
@@ -80,7 +77,7 @@ class BusClient:
         self._next_sid += 1
         self._handlers[sid] = handler
         self._send(Frame(wire.SUB, subject=pattern, sid=sid))
-        if not self._acks.acquire(timeout=ack_timeout):
+        if not self._acks.acquire(timeout=ACK_TIMEOUT_S):
             raise BusError(self._last_error or "no ack for SUB")
         if self._last_error is not None:
             raise BusError(self._last_error)
@@ -88,10 +85,10 @@ class BusClient:
             raise BusError("connection closed")
         return sid
 
-    def unsubscribe(self, sid: int, ack_timeout: float = 5.0) -> None:
+    def unsubscribe(self, sid: int) -> None:
         self._handlers.pop(sid, None)
         self._send(Frame(wire.UNSUB, sid=sid))
-        self._acks.acquire(timeout=ack_timeout)
+        self._acks.acquire(timeout=ACK_TIMEOUT_S)
 
     def ping(self) -> None:
         self._send(Frame(wire.PING))

@@ -185,7 +185,6 @@ class Connector:
         batch_age_s: float = 0.0,
         queue_cap: int = DEFAULT_QUEUE_CAP,
         backoff_base_s: float = BACKOFF_BASE_S,
-        backoff_cap_s: float = BACKOFF_CAP_S,
         metrics_port: int | None = None,
         on_insert=None,
     ):
@@ -195,7 +194,6 @@ class Connector:
         self.batch_size = batch_size
         self.batch_age_s = batch_age_s  # opt-in linger for fuller batches
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.on_insert = on_insert
         self._queue = _Handoff()
         self._queue_cap = queue_cap
@@ -390,7 +388,7 @@ class Connector:
                 )
                 if self._stop.wait(backoff):
                     return
-                backoff = min(backoff * 2, self.backoff_cap_s)
+                backoff = min(backoff * 2, BACKOFF_CAP_S)
                 continue
             logger.info("subscribed to %s", self.wildcard)
             backoff = self.backoff_base_s

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -219,7 +219,6 @@ class ScenarioRun:
 class RunReport:
     published: int = 0
     failed: int = 0
-    per_sensor_seq: dict = field(default_factory=dict)
 
 
 def run_scenario(
@@ -255,8 +254,6 @@ def run_scenario(
                 report.published += 1
                 if on_publish is not None:
                     on_publish(topic.rsplit("/", 1)[1], payload, time.time_ns() // 1000)
-    for state in run.states:
-        report.per_sensor_seq[state.spec.sensor_id] = state.seq
     return report
 
 

@@ -11,15 +11,22 @@ Duplicates on (sensor, ts) are reported and resolved last-write-wins at
 read time; out-of-order arrival within a chunk is normal. The segment
 file is the only copy of a chunk's values: a read decodes it into
 ts-sorted numpy columns, and a chunk that takes writes keeps only the set
-of its timestamps, for duplicate checks and record counts. A
-``manifest`` sidecar at the root lists sealed chunks; it is rewritten by
-a retention sweep and on closing a store that took inserts. One writer
-per chunk at a time; readers see fully flushed records only (a torn
-trailing record is ignored, and cut off before the next append).
+of its timestamps, for duplicate checks and record counts.
+
+An insert groups its batch by chunk and gives each touched chunk one
+unbuffered ``write`` of its records, all or nothing: a short or failed
+write is cut back, and only that chunk's samples report the error. No
+user-space buffer holds records once ``insert`` returns. Each sensor
+keeps one segment open, the one it wrote last. A ``manifest`` sidecar at
+the root lists the other chunks; it is rewritten by a retention sweep and
+on closing a store that took inserts. One writer per chunk at a time;
+readers see whole records only (a torn trailing record is ignored, and
+cut off before the next append).
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import logging
 import math
@@ -90,18 +97,18 @@ class InsertReport:
     """Per-sample outcome of one insert batch."""
 
     statuses: list[str] = field(default_factory=list)  # ack/duplicate/<reason>
-    accepted: int = 0
-    duplicates: int = 0
-    errors: int = 0
 
-    def note(self, status: str) -> None:
-        self.statuses.append(status)
-        if status == ACK:
-            self.accepted += 1
-        elif status == DUPLICATE:
-            self.duplicates += 1
-        else:
-            self.errors += 1
+    @property
+    def accepted(self) -> int:
+        return self.statuses.count(ACK)
+
+    @property
+    def duplicates(self) -> int:
+        return self.statuses.count(DUPLICATE)
+
+    @property
+    def errors(self) -> int:
+        return len(self.statuses) - self.accepted - self.duplicates
 
 
 class _Chunk:
@@ -118,6 +125,7 @@ class _Chunk:
         self.values: tuple[np.ndarray, np.ndarray] | None = None
         self.stamps: set[int] | None = None
         self.corrupt = False
+        self.size = 0  # bytes of whole records (and header) while open
         self._fh = None
 
     @property
@@ -150,38 +158,41 @@ class _Chunk:
 
     def open_for_append(self):
         if self._fh is None:
-            new = not self.path.exists()
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "ab")
-            if new:
-                self._fh.write(
-                    HEADER.pack(
-                        MAGIC,
-                        VERSION,
-                        key_hash(self.key.sensor),
-                        self.key.window_start,
-                        b"\0" * 8,
-                    )
-                )
-            else:
-                # A crash can leave a torn record at the end; appending after
-                # it would misframe every record written from here on.
-                size = self._fh.tell()
-                torn = (size - HEADER_SIZE) % RECORD_SIZE
-                if torn:
-                    self._fh.truncate(size - torn)
+            self._fh = open(self.path, "ab", buffering=0)
+            size = self._fh.tell()
+            # A crash can leave a torn record at the end; appending after it
+            # would misframe every record written from here on.
+            self.size = size - (size - HEADER_SIZE) % RECORD_SIZE if size else 0
+            if self.size != size:
+                self._fh.truncate(self.size)
         return self._fh
 
-    def append(self, ts: int, v: float) -> None:
-        """Write one record; call :meth:`held` first."""
-        self.open_for_append().write(RECORD.pack(ts, v))
-        assert self.stamps is not None
-        self.stamps.add(ts)
-        self.values = None
+    def append(self, records: bytes, stamps: set[int]) -> None:
+        """Write packed records in one write, all or nothing; call :meth:`held` first.
 
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
+        A short or failed write is cut back to the previous end (a new
+        segment is removed) and raises :class:`OSError`.
+        """
+        fh = self.open_for_append()
+        if not self.size:
+            records = HEADER.pack(
+                MAGIC, VERSION, key_hash(self.key.sensor), self.key.window_start, b"\0" * 8
+            ) + records
+        try:
+            if fh.write(records) != len(records):
+                raise OSError(errno.ENOSPC, "short write", str(self.path))
+        except OSError:
+            if self.size:
+                fh.truncate(self.size)
+            else:
+                self.close()
+                self.path.unlink(missing_ok=True)
+            raise
+        self.size += len(records)
+        assert self.stamps is not None
+        self.stamps |= stamps
+        self.values = None
 
     def close(self) -> None:
         if self._fh is not None:
@@ -208,8 +219,7 @@ class Store:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._chunks: dict[ChunkKey, _Chunk] = {}
-        self._open_per_sensor: dict[str, ChunkKey] = {}
-        self._sealed: set[ChunkKey] = set()
+        self._open_per_sensor: dict[str, ChunkKey] = {}  # the chunk each sensor wrote last
         self._inserted = False  # the manifest is rewritten on close only if set
         self._closed = False
         self._scan()
@@ -235,65 +245,66 @@ class Store:
                     continue
                 key = ChunkKey(sensor, start)
                 self._chunks[key] = _Chunk(key, seg, self.span)
-                self._sealed.add(key)
 
     # -- writes ------------------------------------------------------------
 
     def insert(self, batch: Iterable[Sample]) -> InsertReport:
-        """Append samples to their chunks; duplicates keep the last write."""
-        report = InsertReport()
-        touched: set[_Chunk] = set()
+        """Append samples, one write per touched chunk; duplicates keep the last write."""
+        statuses: list[str] = []
+        groups: dict[ChunkKey, list[tuple[int, int, float]]] = {}
         with self._lock:
             self._ensure_open()
-            for sample in batch:
-                status = self._insert_one(sample, touched)
-                report.note(status)
-            for chunk in touched:
-                chunk.flush()
-            self._inserted = self._inserted or bool(touched)
-        return report
+            for i, (sensor, ts, v) in enumerate(batch):
+                if ts <= 0:
+                    statuses.append("bad-ts")
+                elif not math.isfinite(v):
+                    statuses.append("nonfinite")
+                else:
+                    statuses.append(ACK)
+                    key = ChunkKey(sensor, ts - ts % self.span)
+                    groups.setdefault(key, []).append((i, ts, v))
+            # The chunk of a sensor's last sample goes last and keeps its handle.
+            for key, group in sorted(groups.items(), key=lambda item: item[1][-1][0]):
+                self._append(key, group, statuses)
+        return InsertReport(statuses)
 
-    def _insert_one(self, sample: Sample, touched: set[_Chunk]) -> str:
-        sensor, ts, v = sample
-        if ts <= 0:
-            return "bad-ts"
-        if not math.isfinite(v):
-            return "nonfinite"
-        key = chunk_for(sensor, ts, self.span)
+    def _append(
+        self, key: ChunkKey, group: list[tuple[int, int, float]], statuses: list[str]
+    ) -> None:
+        """Write one chunk's samples; on failure set all their statuses to the reason."""
         chunk = self._chunks.get(key)
         if chunk is None:
-            chunk = _Chunk(key, self._segment_path(key), self.span)
-            self._chunks[key] = chunk
-        if chunk.corrupt:
-            return "corrupt-segment"
+            chunk = self._chunks[key] = _Chunk(key, self._segment_path(key), self.span)
+        failure = "corrupt-segment"
         try:
-            duplicate = ts in chunk.held()
+            if chunk.corrupt:
+                raise CorruptSegment
+            held = chunk.held()
+            seen: set[int] = set()
+            for i, ts, _ in group:
+                if ts in held or ts in seen:
+                    statuses[i] = DUPLICATE
+                seen.add(ts)
+            chunk.append(b"".join([RECORD.pack(ts, v) for _, ts, v in group]), seen)
         except CorruptSegment as exc:
-            logger.error("%s", exc)
-            chunk.corrupt = True
-            return "corrupt-segment"
-        try:
-            chunk.append(ts, v)
+            if not chunk.corrupt:
+                logger.error("%s", exc)
+                chunk.corrupt = True
         except OSError as exc:
             logger.error("append to %s failed: %s", chunk.path, exc)
-            return "storage-full" if exc.errno == 28 else "io-error"
-        touched.add(chunk)
-        self._note_open_chunk(key)
-        return DUPLICATE if duplicate else ACK
-
-    def _note_open_chunk(self, key: ChunkKey) -> None:
-        prev = self._open_per_sensor.get(key.sensor)
-        if prev is not None and prev != key:
-            self._seal(prev)
-        self._open_per_sensor[key.sensor] = key
-        self._sealed.discard(key)
-
-    def _seal(self, key: ChunkKey) -> None:
-        chunk = self._chunks.get(key)
-        if chunk is not None:
-            chunk.flush()
-            chunk.close()
-        self._sealed.add(key)
+            failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
+            if not chunk.stamps and not chunk.path.exists():  # a new segment, removed
+                del self._chunks[key]
+        else:
+            self._inserted = True
+            prev = self._open_per_sensor.get(key.sensor)
+            if prev != key:
+                if prev is not None:
+                    self._chunks[prev].close()
+                self._open_per_sensor[key.sensor] = key
+            return
+        for i, _, _ in group:
+            statuses[i] = failure
 
     # -- reads ------------------------------------------------------------
 
@@ -386,7 +397,6 @@ class Store:
                     chunk.close()
                     chunk.path.unlink(missing_ok=True)
                     del self._chunks[key]
-                    self._sealed.discard(key)
                     if self._open_per_sensor.get(key.sensor) == key:
                         del self._open_per_sensor[key.sensor]
                     dropped.append(key)
@@ -400,9 +410,9 @@ class Store:
 
     def _write_manifest(self) -> None:
         lines = ["# sealed chunks: sensor-key\twindow-start-us\trecords"]
-        for key in sorted(self._sealed):
-            chunk = self._chunks.get(key)
-            if chunk is None:
+        open_keys = set(self._open_per_sensor.values())
+        for key, chunk in sorted(self._chunks.items()):
+            if key in open_keys:
                 continue
             try:
                 records = str(chunk.count())
@@ -415,8 +425,6 @@ class Store:
         with self._lock:
             if self._closed:
                 return
-            for key in list(self._open_per_sensor.values()):
-                self._seal(key)
             self._open_per_sensor.clear()
             for chunk in self._chunks.values():
                 chunk.close()

@@ -28,7 +28,7 @@ SUBJECT_CACHE_SIZE = 4096  # interned subjects; least recently used go first
 
 CRLF = b"\r\n"
 
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 #: Frame kinds, matching the wire verbs.
 PUB = "PUB"
@@ -89,7 +89,7 @@ class Subject:
                 if i != last:
                     raise InvalidSubject("'>' is only legal as the last token")
                 continue
-            if not _TOKEN_RE.match(tok):
+            if not _TOKEN_RE.fullmatch(tok):
                 raise InvalidSubject(f"bad subject token: {tok!r}")
         object.__setattr__(self, "raw", ".".join(self.tokens).encode())
 

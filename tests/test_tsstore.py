@@ -1,13 +1,17 @@
 """Store partitioning, query, downsample, retention and durability tests."""
 
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
+    ACK,
     DEFAULT_CHUNK_SPAN_US,
+    DUPLICATE,
     HEADER_SIZE,
     RECORD_SIZE,
     ChunkKey,
@@ -361,3 +365,108 @@ def test_segment_header_size_is_32_bytes(tmp_path):
         store.insert([Sample("a", 10, 1.0)])
     seg = next((root / "a").glob("*.seg"))
     assert seg.stat().st_size == 32 + 16
+
+
+def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
+    """Random-order samples over many chunks: one open per touched segment,
+    where a write per sample would reopen a segment on almost every sample."""
+    opens = []
+    real_open = tsstore._Chunk.open_for_append
+
+    def open_for_append(chunk):
+        if chunk._fh is None:
+            opens.append(chunk.key)
+        return real_open(chunk)
+
+    monkeypatch.setattr(tsstore._Chunk, "open_for_append", open_for_append)
+    rng = random.Random(29)
+    samples = [
+        Sample(f"s{rng.randrange(3)}", rng.randint(1, 60_000), rng.random())
+        for _ in range(3000)
+    ]
+    with Store(tmp_path / "db", chunk_span_us=1000) as store:
+        store.insert(samples)
+        assert len(opens) == len(set(opens)) == len(store.chunks()) > 100
+
+
+@pytest.mark.parametrize("fault", ["short", "enospc"])
+def test_failed_write_fails_only_its_chunk(tmp_path, fault):
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample("a", 10, 1.0), Sample("b", 10, 1.0)])
+        seg_a = root / "a" / "0.seg"
+        before = seg_a.read_bytes()
+        handle = store._chunks[ChunkKey("a", 0)].open_for_append()
+        real_write = handle.write
+
+        def write(data):
+            if fault == "enospc":
+                raise OSError(28, "No space left on device")
+            return real_write(data[: len(data) // 2 + 3])  # lands mid-record
+
+        handle.write = write
+        report = store.insert(
+            [Sample("a", 20, 2.0), Sample("b", 20, 2.0), Sample("a", 30, 3.0)]
+        )
+        assert report.statuses == ["storage-full", "ack", "storage-full"]
+        assert seg_a.read_bytes() == before
+        del handle.write
+        assert store.insert([Sample("a", 40, 4.0)]).statuses == ["ack"]
+        assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0), Sample("a", 40, 4.0)]
+        assert store.query_range("b", 0, 100) == [Sample("b", 10, 1.0), Sample("b", 20, 2.0)]
+    assert verify_segments(root) == []
+
+
+def test_failed_first_write_leaves_no_segment(tmp_path, monkeypatch):
+    root = tmp_path / "db"
+    real_open = tsstore._Chunk.open_for_append
+
+    def open_for_append(chunk):
+        handle = real_open(chunk)
+        if chunk.key.sensor == "a":
+            handle.write = lambda data: 0
+        return handle
+
+    monkeypatch.setattr(tsstore._Chunk, "open_for_append", open_for_append)
+    with Store(root) as store:
+        report = store.insert([Sample("a", 10, 1.0), Sample("b", 10, 1.0)])
+        assert report.statuses == ["storage-full", "ack"]
+        assert not (root / "a" / "0.seg").exists()
+        assert store.chunks() == [ChunkKey("b", 0)]
+    monkeypatch.undo()
+    with Store(root) as store:
+        assert store.insert([Sample("a", 10, 1.0)]).statuses == ["ack"]
+        assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0)]
+    assert verify_segments(root) == []
+
+
+_model_batch = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(1, 40), st.integers(0, 3)),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(_model_batch, max_size=6), reopen=st.booleans())
+def test_inserts_match_dict_model(batches, reopen):
+    """Statuses and last-write-wins reads follow a dict of (sensor, ts) -> v,
+    across batches with in-batch resends and chunks touched out of order."""
+    model: dict[tuple[str, int], float] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Store(tmp, chunk_span_us=7)
+        for i, batch in enumerate(batches):
+            samples = [Sample(s, ts, float(v)) for s, ts, v in batch]
+            want = []
+            for s in samples:
+                want.append(DUPLICATE if (s.sensor, s.ts) in model else ACK)
+                model[s.sensor, s.ts] = s.v
+            assert store.insert(samples).statuses == want
+            if reopen and i % 2:
+                store.close()
+                store = Store(tmp, chunk_span_us=7)
+        for sensor in "ab":
+            assert store.query_range(sensor, 0, 100) == sorted(
+                Sample(s, ts, v) for (s, ts), v in model.items() if s == sensor
+            )
+        store.close()
+        assert verify_segments(tmp, span=7) == []

@@ -362,3 +362,14 @@ def test_sample_payload_nonfinite_decodes():
     # non-finite v is structurally valid; the ingest layer classifies it
     p = decode_sample(b'{"ts":1,"v":NaN,"seq":0,"unit":"kPa"}')
     assert not wire.is_finite(p.v)
+
+
+def test_token_with_trailing_newline_is_rejected():
+    """A token must match the grammar whole; ``$`` alone would let a final
+    newline through, and encode_frame would then split the control line."""
+    with pytest.raises(InvalidSubject):
+        Subject.parse("site.65\n")
+    with pytest.raises(InvalidSubject):
+        wire.intern_subject(b"a.b\n", True)
+    with pytest.raises(InvalidTopic):
+        mqtt_topic_to_subject("a/b\n")
