@@ -524,11 +524,12 @@ def _parse_time_of_day(text: str) -> float:
 
 
 def _format_time_of_day(seconds: float) -> str:
-    seconds = seconds % 86_400
-    h = int(seconds // 3600)
-    m = int(seconds % 3600 // 60)
-    s = seconds % 60
-    return f"{h:02d}:{m:02d}:{s:05.2f}"
+    # Round to hundredths once, before the split, so 59.996 s carries into
+    # the minute instead of printing as 60.00.
+    text = f"{seconds % 86_400:.2f}"
+    m, s = divmod(int(text[:-3]) % 86_400, 60)
+    h, m = divmod(m, 60)
+    return f"{h:02d}:{m:02d}:{s:02d}{text[-3:]}"
 
 
 # --- normalization ------------------------------------------------------------

@@ -13,6 +13,12 @@ file is the only copy of a chunk's values: a read decodes it into
 ts-sorted numpy columns, and a chunk that takes writes keeps only the set
 of its timestamps, for duplicate checks and record counts.
 
+The directory is the chunk table. Opening a store reads nothing; a query
+lists only its sensor's directory, and ``chunks``, ``sensors``, ``count()``,
+a retention sweep and the manifest list them all. A store keeps state
+only for the chunks its session wrote, read or counted, and ``close``
+releases every one.
+
 An insert groups its batch by chunk and gives each touched chunk one
 unbuffered ``write`` of its records, all or nothing: a short or failed
 write is cut back, and only that chunk's samples report the error. No
@@ -21,7 +27,8 @@ keeps one segment open, the one it wrote last. A ``manifest`` sidecar at
 the root lists the other chunks; it is rewritten by a retention sweep and
 on closing a store that took inserts. One writer per chunk at a time;
 readers see whole records only (a torn trailing record is ignored, and
-cut off before the next append).
+cut off before the next append). The store never calls ``fsync``, so that
+cut covers a process crash, not a power loss.
 """
 
 from __future__ import annotations
@@ -128,10 +135,6 @@ class _Chunk:
         self.size = 0  # bytes of whole records (and header) while open
         self._fh = None
 
-    @property
-    def window_end(self) -> int:
-        return self.key.window_start + self.span
-
     def load(self) -> None:
         """Decode the segment into ts-ascending, last-write-wins columns."""
         if self.values is not None:
@@ -149,7 +152,7 @@ class _Chunk:
         self.values = (ts, records["v"][::-1][last])
 
     def held(self) -> set[int]:
-        """Timestamps the chunk holds; kept for the store's life once asked for."""
+        """Timestamps the chunk holds; once asked for, kept until the store closes."""
         if self.stamps is None:
             self.load()
             assert self.values is not None
@@ -222,7 +225,6 @@ class Store:
         self._open_per_sensor: dict[str, ChunkKey] = {}  # the chunk each sensor wrote last
         self._inserted = False  # the manifest is rewritten on close only if set
         self._closed = False
-        self._scan()
 
     # -- layout ------------------------------------------------------------
 
@@ -232,19 +234,32 @@ class Store:
     def _segment_path(self, key: ChunkKey) -> Path:
         return self._sensor_dir(key.sensor) / f"{key.window_start}.seg"
 
-    def _scan(self) -> None:
-        for sensor_dir in sorted(self.root.iterdir()):
-            if not sensor_dir.is_dir():
-                continue
-            sensor = unquote(sensor_dir.name)
-            for seg in sorted(sensor_dir.glob("*.seg")):
+    def _keys(self, sensor: str | None = None) -> list[ChunkKey]:
+        """Keys of the segments on disk, of one sensor or of all, in key order."""
+        if sensor is None:
+            sensors = {unquote(path.name) for path in self.root.iterdir() if path.is_dir()}
+        else:
+            sensors = {sensor}
+        keys = []
+        for name in sensors:
+            for seg in self._sensor_dir(name).glob("*.seg"):
                 try:
-                    start = int(seg.stem)
+                    key = ChunkKey(name, int(seg.stem))
                 except ValueError:
+                    key = None
+                # Only the name the store gives a chunk leads back to its file.
+                if key is None or seg.name != f"{key.window_start}.seg":
                     logger.warning("ignoring stray file %s", seg)
                     continue
-                key = ChunkKey(sensor, start)
-                self._chunks[key] = _Chunk(key, seg, self.span)
+                keys.append(key)
+        return sorted(keys)
+
+    def _chunk(self, key: ChunkKey) -> _Chunk:
+        """The session's state for ``key``, made on first touch."""
+        chunk = self._chunks.get(key)
+        if chunk is None:
+            chunk = self._chunks[key] = _Chunk(key, self._segment_path(key), self.span)
+        return chunk
 
     # -- writes ------------------------------------------------------------
 
@@ -272,9 +287,7 @@ class Store:
         self, key: ChunkKey, group: list[tuple[int, int, float]], statuses: list[str]
     ) -> None:
         """Write one chunk's samples; on failure set all their statuses to the reason."""
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            chunk = self._chunks[key] = _Chunk(key, self._segment_path(key), self.span)
+        chunk = self._chunk(key)
         failure = "corrupt-segment"
         try:
             if chunk.corrupt:
@@ -293,8 +306,6 @@ class Store:
         except OSError as exc:
             logger.error("append to %s failed: %s", chunk.path, exc)
             failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
-            if not chunk.stamps and not chunk.path.exists():  # a new segment, removed
-                del self._chunks[key]
         else:
             self._inserted = True
             prev = self._open_per_sensor.get(key.sensor)
@@ -310,11 +321,7 @@ class Store:
 
     def _sensor_chunks(self, sensor: str, t0: int, t1: int) -> list[_Chunk]:
         lo = t0 - t0 % self.span
-        return [
-            self._chunks[key]
-            for key in sorted(k for k in self._chunks if k.sensor == sensor)
-            if lo <= key.window_start < t1
-        ]
+        return [self._chunk(key) for key in self._keys(sensor) if lo <= key.window_start < t1]
 
     def _columns(self, sensor: str, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1."""
@@ -367,19 +374,15 @@ class Store:
         """Live (deduplicated) record count, optionally for one sensor."""
         with self._lock:
             self._ensure_open()
-            return sum(
-                c.count()
-                for k, c in self._chunks.items()
-                if sensor is None or k.sensor == sensor
-            )
+            return sum(self._chunk(key).count() for key in self._keys(sensor))
 
     def sensors(self) -> list[str]:
         with self._lock:
-            return sorted({k.sensor for k in self._chunks})
+            return sorted({k.sensor for k in self._keys()})
 
     def chunks(self) -> list[ChunkKey]:
         with self._lock:
-            return sorted(self._chunks)
+            return self._keys()
 
     # -- maintenance ------------------------------------------------------------
 
@@ -391,12 +394,12 @@ class Store:
         dropped = []
         with self._lock:
             self._ensure_open()
-            for key in sorted(self._chunks):
-                chunk = self._chunks[key]
-                if chunk.window_end <= cutoff:
-                    chunk.close()
-                    chunk.path.unlink(missing_ok=True)
-                    del self._chunks[key]
+            for key in self._keys():
+                if key.window_start + self.span <= cutoff:
+                    chunk = self._chunks.pop(key, None)
+                    if chunk is not None:
+                        chunk.close()
+                    self._segment_path(key).unlink(missing_ok=True)
                     if self._open_per_sensor.get(key.sensor) == key:
                         del self._open_per_sensor[key.sensor]
                     dropped.append(key)
@@ -411,11 +414,11 @@ class Store:
     def _write_manifest(self) -> None:
         lines = ["# sealed chunks: sensor-key\twindow-start-us\trecords"]
         open_keys = set(self._open_per_sensor.values())
-        for key, chunk in sorted(self._chunks.items()):
+        for key in self._keys():
             if key in open_keys:
                 continue
             try:
-                records = str(chunk.count())
+                records = str(self._chunk(key).count())
             except CorruptSegment:
                 records = "corrupt"
             lines.append(f"{key.sensor}\t{key.window_start}\t{records}")
@@ -432,6 +435,7 @@ class Store:
             # session leaves the manifest as the last writer left it.
             if self._inserted:
                 self._write_manifest()
+            self._chunks.clear()  # a closed store holds no timestamps or columns
             self._closed = True
 
     def _ensure_open(self) -> None:

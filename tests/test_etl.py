@@ -582,3 +582,27 @@ def test_format_number_canonical():
     assert format_number(1384.0 / 8088.0) == "0.171117705"
     assert format_number(7) == "7"
     assert format_number(0.0) == "0"
+
+
+def test_format_time_of_day_carries_rounded_seconds():
+    """Seconds round once, before the split, so 59.996 s never prints as 60."""
+    assert etl._format_time_of_day(59.996) == "00:01:00.00"
+    assert etl._format_time_of_day(3599.999) == "01:00:00.00"
+    assert etl._format_time_of_day(86399.996) == "00:00:00.00"
+    assert etl._format_time_of_day(39436.47) == "10:57:16.47"
+    assert etl._format_time_of_day(39436.5) == "10:57:16.50"
+
+    def split_then_round(seconds):
+        seconds = seconds % 86_400
+        h = int(seconds // 3600)
+        m = int(seconds % 3600 // 60)
+        return f"{h:02d}:{m:02d}:{seconds % 60:05.2f}"
+
+    rng = random.Random(41)
+    for _ in range(20_000):
+        seconds = rng.choice(
+            [rng.uniform(-1e5, 2e5), rng.randint(0, 8_640_000) / 100 + rng.choice([0.005, -0.005])]
+        )
+        want = split_then_round(seconds)
+        if not want.endswith("60.00"):
+            assert etl._format_time_of_day(seconds) == want, seconds

@@ -470,3 +470,65 @@ def test_inserts_match_dict_model(batches, reopen):
             )
         store.close()
         assert verify_segments(tmp, span=7) == []
+
+
+def test_close_releases_every_chunk(tmp_path):
+    store = Store(tmp_path / "db")
+    store.insert([Sample(s, h * HOUR + 5, 1.0) for s in "ab" for h in range(3)])
+    assert store.query_range("a", 0, 3 * HOUR)
+    store.close()
+    assert store._chunks == {}
+    with pytest.raises(tsstore.StoreError):
+        store.query_range("a", 0, 3 * HOUR)
+
+
+def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
+    """The directory is the chunk table: opening reads no sensor directory,
+    and a one-sensor query makes state only for its windows in range."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample(s, h * HOUR + 5, h) for s in "abc" for h in range(4)])
+    listed = []
+    real_glob = tsstore.Path.glob
+
+    def glob(path, pattern):
+        listed.append(path.name)
+        return real_glob(path, pattern)
+
+    monkeypatch.setattr(tsstore.Path, "glob", glob)
+    store = Store(root)
+    assert store._chunks == {}
+    assert listed == []
+    got = store.query_range("b", HOUR, 3 * HOUR)
+    assert got == [Sample("b", HOUR + 5, 1.0), Sample("b", 2 * HOUR + 5, 2.0)]
+    assert sorted(store._chunks) == [ChunkKey("b", HOUR), ChunkKey("b", 2 * HOUR)]
+    assert listed == ["b"]
+    assert store.count("c") == 4
+    assert listed == ["b", "c"]
+    store.close()
+
+
+def test_reopened_writer_manifest_keeps_untouched_chunks(tmp_path):
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample("a", h * HOUR + i, 1.0) for h in range(3) for i in range(1, h + 2)])
+    with Store(root) as store:
+        store.insert([Sample("a", HOUR + 50, 2.0), Sample("a", HOUR + 1, 3.0)])
+    lines = (root / "manifest").read_text().splitlines()[1:]
+    assert lines == ["a\t0\t1", f"a\t{HOUR}\t3", f"a\t{2 * HOUR}\t3"]
+
+
+@pytest.mark.parametrize("name", ["notes.seg", "00.seg"])
+def test_stray_segment_file_is_ignored(tmp_path, caplog, name):
+    """A .seg file whose name the store would not give a chunk is not one:
+    ``00.seg`` would otherwise list window 0 twice."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample("a", 10, 1.0)])
+    (root / "a" / name).write_bytes((root / "a" / "0.seg").read_bytes())
+    with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
+        with Store(root) as store:
+            assert store.chunks() == [ChunkKey("a", 0)]
+            assert store.count() == 1
+            assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0)]
+    assert f"ignoring stray file {root / 'a' / name}" in caplog.text
