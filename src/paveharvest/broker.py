@@ -160,7 +160,10 @@ class Broker:
     def stop(self) -> None:
         if self._thread is not None:
             self._stopping = True
-            self._wake.send(b"\0")
+            try:
+                self._wake.send(b"\0")
+            except OSError:  # the loop saw the flag first, ended and closed the pair
+                pass
             self._thread.join(timeout=5)
             self._thread = None
 

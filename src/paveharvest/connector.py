@@ -182,7 +182,6 @@ class Connector:
         broker_addr: tuple[str, int] | None = None,
         wildcard: str = DEFAULT_WILDCARD,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        batch_age_s: float = 0.0,
         queue_cap: int = DEFAULT_QUEUE_CAP,
         backoff_base_s: float = BACKOFF_BASE_S,
         metrics_port: int | None = None,
@@ -192,7 +191,6 @@ class Connector:
         self.broker_addr = broker_addr
         self.wildcard = wildcard
         self.batch_size = batch_size
-        self.batch_age_s = batch_age_s  # opt-in linger for fuller batches
         self.backoff_base_s = backoff_base_s
         self.on_insert = on_insert
         self._queue = _Handoff()
@@ -251,8 +249,6 @@ class Connector:
                     if len(pending) == 1:  # the grace counts from here
                         self._last_take = time.monotonic()
                         self._cond.notify_all()
-                    elif len(pending) == self.batch_size:
-                        self._cond.notify_all()  # ends a linger
                     return
             self._rejected[reason] += 1
 
@@ -276,11 +272,6 @@ class Connector:
         with self._cond:
             while not self._queue and not self._stop.is_set():
                 self._cond.wait()
-            if self.batch_age_s > 0:
-                self._cond.wait_for(
-                    lambda: len(self._queue) >= self.batch_size or self._stop.is_set(),
-                    self.batch_age_s,
-                )
             batch = self._queue[: self.batch_size]
             del self._queue[: self.batch_size]
             self._inserting = len(batch)

@@ -13,22 +13,26 @@ file is the only copy of a chunk's values: a read decodes it into
 ts-sorted numpy columns, and a chunk that takes writes keeps only the set
 of its timestamps, for duplicate checks and record counts.
 
-The directory is the chunk table. Opening a store reads nothing; a query
-lists only its sensor's directory, and ``chunks``, ``sensors``, ``count()``,
-a retention sweep and the manifest list them all. A store keeps state
-only for the chunks its session wrote, read or counted, and ``close``
-releases every one.
+The segment files are the store's only state, and the directory is the
+chunk table: ``<root>/<quoted sensor>/<window start>.seg``. Opening a
+store reads nothing; a query lists only its sensor's directory, and
+``chunks``, ``sensors``, ``count()`` and a retention sweep list them all.
+One walk, :func:`_segments`, owns that naming for the store and
+:func:`verify_segments`; any other ``.seg`` name is skipped with a warning.
+A store keeps state only for the chunks its session wrote, read or
+counted, and ``close`` releases every one. The sensor names ``""``, ``.``
+and ``..`` would name the root or its parent, so an insert rejects them
+as ``bad-sensor`` and a read finds nothing for them.
 
 An insert groups its batch by chunk and gives each touched chunk one
 unbuffered ``write`` of its records, all or nothing: a short or failed
 write is cut back, and only that chunk's samples report the error. No
 user-space buffer holds records once ``insert`` returns. Each sensor
-keeps one segment open, the one it wrote last. A ``manifest`` sidecar at
-the root lists the other chunks; it is rewritten by a retention sweep and
-on closing a store that took inserts. One writer per chunk at a time;
-readers see whole records only (a torn trailing record is ignored, and
-cut off before the next append). The store never calls ``fsync``, so that
-cut covers a process crash, not a power loss.
+keeps one segment open, the one it wrote last. One writer per chunk at a
+time; readers see whole records only (a torn trailing record is ignored,
+and cut off before the next append; a file cut inside its header holds no
+records, and the next append writes the header anew). The store never
+calls ``fsync``, so that cut covers a process crash, not a power loss.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -62,6 +66,8 @@ ACK = "ack"
 DUPLICATE = "duplicate"
 
 AGGREGATES = ("avg", "min", "max", "count")
+
+RESERVED_SENSORS = ("", ".", "..")  # quoted, they name the root or its parent
 
 
 class StoreError(Exception):
@@ -99,6 +105,46 @@ def key_hash(sensor: str) -> int:
     )
 
 
+def _header(key: ChunkKey) -> bytes:
+    return HEADER.pack(MAGIC, VERSION, key_hash(key.sensor), key.window_start, b"\0" * 8)
+
+
+def _sensor_dir(root: Path, sensor: str) -> Path:
+    return root / quote(sensor, safe="")
+
+
+def _segment_path(root: Path, key: ChunkKey) -> Path:
+    return _sensor_dir(root, key.sensor) / f"{key.window_start}.seg"
+
+
+def _segments(root: Path, sensor: str | None = None) -> Iterator[tuple[ChunkKey, Path]]:
+    """``(key, path)`` of each segment under ``root``, of one sensor or of all.
+
+    Only the name the store gives a chunk leads back to its file: any other
+    ``.seg`` file, or a directory that is not a quoted sensor name, is
+    skipped with a warning.
+    """
+    if sensor is None:
+        dirs = [(unquote(path.name), path) for path in root.iterdir() if path.is_dir()]
+    elif sensor in RESERVED_SENSORS:
+        return
+    else:
+        dirs = [(sensor, _sensor_dir(root, sensor))]
+    for name, directory in dirs:
+        if directory.name != quote(name, safe=""):
+            logger.warning("ignoring stray directory %s", directory)
+            continue
+        for path in directory.glob("*.seg"):
+            try:
+                key = ChunkKey(name, int(path.stem))
+            except ValueError:
+                key = None
+            if key is None or path.name != f"{key.window_start}.seg":
+                logger.warning("ignoring stray file %s", path)
+                continue
+            yield key, path
+
+
 @dataclass
 class InsertReport:
     """Per-sample outcome of one insert batch."""
@@ -125,10 +171,9 @@ class _Chunk:
     ``stamps`` holds the timestamps present from the chunk's first write on.
     """
 
-    def __init__(self, key: ChunkKey, path: Path, span: int):
+    def __init__(self, key: ChunkKey, path: Path):
         self.key = key
         self.path = path
-        self.span = span
         self.values: tuple[np.ndarray, np.ndarray] | None = None
         self.stamps: set[int] | None = None
         self.corrupt = False
@@ -140,9 +185,11 @@ class _Chunk:
         if self.values is not None:
             return
         records = np.empty(0, RECORD_DTYPE)
-        if self.path.exists():
+        raw = self.path.read_bytes() if self.path.exists() else b""
+        # A file cut inside its header by a crash holds no records yet.
+        if not _header(self.key).startswith(raw):
             try:
-                khash, start, records = _decode_segment(self.path.read_bytes())
+                khash, start, records = _decode_segment(raw)
             except CorruptSegment as exc:
                 raise CorruptSegment(f"{self.path}: {exc}") from None
             if khash != key_hash(self.key.sensor) or start != self.key.window_start:
@@ -166,7 +213,7 @@ class _Chunk:
             size = self._fh.tell()
             # A crash can leave a torn record at the end; appending after it
             # would misframe every record written from here on.
-            self.size = size - (size - HEADER_SIZE) % RECORD_SIZE if size else 0
+            self.size = size - (size - HEADER_SIZE) % RECORD_SIZE if size >= HEADER_SIZE else 0
             if self.size != size:
                 self._fh.truncate(self.size)
         return self._fh
@@ -179,9 +226,7 @@ class _Chunk:
         """
         fh = self.open_for_append()
         if not self.size:
-            records = HEADER.pack(
-                MAGIC, VERSION, key_hash(self.key.sensor), self.key.window_start, b"\0" * 8
-            ) + records
+            records = _header(self.key) + records
         try:
             if fh.write(records) != len(records):
                 raise OSError(errno.ENOSPC, "short write", str(self.path))
@@ -223,42 +268,17 @@ class Store:
         self._lock = threading.RLock()
         self._chunks: dict[ChunkKey, _Chunk] = {}
         self._open_per_sensor: dict[str, ChunkKey] = {}  # the chunk each sensor wrote last
-        self._inserted = False  # the manifest is rewritten on close only if set
         self._closed = False
-
-    # -- layout ------------------------------------------------------------
-
-    def _sensor_dir(self, sensor: str) -> Path:
-        return self.root / quote(sensor, safe="")
-
-    def _segment_path(self, key: ChunkKey) -> Path:
-        return self._sensor_dir(key.sensor) / f"{key.window_start}.seg"
 
     def _keys(self, sensor: str | None = None) -> list[ChunkKey]:
         """Keys of the segments on disk, of one sensor or of all, in key order."""
-        if sensor is None:
-            sensors = {unquote(path.name) for path in self.root.iterdir() if path.is_dir()}
-        else:
-            sensors = {sensor}
-        keys = []
-        for name in sensors:
-            for seg in self._sensor_dir(name).glob("*.seg"):
-                try:
-                    key = ChunkKey(name, int(seg.stem))
-                except ValueError:
-                    key = None
-                # Only the name the store gives a chunk leads back to its file.
-                if key is None or seg.name != f"{key.window_start}.seg":
-                    logger.warning("ignoring stray file %s", seg)
-                    continue
-                keys.append(key)
-        return sorted(keys)
+        return sorted(key for key, _ in _segments(self.root, sensor))
 
     def _chunk(self, key: ChunkKey) -> _Chunk:
         """The session's state for ``key``, made on first touch."""
         chunk = self._chunks.get(key)
         if chunk is None:
-            chunk = self._chunks[key] = _Chunk(key, self._segment_path(key), self.span)
+            chunk = self._chunks[key] = _Chunk(key, _segment_path(self.root, key))
         return chunk
 
     # -- writes ------------------------------------------------------------
@@ -287,6 +307,10 @@ class Store:
         self, key: ChunkKey, group: list[tuple[int, int, float]], statuses: list[str]
     ) -> None:
         """Write one chunk's samples; on failure set all their statuses to the reason."""
+        if key.sensor in RESERVED_SENSORS:  # once per chunk; a per-sample test costs throughput
+            for i, _, _ in group:
+                statuses[i] = "bad-sensor"
+            return
         chunk = self._chunk(key)
         failure = "corrupt-segment"
         try:
@@ -307,7 +331,6 @@ class Store:
             logger.error("append to %s failed: %s", chunk.path, exc)
             failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
         else:
-            self._inserted = True
             prev = self._open_per_sensor.get(key.sensor)
             if prev != key:
                 if prev is not None:
@@ -399,42 +422,21 @@ class Store:
                     chunk = self._chunks.pop(key, None)
                     if chunk is not None:
                         chunk.close()
-                    self._segment_path(key).unlink(missing_ok=True)
+                    _segment_path(self.root, key).unlink(missing_ok=True)
                     if self._open_per_sensor.get(key.sensor) == key:
                         del self._open_per_sensor[key.sensor]
                     dropped.append(key)
             for key in dropped:
-                parent = self._sensor_dir(key.sensor)
+                parent = _sensor_dir(self.root, key.sensor)
                 if parent.exists() and not any(parent.iterdir()):
                     parent.rmdir()
-            if dropped:
-                self._write_manifest()
         return dropped
-
-    def _write_manifest(self) -> None:
-        lines = ["# sealed chunks: sensor-key\twindow-start-us\trecords"]
-        open_keys = set(self._open_per_sensor.values())
-        for key in self._keys():
-            if key in open_keys:
-                continue
-            try:
-                records = str(self._chunk(key).count())
-            except CorruptSegment:
-                records = "corrupt"
-            lines.append(f"{key.sensor}\t{key.window_start}\t{records}")
-        (self.root / "manifest").write_text("\n".join(lines) + "\n")
 
     def close(self) -> None:
         with self._lock:
-            if self._closed:
-                return
             self._open_per_sensor.clear()
             for chunk in self._chunks.values():
                 chunk.close()
-            # Counting records loads every sealed segment, so a read-only
-            # session leaves the manifest as the last writer left it.
-            if self._inserted:
-                self._write_manifest()
             self._chunks.clear()  # a closed store holds no timestamps or columns
             self._closed = True
 
@@ -475,30 +477,27 @@ def verify_segments(root: str | Path, span: int = DEFAULT_CHUNK_SPAN_US) -> list
 
     Checks header magic/version, that the key hash and window start match
     the file's location, and that every record ts lies inside the chunk
-    window. Returns a list of issues; empty means the store is clean.
+    window. Lists segments as the store does, so a file the store ignores is
+    skipped with the same warning. Returns a list of issues; empty means
+    the store is clean.
     """
     issues: list[SegmentIssue] = []
-    root = Path(root)
-    for sensor_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        sensor = unquote(sensor_dir.name)
-        for seg in sorted(sensor_dir.glob("*.seg")):
-            raw = seg.read_bytes()
-            try:
-                khash, start, records = _decode_segment(raw)
-            except CorruptSegment as exc:
-                issues.append(SegmentIssue(str(seg), str(exc)))
-                continue
-            if khash != key_hash(sensor):
-                issues.append(SegmentIssue(str(seg), "sensor-key hash mismatch"))
-            if start != int(seg.stem):
-                issues.append(SegmentIssue(str(seg), "window start mismatch"))
-            if (len(raw) - HEADER_SIZE) % RECORD_SIZE:
-                issues.append(SegmentIssue(str(seg), "torn trailing record"))
-            ts = records["ts"]
-            outside = (ts < start) | (ts >= start + span)
-            if outside.any():
-                first = int(ts[outside.argmax()])
-                issues.append(
-                    SegmentIssue(str(seg), f"record ts {first} outside window")
-                )
+    for key, seg in sorted(_segments(Path(root))):
+        raw = seg.read_bytes()
+        try:
+            khash, start, records = _decode_segment(raw)
+        except CorruptSegment as exc:
+            issues.append(SegmentIssue(str(seg), str(exc)))
+            continue
+        if khash != key_hash(key.sensor):
+            issues.append(SegmentIssue(str(seg), "sensor-key hash mismatch"))
+        if start != key.window_start:
+            issues.append(SegmentIssue(str(seg), "window start mismatch"))
+        if (len(raw) - HEADER_SIZE) % RECORD_SIZE:
+            issues.append(SegmentIssue(str(seg), "torn trailing record"))
+        ts = records["ts"]
+        outside = (ts < start) | (ts >= start + span)
+        if outside.any():
+            first = int(ts[outside.argmax()])
+            issues.append(SegmentIssue(str(seg), f"record ts {first} outside window"))
     return issues

@@ -271,7 +271,7 @@ def test_c6_daily_volume(tmp_path):
         per_sensor = total // len(sensors)
         remainder = total - per_sensor * len(sensors)
         with Store(tmp_path / "db") as store:
-            conn = Connector(store, batch_size=2000, batch_age_s=0.05).start()
+            conn = Connector(store, batch_size=2000).start()
             base = 1_700_000_000_000_000
             step = day_s * US_PER_SECOND // per_sensor
             sent = 0

@@ -369,6 +369,17 @@ def test_slow_subscriber_paces_publisher_without_loss():
     assert got == list(range(n_msg))
 
 
+def test_stop_after_the_loop_has_ended():
+    """stop() sets the flag before it wakes the loop; a loop already awake
+    can see the flag, end and close its wake pair first."""
+    b = Broker().start()
+    b._stopping = True
+    b._wake.send(b"\0")
+    b._thread.join(timeout=5)
+    b.stop()
+    assert b._thread is None
+
+
 def test_slow_consumer_dropped():
     b = Broker(queue_frames=16, ping_interval=60.0).start()
     try:

@@ -143,6 +143,27 @@ def test_store_check_clean_and_corrupt(tmp_path, capsys):
     assert code == 4
 
 
+def test_store_check_skips_stray_segment_file(tmp_path, capsys, caplog):
+    """`store check` lists segments as the store does: a stray `.seg` name is
+    skipped with the store's warning, and the real segments are checked."""
+    root = tmp_path / "db"
+    make_store(root)
+    seg = next(root.glob("*/*.seg"))
+    stray = seg.with_name("notes.seg")
+    stray.write_bytes(seg.read_bytes())
+    with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
+        code, _, _ = run_cli(["store", "check", "--store", str(root)], capsys)
+    assert code == 0
+    assert f"ignoring stray file {stray}" in caplog.text
+    raw = bytearray(seg.read_bytes())
+    raw[:4] = b"XXXX"
+    seg.write_bytes(bytes(raw))
+    code, _, err = run_cli(["store", "check", "--store", str(root)], capsys)
+    assert code == 4
+    assert f"{seg}: bad magic/version" in err
+    assert "notes.seg" not in err
+
+
 def test_store_query_env_var_config(tmp_path, capsys, monkeypatch):
     root = tmp_path / "db"
     base = make_store(root)

@@ -10,9 +10,9 @@ from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
     ACK,
-    DEFAULT_CHUNK_SPAN_US,
     DUPLICATE,
     HEADER_SIZE,
+    RECORD,
     RECORD_SIZE,
     ChunkKey,
     CorruptSegment,
@@ -23,6 +23,11 @@ from paveharvest.tsstore import (
 )
 
 HOUR = 3_600_000_000
+
+
+def tree_bytes(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def test_chunk_for_floors_to_window():
@@ -226,7 +231,8 @@ def test_torn_trailing_record_ignored(tmp_path):
 
 def test_append_after_a_cut_at_every_offset(tmp_path):
     """A crash can cut a segment at any byte; the next session appends after
-    the last whole record, and nothing is lost or invented."""
+    the last whole record, and nothing is lost or invented. A cut inside the
+    header leaves a chunk with no records."""
     records = [Sample("a", 10, 1.0), Sample("a", 20, 2.0), Sample("a", 30, 3.0)]
     with Store(tmp_path / "whole") as store:
         store.insert(records)
@@ -239,19 +245,49 @@ def test_append_after_a_cut_at_every_offset(tmp_path):
         seg = root / "a" / whole.name
         seg.parent.mkdir(parents=True)
         seg.write_bytes(data[:cut])
-        if cut < HEADER_SIZE:
-            with pytest.raises(CorruptSegment):
-                tsstore._Chunk(ChunkKey("a", 0), seg, DEFAULT_CHUNK_SPAN_US).load()
-            with Store(root) as store:
-                assert store.insert([new]).statuses == ["corrupt-segment"]
-            assert seg.read_bytes() == data[:cut]
-            continue
         with Store(root) as store:
-            assert store.insert([new]).statuses == ["ack"]
-        kept = records[: (cut - HEADER_SIZE) // RECORD_SIZE]
+            assert store.insert([new]).statuses == ["ack"], cut
+        kept = records[: max(cut - HEADER_SIZE, 0) // RECORD_SIZE]
         with Store(root) as store:
             assert store.query_range("a", 0, 100) == kept + [new], cut
         assert verify_segments(root) == [], cut
+
+
+@pytest.mark.parametrize("size", [0, 10])
+def test_segment_cut_inside_its_header_is_an_empty_chunk(tmp_path, size):
+    """A crash between creating a segment and its first write landing leaves
+    a file shorter than a header; every later session can still write it."""
+    root = tmp_path / "db"
+    seg = root / "z" / "0.seg"
+    seg.parent.mkdir(parents=True)
+    seg.write_bytes(tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash("z"), 0, bytes(8))[:size])
+    first, second = Sample("z", 10, 1.0), Sample("z", 20, 2.0)
+    with Store(root) as store:
+        assert store.insert([first]).statuses == ["ack"]
+        assert store.query_range("z", 0, 100) == [first]
+    with Store(root) as store:
+        assert store.query_range("z", 0, 100) == [first]
+        assert store.insert([second]).statuses == ["ack"]
+    with Store(root) as store:
+        assert store.query_range("z", 0, 100) == [first, second]
+    assert verify_segments(root) == []
+
+
+def test_short_segment_with_bad_magic_stays_corrupt(tmp_path):
+    """Only a cut header counts as empty; a short file of other bytes is
+    corrupt, and neither a write nor a read touches it."""
+    root = tmp_path / "db"
+    seg = root / "z" / "0.seg"
+    seg.parent.mkdir(parents=True)
+    raw = b"XXXX\x01\x00\x00\x00\x00\x00"
+    seg.write_bytes(raw)
+    for _ in range(2):
+        with Store(root) as store:
+            assert store.insert([Sample("z", 10, 1.0)]).statuses == ["corrupt-segment"]
+            with pytest.raises(CorruptSegment):
+                store.query_range("z", 0, 100)
+    assert seg.read_bytes() == raw
+    assert [issue.path for issue in verify_segments(root)] == [str(seg)]
 
 
 def test_corrupt_segment_refuses_writes(tmp_path):
@@ -276,6 +312,28 @@ def test_insert_rejects_bad_values(tmp_path):
         assert report.statuses == ["bad-ts", "nonfinite", "ack"]
 
 
+@pytest.mark.parametrize("sensor", ["", ".", ".."])
+def test_sensor_names_of_the_root_or_its_parent_are_rejected(tmp_path, sensor):
+    """Quoted, these names would put segments in the root or beside it."""
+    root = tmp_path / "db"
+    planted = root / sensor / "0.seg"  # where the name would put window 0
+    planted.parent.mkdir(parents=True, exist_ok=True)
+    header = tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash(sensor), 0, bytes(8))
+    planted.write_bytes(header + RECORD.pack(10, 1.0))
+    before = tree_bytes(tmp_path)
+    with Store(root) as store:
+        assert store.query_range(sensor, 0, 100) == []
+        assert store.downsample(sensor, 0, 100, 10, "count") == []
+        assert store.count(sensor) == 0
+        report = store.insert([Sample(sensor, 20, 2.0), Sample("a", 10, 1.0)])
+        assert report.statuses == ["bad-sensor", "ack"]
+        assert store.query_range(sensor, 0, 100) == []
+        assert store.chunks() == [ChunkKey("a", 0)]
+    after = tree_bytes(tmp_path)
+    assert after.pop("db/a/0.seg")
+    assert after == before
+
+
 def test_random_inserts_match_reference_map(tmp_path):
     """Smaller-scale version of the bulk correctness check."""
     rng = random.Random(23)
@@ -294,21 +352,23 @@ def test_random_inserts_match_reference_map(tmp_path):
             assert store.query_range(sensor, 0, 2 * 10**9) == want
 
 
-def test_manifest_written_on_close(tmp_path):
+def test_segment_files_are_the_only_files(tmp_path):
     root = tmp_path / "db"
     with Store(root) as store:
-        store.insert([Sample("a", 10, 1.0), Sample("b", DEFAULT_CHUNK_SPAN_US + 1, 2.0)])
-    manifest = (root / "manifest").read_text()
-    assert "a\t0\t1" in manifest
-    assert f"b\t{DEFAULT_CHUNK_SPAN_US}\t1" in manifest
+        store.insert(
+            [Sample("a", 10, 1.0), Sample("b/x", 2 * HOUR + 1, 2.0), Sample("b/x", 3 * HOUR, 3.0)]
+        )
+        assert store.retention_sweep(now=3 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
+    assert set(tree_bytes(root)) == {f"b%2Fx/{2 * HOUR}.seg", f"b%2Fx/{3 * HOUR}.seg"}
 
 
-def test_read_only_session_leaves_manifest_and_chunks_alone(tmp_path, monkeypatch):
-    """Closing a store that took no inserts loads no chunk it did not read."""
+def test_read_only_session_leaves_the_tree_and_chunks_alone(tmp_path, monkeypatch):
+    """Closing a store that took no inserts loads no chunk it did not read
+    and changes no byte on disk."""
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample(s, h * HOUR + 5, h) for s in "ab" for h in range(4)])
-    before = (root / "manifest").read_bytes()
+    before = tree_bytes(root)
     loaded = []
     real_load = tsstore._Chunk.load
 
@@ -322,7 +382,7 @@ def test_read_only_session_leaves_manifest_and_chunks_alone(tmp_path, monkeypatc
     got = store.query_range("b", 2 * HOUR, 3 * HOUR)
     assert got == [Sample("b", 2 * HOUR + 5, 2.0)]
     store.close()
-    assert (root / "manifest").read_bytes() == before
+    assert tree_bytes(root) == before
     assert loaded == [ChunkKey("b", 2 * HOUR)]
 
 
@@ -339,11 +399,12 @@ def test_reads_return_plain_python_values(tmp_path):
 
 
 def test_close_after_insert_session_decodes_no_segment(tmp_path, monkeypatch):
-    """Counts for the manifest come from the timestamps a written chunk
-    keeps, so closing does not read back the segments it wrote."""
+    """Counts come from the timestamps a written chunk keeps, and closing
+    reads back none of the segments it wrote."""
     store = Store(tmp_path / "db")
     for h in range(6):
         store.insert([Sample(s, h * HOUR + i, float(i)) for s in "ab" for i in (5, 9, 5)])
+    assert store.count("b") == 12
     loaded = []
     real_load = tsstore._Chunk.load
 
@@ -354,8 +415,6 @@ def test_close_after_insert_session_decodes_no_segment(tmp_path, monkeypatch):
     monkeypatch.setattr(tsstore._Chunk, "load", load)
     store.close()
     assert loaded == []
-    manifest = (tmp_path / "db" / "manifest").read_text()
-    assert f"b\t{5 * HOUR}\t2" in manifest
 
 
 def test_segment_header_size_is_32_bytes(tmp_path):
@@ -508,14 +567,28 @@ def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
     store.close()
 
 
-def test_reopened_writer_manifest_keeps_untouched_chunks(tmp_path):
+def test_reopened_writer_loads_only_the_chunk_it_writes(tmp_path, monkeypatch):
+    """A session that writes one chunk of a store loads only that chunk,
+    through its close, however many chunks the store holds."""
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample("a", h * HOUR + i, 1.0) for h in range(3) for i in range(1, h + 2)])
+    loaded = []
+    real_load = tsstore._Chunk.load
+
+    def load(chunk):
+        if chunk.values is None:
+            loaded.append(chunk.key)
+        real_load(chunk)
+
+    monkeypatch.setattr(tsstore._Chunk, "load", load)
     with Store(root) as store:
         store.insert([Sample("a", HOUR + 50, 2.0), Sample("a", HOUR + 1, 3.0)])
-    lines = (root / "manifest").read_text().splitlines()[1:]
-    assert lines == ["a\t0\t1", f"a\t{HOUR}\t3", f"a\t{2 * HOUR}\t3"]
+    assert loaded == [ChunkKey("a", HOUR)]
+    monkeypatch.undo()
+    with Store(root) as store:
+        got = store.downsample("a", 0, 3 * HOUR, HOUR, "count")
+    assert got == [(0, 1), (HOUR, 3), (2 * HOUR, 3)]
 
 
 @pytest.mark.parametrize("name", ["notes.seg", "00.seg"])
@@ -526,9 +599,35 @@ def test_stray_segment_file_is_ignored(tmp_path, caplog, name):
     with Store(root) as store:
         store.insert([Sample("a", 10, 1.0)])
     (root / "a" / name).write_bytes((root / "a" / "0.seg").read_bytes())
+    warning = f"ignoring stray file {root / 'a' / name}"
     with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
         with Store(root) as store:
             assert store.chunks() == [ChunkKey("a", 0)]
             assert store.count() == 1
             assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0)]
-    assert f"ignoring stray file {root / 'a' / name}" in caplog.text
+    assert warning in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
+        assert verify_segments(root) == []
+    assert warning in caplog.text
+    with open(root / "a" / "0.seg", "ab") as fh:  # the real segment is still checked
+        fh.write(RECORD.pack(2 * HOUR, 1.0))
+    assert [issue.path for issue in verify_segments(root)] == [str(root / "a" / "0.seg")]
+
+
+def test_stray_sensor_directory_is_ignored(tmp_path, caplog):
+    """A directory that is not the quoted name of its sensor is not listed:
+    ``%2E%2E`` would otherwise list the segments beside the root."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample("a", 10, 1.0)])
+    stray = root / "%2E%2E"
+    stray.mkdir()
+    (stray / "0.seg").write_bytes((root / "a" / "0.seg").read_bytes())
+    (tmp_path / "0.seg").write_bytes(b"beside the root")
+    with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
+        with Store(root) as store:
+            assert store.chunks() == [ChunkKey("a", 0)]
+            assert store.count() == 1
+        assert verify_segments(root) == []
+    assert caplog.text.count(f"ignoring stray directory {stray}") == 3
