@@ -95,6 +95,7 @@ class _Session:
         self.closing = False  # sends what is pending, then closes
         self.inbuf = bytearray()
         self.out: list[bytes] = []  # encoded frames not yet sent
+        self.cut = False  # out[0] is the rest of a frame partly sent
         self.events = 0  # selector events registered for ``sock``
         self.held_by: set[_Session] = set()  # peers whose backlog pauses us
         self.holding: set[_Session] = set()  # sessions our backlog pauses
@@ -133,6 +134,7 @@ class Broker:
         self._published = 0
         self._delivered = 0
         self._unrouted = 0
+        self._dropped = 0
         self._evicted = {"slow_consumer": 0, "keepalive": 0, "protocol_error": 0}
 
     # -- lifecycle ---------------------------------------------------------
@@ -282,6 +284,7 @@ class Broker:
         ends = list(itertools.accumulate(map(len, session.out)))
         done = bisect.bisect_right(ends, sent)
         session.out[: done + 1] = [data[sent : ends[done]]] if done < len(ends) else []
+        session.cut = sent > (ends[done - 1] if done else 0)
         session.last_drain = time.monotonic()
         if session.closing and not session.out:
             self._close(session)
@@ -357,6 +360,7 @@ class Broker:
         self._evicted["protocol_error"] += 1
         self.router.drop_session(session.id)
         session.closing = True
+        self._drop_backlog(session)
         session.out = [wire.encode_frame(Frame(wire.ERR, message=message))]
         self._release(session)
         self._watch(session)
@@ -365,6 +369,7 @@ class Broker:
         if not session.alive:
             return
         session.alive = False
+        self._drop_backlog(session)
         del self._sessions[session.id]
         self.router.drop_session(session.id)
         if session.events:
@@ -377,6 +382,13 @@ class Broker:
         except OSError:
             pass
         session.sock.close()
+
+    def _drop_backlog(self, session: _Session) -> None:
+        """Empty ``session``'s backlog, counting its whole MSG frames as
+        dropped; a frame cut by a partial send reached the socket."""
+        self._dropped += sum(frame[:4] == b"MSG " for frame in session.out[session.cut :])
+        session.out = []
+        session.cut = False
 
     # -- routing ---------------------------------------------------------------
 
@@ -403,11 +415,13 @@ class Broker:
 
     def stats(self) -> dict:
         """Counters since start: ``published``, ``delivered`` (one per MSG
-        queued), ``unrouted`` (publishes no subscription matched) and
-        ``evicted`` sessions by reason."""
+        queued), ``unrouted`` (publishes no subscription matched),
+        ``dropped`` (queued MSG frames discarded unsent when their session
+        closed) and ``evicted`` sessions by reason."""
         return {
             "published": self._published,
             "delivered": self._delivered,
             "unrouted": self._unrouted,
+            "dropped": self._dropped,
             "evicted": dict(self._evicted),
         }

@@ -9,20 +9,22 @@ chunks are append-only binary segment files:
 
 Duplicates on (sensor, ts) are reported and resolved last-write-wins at
 read time; out-of-order arrival within a chunk is normal. The segment
-file is the only copy of a chunk's values: a read decodes it into
-ts-sorted numpy columns, and a chunk that takes writes keeps only the set
-of its timestamps, for duplicate checks and record counts.
+file is the only copy of a chunk's values: every read decodes it anew
+into ts-sorted numpy columns, through one function, :func:`_read_segment`,
+and keeps nothing. A chunk that takes writes keeps only its timestamps,
+for duplicate checks.
 
 The segment files are the store's only state, and the directory is the
 chunk table: ``<root>/<quoted sensor>/<window start>.seg``. Opening a
-store reads nothing; a query lists only its sensor's directory, and
-``chunks``, ``sensors``, ``count()`` and a retention sweep list them all.
-One walk, :func:`_segments`, owns that naming for the store and
+store reads and creates nothing; the first insert makes the root. A query
+lists only its sensor's directory, and ``chunks``, ``sensors``,
+``count()`` and a retention sweep list them all. One walk,
+:func:`_segments`, owns that naming for the store and
 :func:`verify_segments`; any other ``.seg`` name is skipped with a warning.
-A store keeps state only for the chunks its session wrote, read or
-counted, and ``close`` releases every one. The sensor names ``""``, ``.``
-and ``..`` would name the root or its parent, so an insert rejects them
-as ``bad-sensor`` and a read finds nothing for them.
+A store keeps state only for the chunks its session writes, and ``close``
+releases every one. The sensor names ``""``, ``.`` and ``..`` would name
+the root or its parent, so an insert rejects them as ``bad-sensor`` and a
+read finds nothing for them.
 
 An insert groups its batch by chunk and gives each touched chunk one
 unbuffered ``write`` of its records, all or nothing: a short or failed
@@ -165,45 +167,24 @@ class InsertReport:
 
 
 class _Chunk:
-    """In-process state for one on-disk segment.
-
-    ``values`` holds the decoded (ts, v) columns until the next append;
-    ``stamps`` holds the timestamps present from the chunk's first write on.
-    """
+    """Write state for one on-disk segment: its timestamps, from the chunk's
+    first write on, and its append handle."""
 
     def __init__(self, key: ChunkKey, path: Path):
         self.key = key
         self.path = path
-        self.values: tuple[np.ndarray, np.ndarray] | None = None
-        self.stamps: set[int] | None = None
+        # A dict of int keys and None values, not a set: CPython never
+        # GC-tracks such a dict, but tracks every set, and a full collection
+        # would walk every chunk's timestamps.
+        self.stamps: dict[int, None] | None = None
         self.corrupt = False
         self.size = 0  # bytes of whole records (and header) while open
         self._fh = None
 
-    def load(self) -> None:
-        """Decode the segment into ts-ascending, last-write-wins columns."""
-        if self.values is not None:
-            return
-        records = np.empty(0, RECORD_DTYPE)
-        raw = self.path.read_bytes() if self.path.exists() else b""
-        # A file cut inside its header by a crash holds no records yet.
-        if not _header(self.key).startswith(raw):
-            try:
-                khash, start, records = _decode_segment(raw)
-            except CorruptSegment as exc:
-                raise CorruptSegment(f"{self.path}: {exc}") from None
-            if khash != key_hash(self.key.sensor) or start != self.key.window_start:
-                raise CorruptSegment(f"{self.path}: header does not match chunk key")
-        # The first of a ts in reverse file order is its last write.
-        ts, last = np.unique(records["ts"][::-1], return_index=True)
-        self.values = (ts, records["v"][::-1][last])
-
-    def held(self) -> set[int]:
+    def held(self) -> dict[int, None]:
         """Timestamps the chunk holds; once asked for, kept until the store closes."""
         if self.stamps is None:
-            self.load()
-            assert self.values is not None
-            self.stamps = set(self.values[0].tolist())
+            self.stamps = dict.fromkeys(_read_segment(self.key, self.path)[0].tolist())
         return self.stamps
 
     def open_for_append(self):
@@ -218,7 +199,7 @@ class _Chunk:
                 self._fh.truncate(self.size)
         return self._fh
 
-    def append(self, records: bytes, stamps: set[int]) -> None:
+    def append(self, records: bytes, stamps: dict[int, None]) -> None:
         """Write packed records in one write, all or nothing; call :meth:`held` first.
 
         A short or failed write is cut back to the previous end (a new
@@ -240,46 +221,34 @@ class _Chunk:
         self.size += len(records)
         assert self.stamps is not None
         self.stamps |= stamps
-        self.values = None
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
-    def count(self) -> int:
-        """Live records; decodes the segment only if the chunk took no writes."""
-        if self.stamps is not None:
-            return len(self.stamps)
-        self.load()
-        assert self.values is not None
-        return len(self.values[0])
-
 
 class Store:
-    """Open (or create) a sample store rooted at ``root``."""
+    """A sample store rooted at ``root``; its first insert creates the directory."""
 
     def __init__(self, root: str | Path, chunk_span_us: int = DEFAULT_CHUNK_SPAN_US):
         if chunk_span_us <= 0:
             raise ValueError("chunk span must be positive")
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():  # reads would find nothing in it
+            raise NotADirectoryError(errno.ENOTDIR, "store root is not a directory", str(root))
         self.span = chunk_span_us
-        self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._chunks: dict[ChunkKey, _Chunk] = {}
         self._open_per_sensor: dict[str, ChunkKey] = {}  # the chunk each sensor wrote last
         self._closed = False
 
-    def _keys(self, sensor: str | None = None) -> list[ChunkKey]:
-        """Keys of the segments on disk, of one sensor or of all, in key order."""
-        return sorted(key for key, _ in _segments(self.root, sensor))
-
-    def _chunk(self, key: ChunkKey) -> _Chunk:
-        """The session's state for ``key``, made on first touch."""
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            chunk = self._chunks[key] = _Chunk(key, _segment_path(self.root, key))
-        return chunk
+    def _on_disk(self, sensor: str | None = None) -> list[tuple[ChunkKey, Path]]:
+        """``(key, path)`` of the segments, of one sensor or of all, in key
+        order; none before the first insert makes the root."""
+        if not self.root.exists():
+            return []
+        return sorted(_segments(self.root, sensor))
 
     # -- writes ------------------------------------------------------------
 
@@ -311,17 +280,19 @@ class Store:
             for i, _, _ in group:
                 statuses[i] = "bad-sensor"
             return
-        chunk = self._chunk(key)
+        chunk = self._chunks.get(key)
+        if chunk is None:
+            chunk = self._chunks[key] = _Chunk(key, _segment_path(self.root, key))
         failure = "corrupt-segment"
         try:
             if chunk.corrupt:
                 raise CorruptSegment
             held = chunk.held()
-            seen: set[int] = set()
+            seen: dict[int, None] = {}  # a dict for the reason given in _Chunk
             for i, ts, _ in group:
                 if ts in held or ts in seen:
                     statuses[i] = DUPLICATE
-                seen.add(ts)
+                seen[ts] = None
             chunk.append(b"".join([RECORD.pack(ts, v) for _, ts, v in group]), seen)
         except CorruptSegment as exc:
             if not chunk.corrupt:
@@ -342,17 +313,14 @@ class Store:
 
     # -- reads ------------------------------------------------------------
 
-    def _sensor_chunks(self, sensor: str, t0: int, t1: int) -> list[_Chunk]:
-        lo = t0 - t0 % self.span
-        return [self._chunk(key) for key in self._keys(sensor) if lo <= key.window_start < t1]
-
     def _columns(self, sensor: str, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1."""
         ts_parts, v_parts = [np.empty(0, np.int64)], [np.empty(0)]
-        for chunk in self._sensor_chunks(sensor, t0, t1):
-            chunk.load()
-            assert chunk.values is not None
-            ts, v = chunk.values
+        first = t0 - t0 % self.span
+        for key, path in self._on_disk(sensor):
+            if not first <= key.window_start < t1:
+                continue
+            ts, v = _read_segment(key, path)
             lo, hi = np.searchsorted(ts, (t0, t1))
             ts_parts.append(ts[lo:hi])
             v_parts.append(v[lo:hi])
@@ -397,15 +365,15 @@ class Store:
         """Live (deduplicated) record count, optionally for one sensor."""
         with self._lock:
             self._ensure_open()
-            return sum(self._chunk(key).count() for key in self._keys(sensor))
+            return sum(len(_read_segment(key, path)[0]) for key, path in self._on_disk(sensor))
 
     def sensors(self) -> list[str]:
         with self._lock:
-            return sorted({k.sensor for k in self._keys()})
+            return sorted({key.sensor for key, _ in self._on_disk()})
 
     def chunks(self) -> list[ChunkKey]:
         with self._lock:
-            return self._keys()
+            return [key for key, _ in self._on_disk()]
 
     # -- maintenance ------------------------------------------------------------
 
@@ -417,12 +385,12 @@ class Store:
         dropped = []
         with self._lock:
             self._ensure_open()
-            for key in self._keys():
+            for key, path in self._on_disk():
                 if key.window_start + self.span <= cutoff:
                     chunk = self._chunks.pop(key, None)
                     if chunk is not None:
                         chunk.close()
-                    _segment_path(self.root, key).unlink(missing_ok=True)
+                    path.unlink(missing_ok=True)
                     if self._open_per_sensor.get(key.sensor) == key:
                         del self._open_per_sensor[key.sensor]
                     dropped.append(key)
@@ -437,7 +405,7 @@ class Store:
             self._open_per_sensor.clear()
             for chunk in self._chunks.values():
                 chunk.close()
-            self._chunks.clear()  # a closed store holds no timestamps or columns
+            self._chunks.clear()  # a closed store holds no timestamps
             self._closed = True
 
     def _ensure_open(self) -> None:
@@ -449,6 +417,27 @@ class Store:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _read_segment(key: ChunkKey, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """ts-ascending, last-write-wins (ts, v) columns of ``key``'s segment.
+
+    Every read, and a writer's first look at a chunk, decodes the file
+    anew; nothing is kept. A missing file, or one cut inside its header by
+    a crash, holds no records.
+    """
+    records = np.empty(0, RECORD_DTYPE)
+    raw = path.read_bytes() if path.exists() else b""
+    if not _header(key).startswith(raw):
+        try:
+            khash, start, records = _decode_segment(raw)
+        except CorruptSegment as exc:
+            raise CorruptSegment(f"{path}: {exc}") from None
+        if khash != key_hash(key.sensor) or start != key.window_start:
+            raise CorruptSegment(f"{path}: header does not match chunk key")
+    # The first of a ts in reverse file order is its last write.
+    ts, last = np.unique(records["ts"][::-1], return_index=True)
+    return ts, records["v"][::-1][last]
 
 
 def _decode_segment(raw: bytes) -> tuple[int, int, np.ndarray]:

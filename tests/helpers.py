@@ -1,6 +1,13 @@
-"""Synthetic raw-log builders shared by the ETL and acceptance tests."""
+"""Synthetic data shared by the tests: raw logs for the ETL, CLI and
+acceptance tests, and the store batches of the crash test's writer."""
+
+import random
 
 import numpy as np
+
+from paveharvest.tsstore import Sample
+
+HOUR = 3_600_000_000
 
 
 def pulse_values(
@@ -71,3 +78,24 @@ def laser_raw_text(n_samples: int = 4000, start_time: str = "10:57:16.47") -> st
     beam = np.where(np.arange(n_samples) == 0, 0.0, 20.0)
     header = {"kind": "LASER", "unit": "mm", "start_time": start_time}
     return raw_text(header, t, [reading, beam])
+
+
+CRASH_SENSORS = ("s0", "s1", "s2", "s3")
+CRASH_WINDOWS = 6
+
+
+def crash_batch(seed: int, n: int, size: int = 64) -> list[Sample]:
+    """Batch ``n`` of writer ``seed``: samples over 4 sensors x 6 one-hour
+    windows, drawn from few enough timestamps that most are resends, and
+    every 8th a resend within the batch. Each value is unique to its writer,
+    batch and place in it, so a value read back names the batch it came from."""
+    rng = random.Random(seed * 1_000_003 + n)
+    batch = []
+    for i in range(size):
+        if i % 8 == 7:
+            sensor, ts, _ = batch[rng.randrange(i)]
+        else:
+            sensor = rng.choice(CRASH_SENSORS)
+            ts = rng.randrange(CRASH_WINDOWS) * HOUR + rng.randrange(1, 200)
+        batch.append(Sample(sensor, ts, seed * 1e9 + n * 1e3 + i))
+    return batch

@@ -553,7 +553,7 @@ def test_stats_count_routes_and_evictions():
     b = Broker(queue_frames=16, ping_interval=60.0).start()
     try:
         assert b.stats() == {
-            "published": 0, "delivered": 0, "unrouted": 0,
+            "published": 0, "delivered": 0, "unrouted": 0, "dropped": 0,
             "evicted": {"slow_consumer": 0, "keepalive": 0, "protocol_error": 0},
         }
         with make_client(b) as pub:
@@ -578,6 +578,7 @@ def test_stats_count_routes_and_evictions():
             stop.set()
             flooder.join(timeout=5)
             lazy.close()
+            assert b.stats()["dropped"] >= 1  # its backlog went unsent
 
             bad = socket.create_connection(b.address, timeout=5)
             bad.sendall(b"BOGUS\r\n")
@@ -591,3 +592,87 @@ def test_stats_count_routes_and_evictions():
         assert stats["published"] == stats["delivered"] + stats["unrouted"]
     finally:
         b.stop()
+
+
+def test_dropped_counts_the_msg_frames_an_evicted_session_never_got():
+    """Every MSG queued for a session either reached its socket, at least
+    its head, or is counted as dropped when the session is evicted."""
+    payload = b"MSG " * 250
+    frame_size = len(b"MSG flood.data 1 1000\r\n" + payload + b"\r\n")
+    b = Broker(queue_frames=16, ping_interval=60.0).start()
+    try:
+        with make_client(b) as pub:
+            lazy = socket.create_connection(b.address, timeout=10)
+            lazy.sendall(b"SUB flood.> 1\r\n")
+            stop = threading.Event()
+
+            def flood():
+                while not stop.is_set():
+                    pub.publish("flood.data", payload)
+
+            flooder = threading.Thread(target=flood, daemon=True)
+            flooder.start()
+            assert wait_for_sessions(b, 1, timeout=10)  # the lazy one is evicted
+            stop.set()
+            flooder.join(timeout=5)
+            received = bytearray()
+            while chunk := lazy.recv(1 << 16):
+                received += chunk
+            lazy.close()
+            stats = b.stats()
+        assert received.startswith(b"+OK\r\n")
+        reached = -(-(len(received) - 5) // frame_size)  # whole frames and a cut one
+        assert stats["evicted"]["slow_consumer"] == 1
+        assert stats["dropped"] >= 1
+        assert reached == stats["delivered"] - stats["dropped"]
+    finally:
+        b.stop()
+
+
+def test_dropped_skips_the_rest_of_a_frame_cut_by_a_partial_send():
+    """The payload spells ``MSG ``, so the unsent rest of a cut frame can
+    look like a whole frame; it is not counted, at every cut offset."""
+    frame = b"MSG a 1 8\r\nMSG MSG \r\n"
+
+    class ShortSend(socket.socket):
+        limit = 0
+
+        def send(self, data):
+            return super().send(data[: self.limit])
+
+    for sent in range(1, 3 * len(frame) + 1):
+        b = Broker()
+        near, far = socket.socketpair()
+        sock = ShortSend(fileno=near.detach())
+        sock.limit = sent
+        session = broker_mod._Session(1, sock)
+        b._sessions[1] = session
+        session.out = [frame] * 3
+        b._flush(session)
+        b._close(session)
+        far.close()
+        b._selector.close()
+        started = -(-sent // len(frame))
+        assert b.stats()["dropped"] == 3 - started, sent
+
+
+def test_subscriber_that_reads_everything_drops_nothing():
+    got = []
+    done = threading.Event()
+
+    def on_msg(subject, payload, sid):
+        got.append(int(payload))
+        if len(got) == 500:
+            done.set()
+
+    with Broker(queue_frames=16, ping_interval=60.0) as b:
+        with make_client(b) as sub, make_client(b) as pub:
+            sub.subscribe("all.>", on_msg)
+            for seq in range(500):
+                pub.publish("all.x", b"%d" % seq)
+            assert done.wait(timeout=30)
+        assert wait_for_sessions(b, 0)
+        stats = b.stats()
+    assert got == list(range(500))
+    assert stats["delivered"] == 500
+    assert stats["dropped"] == 0

@@ -164,6 +164,23 @@ def test_store_check_skips_stray_segment_file(tmp_path, capsys, caplog):
     assert "notes.seg" not in err
 
 
+def test_store_commands_on_a_missing_store_create_nothing(tmp_path, capsys):
+    """A mistyped ``--store`` reads as an empty store and is not made;
+    ``store check`` still fails on it."""
+    missing = tmp_path / "nx" / "db2"
+    span = ["--from", "2020-01-01T00:00:00Z", "--to", "2020-01-02T00:00:00Z"]
+    for extra in ([], ["--bucket", "1h", "--agg", "count"]):
+        code, out, _ = run_cli(
+            ["store", "query", "--store", str(missing), "--sensor", "a", *span, *extra],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip() == "ts_rfc3339,value"
+    code, _, _ = run_cli(["store", "check", "--store", str(missing)], capsys)
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_store_query_env_var_config(tmp_path, capsys, monkeypatch):
     root = tmp_path / "db"
     base = make_store(root)

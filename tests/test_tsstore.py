@@ -1,11 +1,21 @@
 """Store partitioning, query, downsample, retention and durability tests."""
 
+import gc
+import os
 import random
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paveharvest
+from helpers import CRASH_SENSORS, CRASH_WINDOWS, HOUR, crash_batch
 from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
@@ -22,12 +32,23 @@ from paveharvest.tsstore import (
     verify_segments,
 )
 
-HOUR = 3_600_000_000
-
 
 def tree_bytes(root):
     """Every file under ``root``, by relative path, with its bytes."""
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def record_reads(monkeypatch):
+    """The chunk keys of every segment decoded from here on, in order."""
+    read = []
+    real_read = tsstore._read_segment
+
+    def read_segment(key, path):
+        read.append(key)
+        return real_read(key, path)
+
+    monkeypatch.setattr(tsstore, "_read_segment", read_segment)
+    return read
 
 
 def test_chunk_for_floors_to_window():
@@ -363,27 +384,20 @@ def test_segment_files_are_the_only_files(tmp_path):
 
 
 def test_read_only_session_leaves_the_tree_and_chunks_alone(tmp_path, monkeypatch):
-    """Closing a store that took no inserts loads no chunk it did not read
-    and changes no byte on disk."""
+    """A query decodes only the chunk it reads and keeps no state for it,
+    and closing a store that took no inserts changes no byte on disk."""
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample(s, h * HOUR + 5, h) for s in "ab" for h in range(4)])
     before = tree_bytes(root)
-    loaded = []
-    real_load = tsstore._Chunk.load
-
-    def load(chunk):
-        if chunk.values is None:
-            loaded.append(chunk.key)
-        real_load(chunk)
-
-    monkeypatch.setattr(tsstore._Chunk, "load", load)
+    read = record_reads(monkeypatch)
     store = Store(root)
     got = store.query_range("b", 2 * HOUR, 3 * HOUR)
     assert got == [Sample("b", 2 * HOUR + 5, 2.0)]
+    assert store._chunks == {}
     store.close()
     assert tree_bytes(root) == before
-    assert loaded == [ChunkKey("b", 2 * HOUR)]
+    assert read == [ChunkKey("b", 2 * HOUR)]
 
 
 def test_reads_return_plain_python_values(tmp_path):
@@ -399,22 +413,15 @@ def test_reads_return_plain_python_values(tmp_path):
 
 
 def test_close_after_insert_session_decodes_no_segment(tmp_path, monkeypatch):
-    """Counts come from the timestamps a written chunk keeps, and closing
-    reads back none of the segments it wrote."""
+    """A count reads what the session wrote from disk, and closing reads
+    back none of the segments it wrote."""
     store = Store(tmp_path / "db")
     for h in range(6):
         store.insert([Sample(s, h * HOUR + i, float(i)) for s in "ab" for i in (5, 9, 5)])
     assert store.count("b") == 12
-    loaded = []
-    real_load = tsstore._Chunk.load
-
-    def load(chunk):
-        loaded.append(chunk.key)
-        real_load(chunk)
-
-    monkeypatch.setattr(tsstore._Chunk, "load", load)
+    read = record_reads(monkeypatch)
     store.close()
-    assert loaded == []
+    assert read == []
 
 
 def test_segment_header_size_is_32_bytes(tmp_path):
@@ -541,9 +548,53 @@ def test_close_releases_every_chunk(tmp_path):
         store.query_range("a", 0, 3 * HOUR)
 
 
+def test_reads_keep_no_state(tmp_path):
+    """Every read decodes from disk: a session that only reads holds no chunk."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample(s, h * HOUR + 5, h) for s in "ab" for h in range(3)])
+    with Store(root) as store:
+        assert store.query_range("a", 0, 3 * HOUR)
+        assert store.downsample("b", 0, 3 * HOUR, HOUR, "avg") == [
+            (h * HOUR, float(h)) for h in range(3)
+        ]
+        assert store.count() == 6
+        assert store.count("a") == 3
+        assert store.sensors() == ["a", "b"]
+        assert len(store.chunks()) == 6
+        assert store._chunks == {}
+
+
+def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
+    root = tmp_path / "nx" / "db"
+    store = Store(root)
+    assert store.query_range("a", 0, HOUR) == []
+    assert store.downsample("a", 0, HOUR, 60, "max") == []
+    assert store.count() == store.count("a") == 0
+    assert store.sensors() == store.chunks() == []
+    assert store.retention_sweep(now=HOUR, keep=1) == []
+    store.close()
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(FileNotFoundError):
+        verify_segments(root)
+    (tmp_path / "file").write_bytes(b"")
+    with pytest.raises(NotADirectoryError):
+        Store(tmp_path / "file")
+
+
+def test_written_timestamps_are_not_gc_tracked(tmp_path):
+    """A full collection does not walk the timestamps a writer holds."""
+    with Store(tmp_path / "db") as store:
+        store.insert([Sample("a", ts, 1.0) for ts in (5, 9, 5, 7)])
+        store.insert([Sample("a", 11, 2.0), Sample("a", 5, 3.0)])
+        stamps = store._chunks[ChunkKey("a", 0)].stamps
+        assert stamps == {5: None, 7: None, 9: None, 11: None}
+        assert not gc.is_tracked(stamps)
+
+
 def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
     """The directory is the chunk table: opening reads no sensor directory,
-    and a one-sensor query makes state only for its windows in range."""
+    a one-sensor query lists only its sensor, and no read makes state."""
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample(s, h * HOUR + 5, h) for s in "abc" for h in range(4)])
@@ -560,7 +611,7 @@ def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
     assert listed == []
     got = store.query_range("b", HOUR, 3 * HOUR)
     assert got == [Sample("b", HOUR + 5, 1.0), Sample("b", 2 * HOUR + 5, 2.0)]
-    assert sorted(store._chunks) == [ChunkKey("b", HOUR), ChunkKey("b", 2 * HOUR)]
+    assert store._chunks == {}
     assert listed == ["b"]
     assert store.count("c") == 4
     assert listed == ["b", "c"]
@@ -573,18 +624,10 @@ def test_reopened_writer_loads_only_the_chunk_it_writes(tmp_path, monkeypatch):
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample("a", h * HOUR + i, 1.0) for h in range(3) for i in range(1, h + 2)])
-    loaded = []
-    real_load = tsstore._Chunk.load
-
-    def load(chunk):
-        if chunk.values is None:
-            loaded.append(chunk.key)
-        real_load(chunk)
-
-    monkeypatch.setattr(tsstore._Chunk, "load", load)
+    read = record_reads(monkeypatch)
     with Store(root) as store:
         store.insert([Sample("a", HOUR + 50, 2.0), Sample("a", HOUR + 1, 3.0)])
-    assert loaded == [ChunkKey("a", HOUR)]
+    assert read == [ChunkKey("a", HOUR)]
     monkeypatch.undo()
     with Store(root) as store:
         got = store.downsample("a", 0, 3 * HOUR, HOUR, "count")
@@ -631,3 +674,70 @@ def test_stray_sensor_directory_is_ignored(tmp_path, caplog):
             assert store.count() == 1
         assert verify_segments(root) == []
     assert caplog.text.count(f"ignoring stray directory {stray}") == 3
+
+
+CRASH_WRITER = """
+import sys
+from helpers import crash_batch
+from paveharvest.tsstore import ACK, DUPLICATE, Store
+
+store = Store(sys.argv[1])
+seed = int(sys.argv[2])
+print("ready", flush=True)
+n = 0
+while True:
+    statuses = store.insert(crash_batch(seed, n)).statuses
+    if set(statuses) - {ACK, DUPLICATE}:
+        sys.exit(f"batch {n}: {statuses}")
+    print(n, flush=True)  # acked: insert has returned
+    n += 1
+"""
+
+
+def test_writer_killed_mid_insert_loses_and_invents_nothing(tmp_path):
+    """A writer process is killed with SIGKILL mid-stream, again and again
+    on one store. Every acked sample reads back with its last acked value;
+    any other value read is from the batch in flight at the kill; and the
+    only damage ``store check`` finds is a torn trailing record."""
+    root = tmp_path / "db"
+    path = [str(Path(paveharvest.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*path, os.environ.get("PYTHONPATH", "")]))
+    rng = random.Random(53)
+    state: dict[tuple[str, int], float] = {}  # what the store held before this writer
+    for seed in range(12):
+        with subprocess.Popen(
+            [sys.executable, "-c", CRASH_WRITER, str(root), str(seed)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        ) as writer:
+            watchdog = threading.Timer(60, writer.kill)
+            watchdog.start()
+            try:
+                ready = writer.stdout.readline()
+                if ready == "ready\n":
+                    time.sleep(rng.uniform(0.3, 0.8))
+            finally:
+                writer.kill()
+                watchdog.cancel()
+            # Read through the same stream: readline may have buffered acks.
+            out, err = writer.stdout.read(), writer.stderr.read()
+        assert ready == "ready\n", err
+        assert writer.returncode == -signal.SIGKILL, err
+        acked = [int(line) for line in out.split()]
+        assert acked == list(range(len(acked))), err
+        for n in acked:
+            state.update(((s.sensor, s.ts), s.v) for s in crash_batch(seed, n))
+        in_flight: dict[tuple[str, int], set[float]] = {}
+        for s in crash_batch(seed, len(acked)):
+            in_flight.setdefault((s.sensor, s.ts), set()).add(s.v)
+        with Store(root) as store:
+            got = {
+                (s.sensor, s.ts): s.v
+                for sensor in CRASH_SENSORS
+                for s in store.query_range(sensor, 0, CRASH_WINDOWS * HOUR)
+            }
+        assert set(got) >= set(state)
+        for key, v in got.items():
+            assert v == state.get(key) or v in in_flight.get(key, ()), (key, v)
+        assert {issue.problem for issue in verify_segments(root)} <= {"torn trailing record"}
+        state = got
+    assert len(state) > 1000  # the writers got well past their first batches
