@@ -355,13 +355,16 @@ class Broker:
             self._protocol_error(session, f"unexpected verb {k}")
 
     def _protocol_error(self, session: _Session, message: str) -> None:
-        # Drop the backlog so the -ERR goes out next, then close.
+        # Drop the backlog so the -ERR goes out next, then close; the rest
+        # of a frame a partial send cut goes first, so the -ERR starts a line.
         logger.info("session %d: protocol error: %s", session.id, message)
         self._evicted["protocol_error"] += 1
         self.router.drop_session(session.id)
         session.closing = True
+        rest = session.out[:1] if session.cut else []
         self._drop_backlog(session)
-        session.out = [wire.encode_frame(Frame(wire.ERR, message=message))]
+        session.out = rest + [wire.encode_frame(Frame(wire.ERR, message=message))]
+        session.cut = bool(rest)
         self._release(session)
         self._watch(session)
 

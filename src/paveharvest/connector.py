@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import logging
 import math
 import threading
@@ -90,9 +91,17 @@ def sensor_key_for(subject: Subject) -> str:
     ``site.<site>.daq.<daq>.sensor.<id>`` becomes ``<site>/<daq>/<id>``;
     anything shaped differently is rejected.
     """
-    toks = subject.tokens
+    return _sensor_key(subject.raw)
+
+
+@functools.lru_cache(maxsize=wire.SUBJECT_CACHE_SIZE)
+def _sensor_key(raw: bytes) -> str:
+    """:func:`sensor_key_for` by the subject's wire spelling; a rejection
+    is not cached, so it raises again on a repeat."""
+    text = raw.decode("ascii")
+    toks = text.split(".")
     if len(toks) != 6 or toks[0] != "site" or toks[2] != "daq" or toks[4] != "sensor":
-        raise RejectBadSubject(f"unexpected subject shape: {subject}")
+        raise RejectBadSubject(f"unexpected subject shape: {text}")
     return f"{toks[1]}/{toks[3]}/{toks[5]}"
 
 
@@ -105,13 +114,9 @@ def transform(subject: Subject, payload: bytes, recv_wall_us: int | None = None)
         raise RejectMalformed(str(exc)) from exc
     if not math.isfinite(sample.v):
         raise RejectNonFinite(f"non-finite value for {key}")
-    return StoreRecord(
-        sensor_key=key,
-        ts=sample.ts,
-        v=sample.v,
-        seq=sample.seq,
-        recv_wall_us=recv_wall_us if recv_wall_us is not None else now_us(),
-    )
+    if recv_wall_us is None:
+        recv_wall_us = now_us()
+    return StoreRecord(key, sample.ts, sample.v, sample.seq, recv_wall_us)
 
 
 @dataclass
@@ -137,6 +142,20 @@ class IngestMetrics:
     @property
     def rejected_total(self) -> int:
         return sum(self.rejected.values())
+
+
+def _latency_histogram(timestamps: list[int], wall: int) -> tuple[list[int], int]:
+    """Latency histogram and skew count of records stored at ``wall``.
+
+    ``timestamps`` is sorted. A record's latency ``wall - ts`` falls in the
+    first bucket whose bound it does not exceed; a record from the future
+    (``ts > wall``) counts as skew and as latency 0.
+    """
+    n = len(timestamps)
+    # at_most[i]: records whose latency is at most LATENCY_BOUNDS_US[i]
+    at_most = [n - bisect.bisect_left(timestamps, wall - b) for b in LATENCY_BOUNDS_US]
+    counts = [b - a for a, b in zip([0] + at_most, at_most + [n])]
+    return counts, n - bisect.bisect_right(timestamps, wall)
 
 
 class _Handoff(list):
@@ -235,7 +254,7 @@ class Connector:
         except Reject as exc:
             record, reason = None, exc.reason
         pending = self._queue
-        with self._cond:
+        with self._mlock:  # the condition's lock, without its Python-level wrapper
             while record is not None and len(pending) >= self._queue_cap:
                 left = self._last_take + SLOW_CONSUMER_GRACE - time.monotonic()
                 if left <= 0:
@@ -289,29 +308,27 @@ class Connector:
             statuses = [STORE] * len(batch)
         wall = now_us()
         second = wall // 1_000_000
+        stored = [r for r, status in zip(batch, statuses) if status in ("ack", "duplicate")]
         if self.on_insert is not None:
-            for record, status in zip(batch, statuses):
-                if status in ("ack", "duplicate"):
-                    self.on_insert(record, wall)
+            for record in stored:
+                self.on_insert(record, wall)
+        # Count the batch before taking the lock, which then adds totals only.
+        latency, skew = _latency_histogram(sorted([r.ts for r in stored]), wall)
+        failed = len(batch) - len(stored)
         with self._cond:
-            for record, status in zip(batch, statuses):
-                if status in ("ack", "duplicate"):
-                    self._accepted += 1
-                    self._rate_counts[second] = self._rate_counts.get(second, 0) + 1
-                    self._observe_latency(wall - record.ts)
-                else:
-                    self._rejected[STORE] += 1
+            if stored:
+                self._accepted += len(stored)
+                self._rate_counts[second] = self._rate_counts.get(second, 0) + len(stored)
+                for i, count in enumerate(latency):
+                    self._latency_counts[i] += count
+                self._skew += skew
+            if failed:
+                self._rejected[STORE] += failed
             if len(self._rate_counts) > 64:
                 for s in sorted(self._rate_counts)[:-16]:
                     del self._rate_counts[s]
             self._inserting = 0
             self._cond.notify_all()  # a batch is counted: wakes drain()
-
-    def _observe_latency(self, delta_us: int) -> None:
-        if delta_us < 0:
-            self._skew += 1
-            delta_us = 0
-        self._latency_counts[bisect.bisect_left(LATENCY_BOUNDS_US, delta_us)] += 1
 
     # -- metrics ------------------------------------------------------------
 
@@ -408,6 +425,7 @@ class Connector:
             self._writer.join(timeout=10)
         if self._http is not None:
             self._http.shutdown()
+            self._http.server_close()
             self._http = None
 
     def __enter__(self) -> "Connector":

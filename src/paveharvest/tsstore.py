@@ -61,6 +61,7 @@ RECORD = struct.Struct("<qd")
 RECORD_DTYPE = np.dtype([("ts", "<i8"), ("v", "<f8")])
 HEADER_SIZE = HEADER.size  # 32
 RECORD_SIZE = RECORD.size  # 16
+TS_END = 1 << 63  # a record's ts is an i64: a sample needs 0 < ts < TS_END
 
 DEFAULT_CHUNK_SPAN_US = 3_600_000_000  # 1 hour
 
@@ -259,7 +260,7 @@ class Store:
         with self._lock:
             self._ensure_open()
             for i, (sensor, ts, v) in enumerate(batch):
-                if ts <= 0:
+                if not 0 < ts < TS_END:
                     statuses.append("bad-ts")
                 elif not math.isfinite(v):
                     statuses.append("nonfinite")

@@ -307,6 +307,17 @@ class SamplePayload:
 
 _SAMPLE_FIELDS = {"ts", "v", "seq", "unit"}
 
+#: The compact form :meth:`SamplePayload.encode` writes: keys in order, no
+#: whitespace, ``ts``/``seq`` canonical with at most 18 digits (below 2**63
+#: and the ``int`` digit limit), ``v`` a bounded JSON number (group 3 holds
+#: its fraction and exponent) and ``unit`` printable ASCII with no escape.
+_COMPACT_SAMPLE = re.compile(
+    rb'\{"ts":([1-9][0-9]{0,17}),'
+    rb'"v":(-?(?:0|[1-9][0-9]{0,17})((?:\.[0-9]{1,20})?(?:[eE][-+]?[0-9]{1,3})?)),'
+    rb'"seq":(0|[1-9][0-9]{0,17}),'
+    rb'"unit":"([ !#-\[\]-~]*)"\}'
+)
+
 
 def decode_sample(payload: bytes) -> SamplePayload:
     """Strictly decode a sample payload.
@@ -315,7 +326,17 @@ def decode_sample(payload: bytes) -> SamplePayload:
     missing fields, non-positive ts or negative seq raise
     :class:`PayloadError`. A non-finite ``v`` decodes successfully so the
     caller can classify it separately.
+
+    The compact form is decoded by one regex match; any other payload goes
+    through ``json.loads``, with the same result.
     """
+    m = _COMPACT_SAMPLE.fullmatch(payload)
+    if m is not None:
+        ts, v, tail, seq, unit = m.groups()
+        # An integer v converts as json.loads + float() would: -0 gives 0.0.
+        return SamplePayload(
+            int(ts), float(v) if tail else float(int(v)), int(seq), unit.decode("ascii")
+        )
     try:
         obj = json.loads(payload)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -331,7 +352,11 @@ def decode_sample(payload: bytes) -> SamplePayload:
         raise PayloadError(f"seq must be a nonnegative integer, got {seq!r}")
     if not isinstance(unit, str):
         raise PayloadError(f"unit must be a string, got {unit!r}")
-    return SamplePayload(ts=ts, v=float(v), seq=seq, unit=unit)
+    try:
+        v = float(v)
+    except OverflowError as exc:  # an integer beyond float range
+        raise PayloadError(f"v is out of float range: {exc}") from exc
+    return SamplePayload(ts=ts, v=v, seq=seq, unit=unit)
 
 
 def is_finite(v: float) -> bool:

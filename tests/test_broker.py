@@ -629,30 +629,60 @@ def test_dropped_counts_the_msg_frames_an_evicted_session_never_got():
         b.stop()
 
 
+class ShortSend(socket.socket):
+    """A socket whose ``send`` takes at most ``limit`` bytes."""
+
+    limit = 0
+
+    def send(self, data):
+        return super().send(data[: self.limit])
+
+
+#: The payload spells ``MSG ``, so the unsent rest of a cut frame can look
+#: like a whole frame.
+CUT_FRAME = b"MSG a 1 8\r\nMSG MSG \r\n"
+
+
+def cut_backlog(sent):
+    """A broker whose session has three ``CUT_FRAME``s queued and has sent
+    ``sent`` bytes of them; returns the broker, the session and its peer."""
+    b = Broker()
+    near, far = socket.socketpair()
+    sock = ShortSend(fileno=near.detach())
+    sock.limit = sent
+    session = broker_mod._Session(1, sock)
+    b._sessions[1] = session
+    session.out = [CUT_FRAME] * 3
+    b._flush(session)
+    return b, session, far
+
+
 def test_dropped_skips_the_rest_of_a_frame_cut_by_a_partial_send():
-    """The payload spells ``MSG ``, so the unsent rest of a cut frame can
-    look like a whole frame; it is not counted, at every cut offset."""
-    frame = b"MSG a 1 8\r\nMSG MSG \r\n"
-
-    class ShortSend(socket.socket):
-        limit = 0
-
-        def send(self, data):
-            return super().send(data[: self.limit])
-
-    for sent in range(1, 3 * len(frame) + 1):
-        b = Broker()
-        near, far = socket.socketpair()
-        sock = ShortSend(fileno=near.detach())
-        sock.limit = sent
-        session = broker_mod._Session(1, sock)
-        b._sessions[1] = session
-        session.out = [frame] * 3
-        b._flush(session)
+    """The rest of a cut frame is not counted, at every cut offset."""
+    for sent in range(1, 3 * len(CUT_FRAME) + 1):
+        b, session, far = cut_backlog(sent)
         b._close(session)
         far.close()
         b._selector.close()
-        started = -(-sent // len(frame))
+        started = -(-sent // len(CUT_FRAME))
+        assert b.stats()["dropped"] == 3 - started, sent
+
+
+def test_protocol_error_sends_the_rest_of_a_cut_frame_before_err():
+    """At every cut offset the peer reads whole frames, then ``-ERR``."""
+    for sent in range(1, 3 * len(CUT_FRAME) + 1):
+        b, session, far = cut_backlog(sent)
+        b._protocol_error(session, "bad")
+        session.sock.limit = 1 << 20
+        b._flush(session)
+        assert not session.alive, sent
+        got = b""
+        while chunk := far.recv(4096):
+            got += chunk
+        far.close()
+        b._selector.close()
+        started = -(-sent // len(CUT_FRAME))
+        assert got == CUT_FRAME * started + b"-ERR bad\r\n", sent
         assert b.stats()["dropped"] == 3 - started, sent
 
 

@@ -1,15 +1,19 @@
 """Connector transform, counting and end-to-end ingest tests."""
 
+import bisect
 import json
+import random
 import threading
 import time
 import urllib.request
 
 import pytest
 
+from paveharvest import connector as connector_mod
 from paveharvest.broker import SLOW_CONSUMER_GRACE, Broker
 from paveharvest.client import BusClient
 from paveharvest.connector import (
+    LATENCY_BOUNDS_US,
     Connector,
     IngestMetrics,
     Reject,
@@ -17,11 +21,12 @@ from paveharvest.connector import (
     RejectMalformed,
     RejectNonFinite,
     render_metrics_text,
+    sensor_key_for,
     transform,
 )
 from paveharvest.timeutil import now_us
 from paveharvest.tsstore import Store
-from paveharvest.wire import SamplePayload, Subject
+from paveharvest.wire import SUBJECT_CACHE_SIZE, SamplePayload, Subject
 
 EPC_SUBJ = Subject.parse("site.65.daq.1.sensor.epc3")
 
@@ -81,6 +86,38 @@ def test_transform_rejects_bad_subject_shape():
     for text in ("site.65.daq.1.sensor", "a.b.c.d.e.f", "site.65.x.1.sensor.epc3"):
         with pytest.raises(RejectBadSubject):
             transform(Subject.parse(text), payload())
+
+
+def test_sensor_key_is_cached_per_subject_and_a_bad_one_raises_on_repeat():
+    cached = connector_mod._sensor_key
+    assert cached.cache_info().maxsize == SUBJECT_CACHE_SIZE
+    cached.cache_clear()
+    first = sensor_key_for(EPC_SUBJ)
+    assert sensor_key_for(Subject.parse("site.65.daq.1.sensor.epc3")) is first
+    assert cached.cache_info().hits == 1
+    bad = Subject.parse("site.65.x.1.sensor.epc3")
+    for _ in range(3):
+        with pytest.raises(RejectBadSubject, match="site.65.x.1.sensor.epc3"):
+            sensor_key_for(bad)
+    assert cached.cache_info().currsize == 1
+
+
+def test_latency_histogram_matches_a_per_record_count():
+    """The batch count outside the lock gives what one bisect per record
+    gives, bucket bounds and future timestamps included."""
+    rng = random.Random(5)
+    wall = 10**12
+    edges = [wall - b + d for b in LATENCY_BOUNDS_US for d in (-1, 0, 1)]
+    for n in (0, 1, 7, 500):
+        ts = [rng.choice(edges) if rng.random() < 0.5 else wall - rng.randint(-10**6, 10**7)
+              for _ in range(n)]
+        counts, skew = [0] * (len(LATENCY_BOUNDS_US) + 1), 0
+        for t in ts:
+            delta = wall - t
+            if delta < 0:
+                skew, delta = skew + 1, 0
+            counts[bisect.bisect_left(LATENCY_BOUNDS_US, delta)] += 1
+        assert connector_mod._latency_histogram(sorted(ts), wall) == (counts, skew)
 
 
 # --- counting without a broker ---------------------------------------------
@@ -174,6 +211,23 @@ def test_conservation_holds_while_a_batch_is_inserted(tmp_path):
     assert max(m.in_flight for m in snapshots) > 0
 
 
+def test_timestamp_beyond_int64_is_one_rejected_store(tmp_path):
+    """The store reports such a sample as bad-ts; the rest of its batch is
+    stored and counted as accepted."""
+    with Store(tmp_path / "db") as store:
+        conn = Connector(store)  # started once all three are queued: one batch
+        for seq, ts in enumerate((10, 2**63, 20), 1):
+            conn.ingest(EPC_SUBJ, payload(ts=ts, seq=seq))
+        conn.start()
+        assert conn.drain()
+        m = conn.metrics_snapshot()
+        conn.stop()
+        assert store.count() == 2
+    assert m.accepted == 2
+    assert m.rejected == {"store": 1}
+    assert conserved(m)
+
+
 def test_store_failure_counts_rejected_store(tmp_path):
     store = Store(tmp_path / "db")
     store.close()  # writes now fail
@@ -223,6 +277,32 @@ def test_end_to_end_counting(tmp_path):
     assert m.rejected_total == 0
     assert m.seq_gaps == 0
     assert stored == 180
+
+
+def test_payload_beyond_float_range_is_counted_and_the_subscription_lives_on(tmp_path):
+    """An integer v too large for a float is one malformed message; the bus
+    reader survives it, and the same subscription stores what follows."""
+    huge = b'{"ts":1000,"v":' + b"9" * 400 + b',"seq":1,"unit":"kPa"}'
+    with Broker().start() as broker, Store(tmp_path / "db") as store:
+        conn = Connector(store, broker_addr=broker.address).start()
+        assert conn.wait_ready()
+        client = conn._client
+        with BusClient(*broker.address) as pub:
+            pub.publish(EPC_SUBJ, huge)
+            for seq in range(2, 7):
+                pub.publish(EPC_SUBJ, payload(ts=1000 * seq, seq=seq))
+        wait_received(conn, 6, timeout=10)
+        assert conn.drain()
+        m = conn.metrics_snapshot()
+        stats = broker.stats()
+        assert conn._client is client  # no reconnect
+        conn.stop()
+        assert store.count() == 5
+    assert m.received == 6
+    assert m.accepted == 5
+    assert m.rejected == {"malformed": 1}
+    assert conserved(m)
+    assert stats["unrouted"] == 0
 
 
 def test_bus_replay_at_full_speed_loses_nothing(tmp_path):

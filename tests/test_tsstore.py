@@ -328,9 +328,11 @@ def test_corrupt_segment_refuses_writes(tmp_path):
 def test_insert_rejects_bad_values(tmp_path):
     with Store(tmp_path / "db") as store:
         report = store.insert(
-            [Sample("a", 0, 1.0), Sample("a", 5, float("nan")), Sample("a", 6, 1.0)]
+            [Sample("a", 0, 1.0), Sample("a", 5, float("nan")), Sample("a", 6, 1.0),
+             Sample("b", 2**63, 1.0), Sample("c", 2**63 - 1, 1.0)]  # ts is an i64
         )
-        assert report.statuses == ["bad-ts", "nonfinite", "ack"]
+        assert report.statuses == ["bad-ts", "nonfinite", "ack", "bad-ts", "ack"]
+        assert store.count() == 2  # the rest of the batch is stored
 
 
 @pytest.mark.parametrize("sensor", ["", ".", ".."])

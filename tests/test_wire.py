@@ -1,13 +1,18 @@
 """Protocol codec, subject matching and MQTT mapping tests."""
 
 import itertools
+import json
 import random
+import re
+import struct
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paveharvest import wire
 from paveharvest.broker import Broker
+from paveharvest.daqsim import DEFAULT_UNITS
 from paveharvest.wire import (
     Frame,
     InvalidSubject,
@@ -353,6 +358,8 @@ def test_sample_payload_strictness():
         b'{"ts":1,"v":2.5,"seq":-1,"unit":"kPa"}',
         b'{"ts":1,"v":2.5,"seq":0,"unit":7}',
         b'{"ts":true,"v":2.5,"seq":0,"unit":"kPa"}',
+        b'{"ts":1,"v":' + b"9" * 400 + b',"seq":0,"unit":"kPa"}',  # beyond float range
+        b'{"ts":1,"v":-' + b"9" * 400 + b',"seq":0,"unit":"kPa"}',
     ):
         with pytest.raises(PayloadError):
             decode_sample(bad)
@@ -362,6 +369,127 @@ def test_sample_payload_nonfinite_decodes():
     # non-finite v is structurally valid; the ingest layer classifies it
     p = decode_sample(b'{"ts":1,"v":NaN,"seq":0,"unit":"kPa"}')
     assert not wire.is_finite(p.v)
+
+
+# The decode_sample path without the compact fast path: json.loads alone.
+_NEVER = re.compile(rb"(?!)")
+
+
+def json_path_decode(payload):
+    with mock.patch.object(wire, "_COMPACT_SAMPLE", _NEVER):
+        return decode_sample(payload)
+
+
+def decode_outcome(decode, payload):
+    """What ``decode`` makes of ``payload``, with ``v`` as its bit pattern;
+    any exception but PayloadError propagates."""
+    try:
+        p = decode(payload)
+    except PayloadError:
+        return "PayloadError"
+    return p.ts, struct.pack("<d", p.v), p.seq, p.unit, type(p.v)
+
+
+def assert_same_decode(payload):
+    assert decode_outcome(decode_sample, payload) == decode_outcome(
+        json_path_decode, payload
+    ), payload
+
+
+NUMBER_TEXT = st.one_of(
+    st.from_regex(r"-?[0-9]{1,24}(\.[0-9]{0,24})?([eE][-+]?[0-9]{0,5})?", fullmatch=True),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,19})(\.[0-9]{1,22})?([eE][-+]?[0-9]{1,4})?", fullmatch=True),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.floats().map(json.dumps),
+    st.sampled_from(
+        ["-0", "-0.0", "0", "0.0", "-0e0", "NaN", "Infinity", "-Infinity", "9" * 400,
+         "-" + "9" * 400, "1e999", "1e-999", "007", "1.", ".5", "+1", "0x10", "1_0",
+         "true", "null", '"2.5"', "[]", "1e", "--1"]
+    ),
+)
+
+UNIT_TEXT = st.one_of(
+    st.text().map(json.dumps),
+    st.text().map(lambda t: json.dumps(t, ensure_ascii=False)),
+    st.text(alphabet=st.characters(max_codepoint=0x7F)).map(lambda t: '"' + t + '"'),
+    st.sampled_from(['"k\\"Pa"', '"k\\\\Pa"', '"\\u006bPa"', '"\\n"', '"\\ud800"', '"\x7f"',
+                     '"\t"', '"é"', "7", "null", '""']),
+)
+
+CANONICAL_KEYS = ("ts", "v", "seq", "unit")
+UNITS = sorted(DEFAULT_UNITS.values())
+
+
+@st.composite
+def sample_payloads(draw):
+    """Payloads near the compact form: mostly its four keys in order, with
+    reordered, duplicate, missing or extra keys, whitespace, and a few
+    bytes that are not UTF-8."""
+    odd = st.integers(0, 3).map(lambda n: n == 0)  # a quarter of the fields stray
+    values = {
+        "ts": draw(NUMBER_TEXT if draw(odd) else st.integers(1, 10**19).map(str)),
+        "v": draw(NUMBER_TEXT),
+        "seq": draw(NUMBER_TEXT if draw(odd) else st.integers(0, 10**19).map(str)),
+        "unit": draw(UNIT_TEXT if draw(odd) else st.sampled_from(UNITS).map(json.dumps)),
+    }
+    keys = list(CANONICAL_KEYS)
+    shape = draw(st.sampled_from(["compact"] * 8 + ["reorder", "duplicate", "missing", "extra"]))
+    if shape == "reorder":
+        keys = draw(st.permutations(keys))
+    elif shape == "duplicate":
+        keys.insert(draw(st.integers(0, 4)), draw(st.sampled_from(CANONICAL_KEYS)))
+    elif shape == "missing":
+        keys.remove(draw(st.sampled_from(CANONICAL_KEYS)))
+    elif shape == "extra":
+        keys.append("x")
+        values["x"] = "1"
+    space = draw(st.sampled_from([""] * 8 + [" ", "\n", "\t"]))
+    body = ("," + space).join(f'"{k}":{space}{values[k]}' for k in keys)
+    text = draw(st.sampled_from(["{%s}"] * 8 + [" {%s}", "{%s}\n", "{%s} x"])) % body
+    raw = text.encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00", b"\r\n"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sample_payloads())
+def test_decode_sample_agrees_with_the_json_path(payload):
+    """The fast path returns what json.loads would, to the bit of v, and
+    raises PayloadError exactly when that path does."""
+    assert_same_decode(payload)
+
+
+def test_decode_sample_agrees_with_the_json_path_on_edge_numbers():
+    edges = ["-0", "-0.0", "0", "-0e0", "0e-0", "1E+3", "1e-05", "5e-324", "-5e-324",
+             "1.7976931348623157e+308", "1e308", "1e309", "-1e309", "2.5e-400",
+             "9" * 18, "9" * 19, "-" + "9" * 18, "1" + "0" * 17 + ".5",
+             "0." + "1" * 20, "0." + "1" * 21, "1e999", "1e1000", "123456789012345678.5",
+             "00", "01", "-01", "1.e5", "1e+", "NaN", "-NaN", "Infinity", "-Infinity"]
+    ints = ["1", "9" * 18, "9" * 19, str(2**63 - 1), str(2**63), "0", "-1", "01", "1.0", "1e3"]
+    for v, ts, seq in itertools.product(edges, ints, ints):
+        assert_same_decode(b'{"ts":%s,"v":%s,"seq":%s,"unit":"kPa"}' % (
+            ts.encode(), v.encode(), seq.encode()))
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(1, 10**18 - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 10**18 - 1),
+    st.sampled_from(UNITS),
+)
+def test_compact_fast_path_takes_every_encoded_sample(ts, v, seq, unit):
+    """Every payload the project's producer writes for a finite value takes
+    the fast path, and decodes to the sample encoded, -0.0 included."""
+    sample = SamplePayload(ts=ts, v=v, seq=seq, unit=unit)
+    payload = sample.encode()
+    assert wire._COMPACT_SAMPLE.fullmatch(payload) is not None, payload
+    got = decode_sample(payload)
+    assert got == sample
+    assert struct.pack("<d", got.v) == struct.pack("<d", v)
 
 
 def test_token_with_trailing_newline_is_rejected():
