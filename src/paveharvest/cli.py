@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import urllib.request
+from array import array
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -134,6 +135,35 @@ class E2EReport:
         )
 
 
+class _LatencyJoin:
+    """Publish-to-insert latencies, joined on (sensor, seq) as the walls
+    arrive. ``on_publish`` fires after the send, so an insert can come
+    first; whichever wall comes first waits until the other arrives, and
+    a joined sample keeps only its latency."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._published: dict[tuple[str, int], int] = {}
+        self._inserted: dict[tuple[str, int], int] = {}
+        self.latencies_us = array("q")
+
+    def publish(self, key: tuple[str, int], wall_us: int) -> None:
+        with self._lock:
+            inserted = self._inserted.pop(key, None)
+            if inserted is None:
+                self._published[key] = wall_us
+            else:
+                self.latencies_us.append(inserted - wall_us)
+
+    def insert(self, key: tuple[str, int], wall_us: int) -> None:
+        with self._lock:
+            published = self._published.pop(key, None)
+            if published is None:
+                self._inserted[key] = wall_us
+            else:
+                self.latencies_us.append(wall_us - published)
+
+
 def run_e2e(config: PipelineConfig) -> E2EReport:
     """Run broker + connector + daqsim end to end against one store.
 
@@ -148,12 +178,10 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
         scenario.start_time_us = now_us()  # align event time with the wall
     report = E2EReport(duration_s=scenario.duration_s, speedup=config.speedup)
 
-    publish_walls: dict[tuple[str, int], int] = {}
-    insert_walls: dict[tuple[str, int], int] = {}
+    join = _LatencyJoin()
 
     def on_insert(record, wall_us):
-        sensor_id = record.sensor_key.rsplit("/", 1)[1]
-        insert_walls[(sensor_id, record.seq)] = wall_us
+        join.insert((record.sensor_key.rsplit("/", 1)[1], record.seq), wall_us)
 
     broker = Broker(*config.broker_address)
     store = Store(config.store_root)
@@ -174,7 +202,7 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
             scenario,
             bus_publisher(publisher_client),
             speedup=config.speedup,
-            on_publish=lambda sensor_id, payload, wall: publish_walls.__setitem__(
+            on_publish=lambda sensor_id, payload, wall: join.publish(
                 (sensor_id, payload.seq), wall
             ),
         )
@@ -200,19 +228,16 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
         report.stored = store.count()
         store.close()
 
-    latencies = sorted(
-        insert_walls[key] - publish_walls[key]
-        for key in publish_walls.keys() & insert_walls.keys()
-    )
+    latencies = np.sort(np.frombuffer(join.latencies_us, dtype=np.int64))
     report.latency_samples = len(latencies)
-    if latencies:
+    if len(latencies):
         def pct(q: float) -> float:
             rank = max(0, min(len(latencies) - 1, int(q * len(latencies))))
-            return latencies[rank] / 1000.0
+            return int(latencies[rank]) / 1000.0
 
         report.p50_latency_ms = pct(0.50)
         report.p99_latency_ms = pct(0.99)
-        report.max_latency_ms = latencies[-1] / 1000.0
+        report.max_latency_ms = int(latencies[-1]) / 1000.0
     report.ok = (
         report.published > 0
         and report.stored == report.accepted

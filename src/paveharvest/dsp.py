@@ -130,12 +130,14 @@ class CalibrationSpec:
             raise ValueError("rated output must be positive")
 
 
+@functools.lru_cache(maxsize=8)
 def savgol_weights(window: int, polyorder: int) -> np.ndarray:
     """Center-row weights of the least-squares polynomial smoother.
 
     Fitting a degree-``polyorder`` polynomial over ``window`` consecutive
     samples and reading it at the center is a linear map; these are its
-    weights. They sum to 1 and are symmetric.
+    weights. They sum to 1 and are symmetric. Read-only, as every caller
+    shares them.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd integer >= 3")
@@ -144,8 +146,10 @@ def savgol_weights(window: int, polyorder: int) -> np.ndarray:
     half = window // 2
     x = np.arange(-half, half + 1, dtype=float) / half
     design = np.vander(x, polyorder + 1, increasing=True)
-    projection = design @ np.linalg.pinv(design)
-    return projection[half]
+    # a copy: a row view would keep the whole window x window product alive
+    weights = (design @ np.linalg.pinv(design))[half].copy()
+    weights.flags.writeable = False
+    return weights
 
 
 def smooth(series: Series, config: DspConfig) -> Series:

@@ -325,23 +325,26 @@ def _read_header(lines: list[str]) -> tuple[dict[str, str], int, int]:
 
 
 def _parse_block(lines: list[str], start: int) -> np.ndarray | None:
-    """The data rows from ``lines[start:]`` in one vectorized pass, as a
-    (columns, rows) array; None when any row breaks the format, which
-    :func:`_parse_rows` then reports."""
-    rows = [text for text in (line.strip() for line in lines[start:]) if text]
-    if not rows:
-        return None
-    commas = rows[0].count(",")
-    if commas < 1 or any(row.count(",") != commas for row in rows):
-        return None
+    """The data rows from ``lines[start:]`` in one pass of numpy's text
+    reader, as a (columns, rows) array; None when any row breaks the
+    format, which :func:`_parse_rows` then reports."""
+    if start == len(lines):
+        return None  # no data line: numpy would warn "input contained no data"
     try:
-        # float() semantics per field, as in the row loop
-        values = np.array(",".join(rows).split(","), dtype=float)
+        # numpy's C reader converts a field with the function float() uses,
+        # but rejects some that float() reads (underscores, non-ASCII
+        # digits); the row loop decides those files. It would read a
+        # whitespace-only line as a row, so those are left out here, as
+        # the row loop skips them.
+        rows = np.loadtxt(
+            filter(str.strip, lines[start:]),
+            delimiter=",", comments=None, ndmin=2, dtype=float,
+        )
     except ValueError:
         return None
-    if not np.isfinite(values).all():
+    if len(rows) < 1 or rows.shape[1] < 2 or not np.isfinite(rows).all():
         return None
-    columns = values.reshape(len(rows), commas + 1).T.copy()
+    columns = rows.T.copy()
     if not (np.diff(columns[0]) > 0).all():
         return None
     return columns

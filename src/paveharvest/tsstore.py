@@ -318,11 +318,15 @@ class Store:
         """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1."""
         ts_parts, v_parts = [np.empty(0, np.int64)], [np.empty(0)]
         first = t0 - t0 % self.span
+        # t0 <= ts < t1 as t0 - 1 < ts <= t1 - 1, with both bounds clamped
+        # to the stored range 0 < ts < TS_END: an int beyond int64 would
+        # make numpy compare in float64, where TS_END - 1 rounds to TS_END.
+        bounds = [min(max(t - 1, 0), TS_END - 1) for t in (t0, t1)]
         for key, path in self._on_disk(sensor):
             if not first <= key.window_start < t1:
                 continue
             ts, v = _read_segment(key, path)
-            lo, hi = np.searchsorted(ts, (t0, t1))
+            lo, hi = np.searchsorted(ts, bounds, side="right")
             ts_parts.append(ts[lo:hi])
             v_parts.append(v[lo:hi])
         return np.concatenate(ts_parts), np.concatenate(v_parts)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 import paveharvest
 from helpers import asg_raw_text, laser_raw_text
+from paveharvest import cli as cli_mod
 from paveharvest.cli import build_parser, main
 from paveharvest.timeutil import format_rfc3339
 from paveharvest.tsstore import Sample, Store
@@ -349,6 +351,54 @@ def test_e2e_small_run(tmp_path, capsys):
     assert report["stored"] == 8
     assert report["seq_gaps"] == 0
     assert report["ok"] is True
+
+
+def two_dict_latencies(events):
+    """Sorted latencies of a run's walls joined after the run, one dict per
+    side, as ``run_e2e`` once did."""
+    walls = {"publish": {}, "insert": {}}
+    for side, key, wall in events:
+        walls[side][key] = wall
+    return sorted(
+        walls["insert"][key] - walls["publish"][key]
+        for key in walls["publish"].keys() & walls["insert"].keys()
+    )
+
+
+def test_e2e_latency_join_matches_the_two_dict_join(tmp_path, monkeypatch):
+    events = []
+    LatencyJoin = cli_mod._LatencyJoin
+
+    class RecordingJoin(LatencyJoin):
+        def publish(self, key, wall_us):
+            events.append(("publish", key, wall_us))
+            super().publish(key, wall_us)
+
+        def insert(self, key, wall_us):
+            events.append(("insert", key, wall_us))
+            super().insert(key, wall_us)
+
+    monkeypatch.setattr(cli_mod, "_LatencyJoin", RecordingJoin)
+    scenario = tmp_path / "scen.json"
+    write_scenario(scenario, sensors=3, duration=300)
+    report = cli_mod.run_e2e(cli_mod.PipelineConfig(
+        scenario_path=str(scenario), store_root=str(tmp_path / "db"), speedup=1e6,
+    ))
+    want = two_dict_latencies(events)
+    assert report.latency_samples == len(want) == 900
+    assert report.p50_latency_ms == want[450] / 1000.0
+    assert report.p99_latency_ms == want[891] / 1000.0
+    assert report.max_latency_ms == want[-1] / 1000.0
+
+    # The same walls in a shuffled order: inserts noted before their
+    # publish, and samples seen on one side only.
+    random.Random(7).shuffle(events)
+    events += [("publish", ("lost", 1), 5), ("insert", ("stray", 1), 9)]
+    join = LatencyJoin()
+    for side, key, wall in events:
+        getattr(join, side)(key, wall)
+    assert sorted(join.latencies_us) == two_dict_latencies(events)
+    assert len(join._published) == len(join._inserted) == 1  # joined walls are dropped
 
 
 def test_e2e_simulated_day_one_sensor(tmp_path, capsys):

@@ -78,6 +78,17 @@ def test_weights_validation():
             savgol_weights(window, order)
 
 
+def test_weights_are_computed_once_and_read_only():
+    w = savgol_weights(101, 2)
+    assert savgol_weights(101, 2) is w
+    assert not w.flags.writeable and w.base is None  # owns no whole projection
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    x = np.arange(-50, 51) / 50
+    design = np.vander(x, 3, increasing=True)
+    assert w.tobytes() == (design @ np.linalg.pinv(design))[50].tobytes()
+
+
 # --- smoothing ------------------------------------------------------------
 
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,7 +267,7 @@ _FORMATS = (repr, "{:.6f}".format, "{:.3e}".format, "{:g}".format)
 def well_formed_logs(draw):
     """Raw-log text whose rows all parse: strictly increasing seconds, the
     same column count throughout, finite values in assorted notations,
-    with blank lines and spaces around commas mixed in."""
+    with blank or whitespace-only lines and spaces around commas mixed in."""
     n_values = draw(st.integers(1, 4))
     steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
     finite = st.floats(-1e300, 1e300)  # rounding by a format keeps it finite
@@ -274,7 +277,7 @@ def well_formed_logs(draw):
         fields += [draw(st.sampled_from(_FORMATS))(draw(finite)) for _ in range(n_values)]
         sep = draw(st.sampled_from([",", ", ", " ,"]))
         lines.append(sep.join(fields))
-        lines += [""] * draw(st.integers(0, 1))
+        lines += draw(st.lists(st.sampled_from(["", "   ", "\t", "\xa0"]), max_size=1))
     return "\n".join(lines) + "\n"
 
 
@@ -288,6 +291,76 @@ def test_vectorized_parse_equals_row_loop(text):
     assert fast is not None and warnings == []
     assert fast.shape == slow.shape
     assert fast.tobytes() == slow.tobytes()
+
+
+# Fields that float(), numpy's reader, or both treat unusually: first those
+# float() reads as a finite number, then those it does not.
+_ODD_NUMBERS = (
+    " 1.5", "2.5 ", "\t3", "+4", ".5", "1.", "1_000", "١٢", "１", "\xa01",
+    "-0", "-0.0", "1e-400", "1" + "0" * 400, "0." + "0" * 399 + "1",
+)
+_NOT_NUMBERS = (
+    "0x1A", "1#2", '"3"', "'3'", "1\x00", "nan", "Infinity", "-inf", "1e400",
+    "", " ", "1 2", "1e", "--1",
+)
+
+
+@st.composite
+def unusual_logs(draw):
+    """Raw-log text that mixes well-formed rows with the fields above,
+    whitespace-only lines, ragged, truncated and non-increasing rows, a
+    header line among the rows and CRLF line ends."""
+    n_values = draw(st.sampled_from([0, 1, 1, 2, 3]))  # 0: one column
+    lines = ["# kind: TC"]
+    t = draw(st.floats(-10, 10))
+    changes = ["none"] * draw(st.sampled_from([4, 16, 64]))
+    changes += ["odd", "odd", "odd", "not", "ragged", "backwards", "line"]
+    for _ in range(draw(st.integers(1, 12))):
+        change = draw(st.sampled_from(changes))
+        t += draw(st.sampled_from([-0.5, 0.0] if change == "backwards" else [0.1, 1.0]))
+        fields = [repr(t)] + [repr(draw(st.floats(-1e3, 1e3))) for _ in range(n_values)]
+        if change in ("odd", "not"):
+            i = -1 - draw(st.integers(0, len(fields) - 1))  # seconds least often
+            fields[i] = draw(st.sampled_from(_ODD_NUMBERS if change == "odd" else _NOT_NUMBERS))
+        elif change == "ragged":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["7.0"]
+        sep = draw(st.sampled_from([",", ",", ", ", " ,", ",\t"]))
+        lines.append(sep.join(fields))
+        if change == "line":
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "\xa0", "# unit: x"])))
+    if len(lines) > 1 and draw(st.integers(0, 3)) == 0:
+        lines[-1] = lines[-1][: draw(st.integers(0, len(lines[-1])))]  # cut write
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+
+
+def _parse_outcome(path):
+    try:
+        raw = parse_raw_log(path)
+    except FormatError as err:
+        return ("error", err.line, str(err))
+    columns = [(c.series.t.tobytes(), c.series.y.tobytes()) for c in raw.channels]
+    return ("ok", raw.header, columns, raw.warnings)
+
+
+@settings(deadline=None, max_examples=400)
+@given(unusual_logs())
+def test_block_parse_agrees_with_row_loop_on_unusual_logs(text):
+    lines = text.splitlines()
+    _, _, start = etl._read_header(lines)
+    fast = etl._parse_block(lines, start)
+    if fast is not None:
+        slow, warnings = etl._parse_rows(lines, start)
+        assert warnings == []
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.txt"
+        path.write_bytes(text.encode())
+        got = _parse_outcome(path)
+        with mock.patch.object(etl, "_parse_block", lambda lines, start: None):
+            want = _parse_outcome(path)
+    assert got == want
 
 
 # --- per-kind processing -----------------------------------------------------

@@ -335,6 +335,19 @@ def test_insert_rejects_bad_values(tmp_path):
         assert store.count() == 2  # the rest of the batch is stored
 
 
+def test_query_bounds_beyond_int64_compare_exactly(tmp_path):
+    """2**63 - 2 and 2**63 - 1 are one float64; a bound must not become one."""
+    stamps = [1, 2**63 - 2, 2**63 - 1]
+    with Store(tmp_path / "db") as store:
+        store.insert([Sample("a", ts, float(i)) for i, ts in enumerate(stamps)])
+        for t0, t1 in [(0, 2**63), (0, 2**63 - 1), (2**63 - 1, 2**64), (2**63, 2**64),
+                       (-(2**70), 2), (0, 2**64), (2**63 - 2, 2**63 - 2)]:
+            want = [ts for ts in stamps if t0 <= ts < t1]
+            assert [s.ts for s in store.query_range("a", t0, t1)] == want, (t0, t1)
+        assert store.downsample("a", 0, 2**63, 10**18, "count") == [(0, 1), (9 * 10**18, 2)]
+        assert store.downsample("a", 0, 2**63, 10**18, "avg") == [(0, 0.0), (9 * 10**18, 1.5)]
+
+
 @pytest.mark.parametrize("sensor", ["", ".", ".."])
 def test_sensor_names_of_the_root_or_its_parent_are_rejected(tmp_path, sensor):
     """Quoted, these names would put segments in the root or beside it."""
