@@ -158,13 +158,6 @@ def _latency_histogram(timestamps: list[int], wall: int) -> tuple[list[int], int
     return counts, n - bisect.bisect_right(timestamps, wall)
 
 
-class _Handoff(list):
-    """Records waiting for the writer; guarded by the connector's lock."""
-
-    def qsize(self) -> int:
-        return len(self)
-
-
 def render_metrics_text(m: IngestMetrics) -> str:
     """Plaintext name/value lines for the /metrics endpoint."""
     lines = [
@@ -212,7 +205,7 @@ class Connector:
         self.batch_size = batch_size
         self.backoff_base_s = backoff_base_s
         self.on_insert = on_insert
-        self._queue = _Handoff()
+        self._queue: list[StoreRecord] = []  # records for the writer; under _mlock
         self._queue_cap = queue_cap
         self._mlock = threading.Lock()
         self._cond = threading.Condition(self._mlock)

@@ -6,16 +6,23 @@ second's internal samples, stamped at the end-of-second boundary. Topics
 follow the ``site/<site>/daq/<daq>/sensor/<id>`` convention and are mapped
 onto bus subjects.
 
-A failed publish keeps the payload in a one-slot retry buffer and tries
-again at the next tick; a second consecutive failure drops the older
-sample, which surfaces downstream as a sequence gap, the same signature
-a flaky cell link leaves in the field.
+:class:`ScenarioRun` only generates. The delivery rule belongs to
+:func:`run_scenario`: a failed publish keeps the payload in its topic's
+one-slot retry buffer and is tried again ahead of that topic's next
+fresh sample; a second failure while the slot is full drops the older
+sample with a WARNING, which surfaces downstream as a sequence gap, the
+same signature a flaky cell link leaves in the field. After the last
+tick each waiting payload gets one more attempt, and one that fails
+again is dropped with the same WARNING, so no loss is silent.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import json
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +48,24 @@ DEFAULT_UNITS = {EPC: "kPa", SCG: "microstrain", MOISTURE: "vwc", TEMPERATURE: "
 DAY_SECONDS = 86_400.0
 
 PublishFn = Callable[[str, SamplePayload], None]
+
+_DROP_WARNING = "%s: dropping seq %d after repeated publish failure"
+
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
+
+
+def _validate(obj, *tokens: str) -> None:
+    """Raise ValueError naming the first field of dataclass ``obj`` whose
+    value is not of its annotated type (a bool is not a number here), or
+    if ``tokens`` are not legal subject tokens."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(f.type, object)):
+            raise ValueError(f"field {f.name!r} must be {f.type}, got {value!r}")
+    try:
+        Subject(tokens)
+    except wire.InvalidSubject as exc:
+        raise ValueError(str(exc)) from exc
 
 
 @dataclass
@@ -71,16 +96,13 @@ class SensorSpec:
     drift_per_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _validate(self, self.sensor_id)  # the id is a subject token
         if self.kind not in SENSOR_KINDS:
             raise ValueError(f"unknown sensor kind {self.kind!r}")
         if self.rate_hz < 1:
             raise ValueError("internal rate must be >= 1 Hz")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
-        try:
-            Subject((self.sensor_id,))  # id must be a legal subject token
-        except wire.InvalidSubject as exc:
-            raise ValueError(str(exc)) from exc
         if not self.unit:
             self.unit = DEFAULT_UNITS[self.kind]
 
@@ -96,26 +118,31 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # an empty sensor list is legal: the pipeline runs and publishes nothing
-        try:
-            Subject((self.site, self.daq))  # ids must be legal tokens
-        except wire.InvalidSubject as exc:
-            raise ValueError(str(exc)) from exc
+        _validate(self, self.site, self.daq)  # the ids are subject tokens
+        ids = collections.Counter(spec.sensor_id for spec in self.sensors)
+        if dups := [sensor_id for sensor_id, n in ids.items() if n > 1]:
+            # two sensors with one id would publish one subject with the same seqs
+            raise ValueError(f"duplicate sensor id {dups[0]!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        """Parse a scenario file; a missing, unknown or mistyped field
+        raises ValueError naming it."""
         obj = json.loads(text)
-        start = obj.get("start_time", 1)
-        if isinstance(start, str):
-            start = parse_rfc3339(start)
-        sensors = [SensorSpec(sensor_id=s.pop("id"), **s) for s in obj["sensors"]]
-        return cls(
-            site=str(obj["site"]),
-            daq=str(obj["daq"]),
-            sensors=sensors,
-            seed=int(obj.get("seed", 0)),
-            start_time_us=int(start),
-            duration_s=int(obj.get("duration_s", 60)),
-        )
+        try:
+            start = obj.get("start_time", 1)
+            return cls(
+                site=str(obj["site"]),
+                daq=str(obj["daq"]),
+                sensors=[SensorSpec(sensor_id=s.pop("id"), **s) for s in obj["sensors"]],
+                seed=obj.get("seed", 0),
+                start_time_us=parse_rfc3339(start) if isinstance(start, str) else start,
+                duration_s=obj.get("duration_s", 60),
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        except (TypeError, AttributeError) as exc:  # an unknown field, or not an object
+            raise ValueError(f"malformed scenario: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
@@ -141,22 +168,12 @@ def waveform(spec: SensorSpec, t: np.ndarray | float) -> np.ndarray | float:
     return spec.start + spec.drift_per_s * t
 
 
-def synth_value(
-    spec: SensorSpec, t: float, rng: np.random.Generator | None = None
-) -> float:
-    """One internal sample at simulated time ``t`` (noise drawn from ``rng``)."""
-    v = float(waveform(spec, t))
-    if spec.noise_sigma > 0 and rng is not None:
-        v += spec.noise_sigma * rng.standard_normal()
-    return float(v)
-
-
 class _SensorState:
-    def __init__(self, spec: SensorSpec, seed: int, index: int):
-        self.spec = spec
-        self.rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    def __init__(self, scenario: Scenario, index: int):
+        self.spec = spec = scenario.sensors[index]
+        self.topic = f"site/{scenario.site}/daq/{scenario.daq}/sensor/{spec.sensor_id}"
+        self.rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, index]))
         self.seq = 0
-        self.pending: SamplePayload | None = None
 
 
 class ScenarioRun:
@@ -164,27 +181,14 @@ class ScenarioRun:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.states = [
-            _SensorState(spec, scenario.seed, i)
-            for i, spec in enumerate(scenario.sensors)
-        ]
-
-    def topic(self, spec: SensorSpec) -> str:
-        s = self.scenario
-        return f"site/{s.site}/daq/{s.daq}/sensor/{spec.sensor_id}"
+        self.states = [_SensorState(scenario, i) for i in range(len(scenario.sensors))]
 
     def tick(self, second: int) -> list[tuple[str, SamplePayload]]:
-        """Payloads due at the end of simulated second ``second`` (0-based).
-
-        Any pending retry precedes the fresh sample so arrival order stays
-        seq-ascending on a healthy link.
-        """
+        """``(topic, payload)`` per sensor, in scenario order, due at the
+        end of simulated second ``second`` (0-based)."""
         out: list[tuple[str, SamplePayload]] = []
         for state in self.states:
             spec = state.spec
-            if state.pending is not None:
-                out.append((self.topic(spec), state.pending))
-                state.pending = None
             times = second + np.arange(spec.rate_hz, dtype=float) / spec.rate_hz
             values = np.asarray(waveform(spec, times), dtype=float)
             if spec.noise_sigma > 0:
@@ -198,21 +202,8 @@ class ScenarioRun:
                 seq=state.seq,
                 unit=spec.unit,
             )
-            out.append((self.topic(spec), payload))
+            out.append((state.topic, payload))
         return out
-
-    def note_failure(self, topic: str, payload: SamplePayload) -> None:
-        """Stash a failed publish for retry; an older pending one is dropped."""
-        for state in self.states:
-            if self.topic(state.spec) == topic:
-                if state.pending is not None:
-                    logger.warning(
-                        "%s: dropping seq %d after repeated publish failure",
-                        topic,
-                        state.pending.seq,
-                    )
-                state.pending = payload
-                return
 
 
 @dataclass
@@ -226,34 +217,52 @@ def run_scenario(
     publish: PublishFn,
     speedup: float = 1.0,
     on_publish: Callable[[str, SamplePayload, int], None] | None = None,
-    clock=time,
 ) -> RunReport:
     """Drive a scenario to completion against a publish function.
 
-    ``publish`` raising marks that payload failed (retried next tick).
-    ``on_publish(sensor_id, payload, wall_us)`` fires after each success.
+    ``publish`` raising marks that payload failed. A topic's failed payload
+    is retried ahead of its next fresh sample, so arrival order stays
+    seq-ascending on a healthy link; a failure while an older payload
+    waits drops the older one. Payloads still waiting after the last tick
+    get one more attempt. ``on_publish(sensor_id, payload, wall_us)`` fires
+    after each success.
     """
     if speedup < 1:
         raise ValueError("speedup must be >= 1")
     run = ScenarioRun(scenario)
     report = RunReport()
-    t0 = clock.monotonic()
+    # topic -> its one failed payload; only send() stores here, and a failure
+    # while the slot is full drops the older payload
+    retry: dict[str, SamplePayload] = {}
+
+    def send(topic: str, payload: SamplePayload) -> None:
+        try:
+            publish(topic, payload)
+        except Exception as exc:
+            logger.warning("publish to %s failed: %s", topic, exc)
+            report.failed += 1
+            if topic in retry:
+                logger.warning(_DROP_WARNING, topic, retry[topic].seq)
+            retry[topic] = payload
+        else:
+            report.published += 1
+            if on_publish is not None:
+                on_publish(topic.rsplit("/", 1)[1], payload, time.time_ns() // 1000)
+
+    t0 = time.monotonic()
     for second in range(scenario.duration_s):
         due = t0 + (second + 1) / speedup
-        delay = due - clock.monotonic()
+        delay = due - time.monotonic()
         if delay > 0:
-            clock.sleep(delay)
+            time.sleep(delay)
         for topic, payload in run.tick(second):
-            try:
-                publish(topic, payload)
-            except Exception as exc:
-                logger.warning("publish to %s failed: %s", topic, exc)
-                run.note_failure(topic, payload)
-                report.failed += 1
-            else:
-                report.published += 1
-                if on_publish is not None:
-                    on_publish(topic.rsplit("/", 1)[1], payload, time.time_ns() // 1000)
+            if topic in retry:
+                send(topic, retry.pop(topic))
+            send(topic, payload)
+    for topic in list(retry):  # one more attempt; a payload failing it is dropped
+        send(topic, retry.pop(topic))
+        if topic in retry:
+            logger.warning(_DROP_WARNING, topic, retry.pop(topic).seq)
     return report
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -357,7 +356,3 @@ def decode_sample(payload: bytes) -> SamplePayload:
     except OverflowError as exc:  # an integer beyond float range
         raise PayloadError(f"v is out of float range: {exc}") from exc
     return SamplePayload(ts=ts, v=v, seq=seq, unit=unit)
-
-
-def is_finite(v: float) -> bool:
-    return math.isfinite(v)

@@ -284,9 +284,6 @@ def test_c6_daily_volume(tmp_path):
                     )
                     conn.ingest(subject, payload)
                     sent += 1
-                    if sent % 5000 == 0:
-                        while conn._queue.qsize() > 6000:
-                            time.sleep(0.01)
             assert conn.drain(timeout=120)
             metrics = conn.metrics_snapshot()
             stored = store.count()

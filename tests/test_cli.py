@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import random
 import subprocess
@@ -333,6 +334,36 @@ def write_scenario(path, sensors=3, duration=5):
             }
         )
     )
+
+
+@pytest.mark.parametrize(
+    "command", [["daqsim", "run"], ["e2e", "run", "--store", "db"]], ids=["daqsim", "e2e"]
+)
+@pytest.mark.parametrize(
+    "sensor, message",
+    [
+        ({"kind": "EPC"}, "missing field 'id'"),
+        ({"id": "e1", "kind": "EPC", "colour": "red"}, "unexpected keyword argument 'colour'"),
+        ({"id": "e1", "kind": "EPC", "rate_hz": "fast"}, "field 'rate_hz' must be int"),
+    ],
+    ids=["no-id", "unknown-field", "mistyped-field"],
+)
+def test_malformed_scenario_exits_3_naming_the_field(
+    tmp_path, capsys, caplog, monkeypatch, command, sensor, message
+):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({"site": "65", "daq": "1", "sensors": [sensor]}))
+
+    def connect(*args, **kwargs):
+        pytest.fail("the scenario must be parsed before any connection is made")
+
+    monkeypatch.setattr(cli_mod, "BusClient", connect)
+    monkeypatch.setattr(cli_mod, "Broker", connect)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(command + ["--scenario", str(scenario)], capsys)
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and message in errors[0]
 
 
 def test_e2e_small_run(tmp_path, capsys):

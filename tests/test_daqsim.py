@@ -1,17 +1,22 @@
 """DAQ simulator: averaging, determinism and retry semantics."""
 
+import logging
+import random
+import re
+
 import numpy as np
 import pytest
 
 from paveharvest.daqsim import (
     EPC,
     MOISTURE,
+    SCG,
     TEMPERATURE,
+    RunReport,
     Scenario,
     ScenarioRun,
     SensorSpec,
     run_scenario,
-    synth_value,
     waveform,
 )
 from paveharvest.timeutil import US_PER_SECOND
@@ -24,7 +29,7 @@ def spec_temperature(**kw):
 def test_degenerate_sinusoid_is_constant():
     spec = spec_temperature(mean=70.0, amplitude=0.0)
     for t in (0.0, 17.3, 86_399.0):
-        assert synth_value(spec, t) == 70.0
+        assert float(waveform(spec, t)) == 70.0
 
 
 def test_epc_maxima_spacing_equals_period():
@@ -143,23 +148,152 @@ def test_publish_failure_retries_with_same_seq():
     assert report.published == 3
 
 
-def test_sustained_outage_drops_oldest_and_leaves_gap():
+T1 = "site/s/daq/d/sensor/t1"
+
+
+def dropped(caplog):
+    """``(topic, seq)`` of each drop warning logged, in order."""
+    return [
+        (m.group(1), int(m.group(2)))
+        for r in caplog.records
+        if (m := re.fullmatch(
+            r"(\S+): dropping seq (\d+) after repeated publish failure", r.getMessage()
+        ))
+    ]
+
+
+def test_sustained_outage_drops_oldest_and_leaves_gap(caplog):
     scenario = Scenario(
         site="s", daq="d", duration_s=5,
         sensors=[spec_temperature(mean=1.0, amplitude=0.0)],
     )
-    state = {"down": True}
     got = []
 
     def publish(topic, payload):
-        if state["down"] and payload.seq < 4:
+        if payload.seq < 4:
             raise OSError("link down")
         got.append(payload.seq)
 
-    run_scenario(scenario, publish, speedup=10**9)
-    # seq 1 and 2 lost during the outage, 3 retried late -> downstream gap
-    assert got == [3, 4, 5] or got == [4, 3, 5] or got[0] >= 3
-    assert 1 not in got and 2 not in got
+    with caplog.at_level(logging.WARNING, logger="paveharvest.daqsim"):
+        report = run_scenario(scenario, publish, speedup=10**9)
+    # seqs 1 and 2 are dropped during the outage; seq 3 keeps failing after
+    # it and is dropped by the attempt at run end -> a downstream gap
+    assert got == [4, 5]
+    assert dropped(caplog) == [(T1, 1), (T1, 2), (T1, 3)]
+    assert report == RunReport(published=2, failed=8)
+
+
+def test_retry_waiting_at_run_end_is_attempted_once_more(caplog):
+    scenario = Scenario(
+        site="s", daq="d", duration_s=3,
+        sensors=[spec_temperature(mean=1.0, amplitude=0.0)],
+    )
+    calls = []
+    failures = {3: 1}  # the last tick's publish fails once
+
+    def publish(topic, payload):
+        if failures.get(payload.seq, 0):
+            failures[payload.seq] -= 1
+            raise OSError("link down")
+        calls.append(payload.seq)
+
+    with caplog.at_level(logging.WARNING, logger="paveharvest.daqsim"):
+        report = run_scenario(scenario, publish, speedup=10**9)
+    assert calls == [1, 2, 3]
+    assert report == RunReport(published=3, failed=1)
+    assert dropped(caplog) == []
+
+
+def test_retry_failing_at_run_end_is_dropped_with_a_warning(caplog):
+    scenario = Scenario(
+        site="s", daq="d", duration_s=3,
+        sensors=[spec_temperature(mean=1.0, amplitude=0.0)],
+    )
+    calls = []
+
+    def publish(topic, payload):
+        if payload.seq == 3:
+            raise OSError("link down")
+        calls.append(payload.seq)
+
+    with caplog.at_level(logging.WARNING, logger="paveharvest.daqsim"):
+        report = run_scenario(scenario, publish, speedup=10**9)
+    assert calls == [1, 2]
+    assert report == RunReport(published=2, failed=2)
+    assert dropped(caplog) == [(T1, 3)]
+
+
+def reference_run(scenario, ok):
+    """The retry rule as a per-sensor pending slot: each tick emits a
+    sensor's pending payload ahead of its fresh one, and a failure stashes
+    the payload, dropping an older pending one with a warning. Payloads
+    still pending after the last tick get one more attempt, in scenario
+    order. ``ok(n)`` says whether the n-th publish attempt succeeds."""
+    run = ScenarioRun(scenario)
+    pending = {}
+    attempts, published, drops = [], [], []
+
+    def attempt(topic, payload):
+        success = ok(len(attempts))
+        attempts.append((topic, payload, success))
+        if success:
+            published.append((topic.rsplit("/", 1)[1], payload))
+        return success
+
+    for second in range(scenario.duration_s):
+        due = []
+        for topic, payload in run.tick(second):
+            if topic in pending:
+                due.append((topic, pending.pop(topic)))
+            due.append((topic, payload))
+        for topic, payload in due:
+            if not attempt(topic, payload):
+                if topic in pending:
+                    drops.append((topic, pending[topic].seq))
+                pending[topic] = payload
+    for state in run.states:
+        payload = pending.pop(state.topic, None)
+        if payload is not None and not attempt(state.topic, payload):
+            drops.append((state.topic, payload.seq))
+    report = RunReport(
+        published=sum(a[2] for a in attempts),
+        failed=sum(not a[2] for a in attempts),
+    )
+    return attempts, published, drops, report
+
+
+def test_run_scenario_matches_the_reference_rule(caplog):
+    kinds = [EPC, SCG, TEMPERATURE, MOISTURE]
+    rng = random.Random(2024)
+    for _ in range(200):
+        scenario = Scenario(
+            site="s", daq="d", seed=rng.randrange(1000), duration_s=rng.randint(1, 12),
+            sensors=[
+                SensorSpec(sensor_id=f"x{i}", kind=rng.choice(kinds), rate_hz=4,
+                           noise_sigma=0.5)
+                for i in range(rng.randint(1, 4))
+            ],
+        )
+        p_fail = rng.choice([0.1, 0.3, 0.6, 0.9])
+        outcomes = [rng.random() >= p_fail for _ in range(200)]
+        want = reference_run(scenario, outcomes.__getitem__)
+
+        attempts, published = [], []
+
+        def publish(topic, payload):
+            success = outcomes[len(attempts)]
+            attempts.append((topic, payload, success))
+            if not success:
+                raise OSError("link down")
+
+        def on_publish(sensor_id, payload, wall_us):
+            assert isinstance(wall_us, int)
+            published.append((sensor_id, payload))
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="paveharvest.daqsim"):
+            report = run_scenario(scenario, publish, speedup=10**9, on_publish=on_publish)
+        assert (attempts, published, dropped(caplog), report) == want
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -192,6 +326,19 @@ def test_spec_validation():
         SensorSpec(sensor_id="x", kind=EPC, rate_hz=0)
     with pytest.raises(ValueError):
         Scenario(site="s.s", daq="d", sensors=[])
+
+
+def test_duplicate_sensor_ids_are_rejected():
+    with pytest.raises(ValueError, match="duplicate sensor id 'e1'"):
+        Scenario(
+            site="s", daq="d",
+            sensors=[SensorSpec("e1", EPC), SensorSpec("e2", SCG), SensorSpec("e1", EPC)],
+        )
+    with pytest.raises(ValueError, match="duplicate sensor id 'e1'"):
+        Scenario.from_json(
+            '{"site": "s", "daq": "d", "sensors": '
+            '[{"id": "e1", "kind": "EPC"}, {"id": "e1", "kind": "EPC"}]}'
+        )
 
 
 def test_zero_sensor_scenario_publishes_nothing():

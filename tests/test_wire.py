@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 import struct
@@ -368,7 +369,7 @@ def test_sample_payload_strictness():
 def test_sample_payload_nonfinite_decodes():
     # non-finite v is structurally valid; the ingest layer classifies it
     p = decode_sample(b'{"ts":1,"v":NaN,"seq":0,"unit":"kPa"}')
-    assert not wire.is_finite(p.v)
+    assert not math.isfinite(p.v)
 
 
 # The decode_sample path without the compact fast path: json.loads alone.
