@@ -18,7 +18,7 @@ import threading
 import time
 import urllib.request
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,9 @@ import numpy as np
 from . import dsp, etl, tsstore, wire
 from .broker import Broker
 from .client import BusClient
-from .connector import Connector, render_metrics_text
-from .daqsim import Scenario, bus_publisher, run_scenario
-from .timeutil import format_rfc3339, now_us, parse_duration, parse_rfc3339
+from .connector import Connector, render_metrics_text, sensor_key_for
+from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
+from .timeutil import US_PER_SECOND, format_rfc3339, now_us, parse_duration, parse_rfc3339
 from .tsstore import Store, verify_segments
 
 logger = logging.getLogger(__name__)
@@ -88,6 +88,23 @@ def _resolve(flag_value, name: str, config: dict, default=None):
     if name in config:
         return config[name]
     return default
+
+
+def _load_scenario(
+    path: str, site: str | None = None, daq: str | None = None, duration_s: int | None = None
+) -> Scenario:
+    """The scenario file at ``path`` with the given overrides, checked as
+    the file's own fields are; a scenario without a start time starts now,
+    so event time runs with the wall."""
+    scenario = Scenario.from_file(path)
+    changes = {
+        name: value
+        for name, value in (("site", site), ("daq", daq), ("duration_s", duration_s))
+        if value is not None
+    }
+    if scenario.start_time_us == 1:
+        changes["start_time_us"] = now_us()
+    return replace(scenario, **changes)
 
 
 # --- e2e orchestration -----------------------------------------------------
@@ -164,6 +181,23 @@ class _LatencyJoin:
                 self.latencies_us.append(wall_us - published)
 
 
+def _stored(store: Store, scenario: Scenario) -> int:
+    """How many of the points the scenario publishes the store holds: one
+    per sensor at the end of each simulated second. Other data in the
+    store, even between those stamps, is not counted."""
+    start = scenario.start_time_us
+    end = start + scenario.duration_s * US_PER_SECOND + 1
+    keys = [
+        sensor_key_for(wire.mqtt_topic_to_subject(state.topic))
+        for state in ScenarioRun(scenario).states
+    ]
+    return sum(
+        (sample.ts - start) % US_PER_SECOND == 0
+        for key in keys
+        for sample in store.query_range(key, start + US_PER_SECOND, end)
+    )
+
+
 def run_e2e(config: PipelineConfig) -> E2EReport:
     """Run broker + connector + daqsim end to end against one store.
 
@@ -171,11 +205,7 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
     the wall-clock insert completion, joined on (sensor, seq), so it stays
     meaningful at any speedup.
     """
-    scenario = Scenario.from_file(config.scenario_path)
-    if config.duration_s is not None:
-        scenario.duration_s = config.duration_s
-    if scenario.start_time_us == 1:
-        scenario.start_time_us = now_us()  # align event time with the wall
+    scenario = _load_scenario(config.scenario_path, duration_s=config.duration_s)
     report = E2EReport(duration_s=scenario.duration_s, speedup=config.speedup)
 
     join = _LatencyJoin()
@@ -225,7 +255,7 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
             report.skew_events = metrics.skew_events
             connector.stop()
         broker.stop()
-        report.stored = store.count()
+        report.stored = _stored(store, scenario)
         store.close()
 
     latencies = np.sort(np.frombuffer(join.latencies_us, dtype=np.int64))
@@ -269,15 +299,7 @@ def cmd_broker_serve(args, config) -> int:
 
 def cmd_daqsim_run(args, config) -> int:
     broker = _resolve(args.broker, "broker", config, "127.0.0.1:4222")
-    scenario = Scenario.from_file(args.scenario)
-    if args.site:
-        scenario.site = args.site
-    if args.daq:
-        scenario.daq = args.daq
-    if args.duration:
-        scenario.duration_s = args.duration
-    if scenario.start_time_us == 1:
-        scenario.start_time_us = now_us()
+    scenario = _load_scenario(args.scenario, args.site, args.daq, args.duration)
     client = BusClient(*_parse_addr(broker))
     try:
         report = run_scenario(

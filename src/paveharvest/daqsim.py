@@ -54,18 +54,22 @@ _DROP_WARNING = "%s: dropping seq %d after repeated publish failure"
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 
 
-def _validate(obj, *tokens: str) -> None:
+def _validate(obj, *token_fields: str) -> None:
     """Raise ValueError naming the first field of dataclass ``obj`` whose
     value is not of its annotated type (a bool is not a number here), or
-    if ``tokens`` are not legal subject tokens."""
+    that ``token_fields`` names and is not a concrete subject token."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(f.type, object)):
             raise ValueError(f"field {f.name!r} must be {f.type}, got {value!r}")
-    try:
-        Subject(tokens)
-    except wire.InvalidSubject as exc:
-        raise ValueError(str(exc)) from exc
+    for name in token_fields:
+        token = getattr(obj, name)
+        try:
+            subject = Subject((token,))
+        except wire.InvalidSubject as exc:
+            raise ValueError(f"field {name!r}: {exc}") from exc
+        if subject.is_pattern:
+            raise ValueError(f"field {name!r}: wildcard {token!r} is not a concrete token")
 
 
 @dataclass
@@ -96,7 +100,7 @@ class SensorSpec:
     drift_per_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _validate(self, self.sensor_id)  # the id is a subject token
+        _validate(self, "sensor_id")  # the id is a subject token
         if self.kind not in SENSOR_KINDS:
             raise ValueError(f"unknown sensor kind {self.kind!r}")
         if self.rate_hz < 1:
@@ -118,7 +122,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # an empty sensor list is legal: the pipeline runs and publishes nothing
-        _validate(self, self.site, self.daq)  # the ids are subject tokens
+        _validate(self, "site", "daq")  # the ids are subject tokens
+        if self.duration_s < 0:
+            raise ValueError(f"field 'duration_s' must be >= 0, got {self.duration_s}")
         ids = collections.Counter(spec.sensor_id for spec in self.sensors)
         if dups := [sensor_id for sensor_id, n in ids.items() if n > 1]:
             # two sensors with one id would publish one subject with the same seqs

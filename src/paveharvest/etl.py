@@ -21,6 +21,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -74,6 +75,8 @@ LASER_HEADER = (
     "filename_id,sample_number,horiz_mm,laser_reading_mm,beam_location_mm,"
     "sampled_time"
 )
+#: the FILE_INFO columns after id and filename, each a FileMeta attribute
+_FILE_INFO_META = FILE_INFO_HEADER.split(",")[2:]
 
 _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
@@ -269,37 +272,23 @@ def parse_raw_log(path: str | Path, kind: str = "auto") -> RawFile:
             raise FormatError(
                 "laser rows are seconds,laser_mm,beam_mm", line_after_header
             )
-        channels = [
-            RawChannel(series=Series(t=t, y=columns[1], unit=unit)),
-            RawChannel(series=Series(t=t, y=columns[2], unit=unit)),
-        ]
+        channels = [RawChannel(Series(t=t, y=y, unit=unit)) for y in columns[1:]]
         return RawFile(resolved_kind, header, channels, warnings)
 
-    gages = _split_header_list(header.get("gage", ""), n_values, "gage", line_after_header)
-    placements = _split_header_list(
-        header.get("placement", ""), n_values, "placement", line_after_header
-    )
-    coeffs = _split_header_list(
-        header.get("cal_coeff", ""), n_values, "cal_coeff", line_after_header
-    )
-    rated = _split_header_list(
-        header.get("rated_output", ""), n_values, "rated_output", line_after_header
-    )
+    per_channel = [
+        _split_header_list(header.get(key, ""), n_values, key, line_after_header)
+        for key in ("gage", "placement", "cal_coeff", "rated_output")
+    ]
     channels = []
-    for i in range(n_values):
+    for y, gage, placement, coeff, rated in zip(columns[1:], *per_channel):
         cal = None
-        if coeffs[i] and rated[i]:
+        if coeff and rated:
             try:
-                cal = CalibrationSpec(float(coeffs[i]), float(rated[i]))
+                cal = CalibrationSpec(float(coeff), float(rated))
             except ValueError as exc:
                 raise FormatError(f"bad calibration: {exc}", line_after_header) from exc
         channels.append(
-            RawChannel(
-                series=Series(t=t, y=columns[i + 1], unit=unit),
-                cal=cal,
-                gage_id=gages[i],
-                placement=placements[i],
-            )
+            RawChannel(Series(t=t, y=y, unit=unit), cal, gage_id=gage, placement=placement)
         )
     return RawFile(resolved_kind, header, channels, warnings)
 
@@ -472,51 +461,39 @@ def _sensor_rows(
             unit=unit,
         )
 
+    if kind != ASG and kind not in STATIONARY_KINDS:
+        # FWD / CSG / PC / TC: maxima and minima only
+        instance = (
+            "fwd" if kind == FWD
+            else _INSTANCE_LABELS.get((meta.description or "").upper(), "")
+        )
+        return [row(instance, e.kind, e.t, e.value) for e in extrema]
+    # labelled maxima, then the envelope after each: ASG labels its first and
+    # last passes, a stationary log labels every maximum
+    maxima = [
+        e for e in (dsp.select_passes(extrema) if kind == ASG else extrema)
+        if e.kind == dsp.MAXIMA
+    ]
     rows: list[DataRow] = []
-    if kind == ASG:
-        labeled = dsp.select_passes(extrema)
-        maxima = [e for e in labeled if e.kind == dsp.MAXIMA]
-        for e in maxima:
-            if e.label != dsp.UNLABELED:
-                rows.append(row(e.label, dsp.MAXIMA, e.t, e.value))
-        for p in dsp.extract_envelope(smoothed, maxima, k=5):
-            label = maxima[p.pass_index - 1].label
-            rows.append(row(label, ENVELOPE, p.t, p.value))
-    elif kind in STATIONARY_KINDS:
-        maxima = [e for e in extrema if e.kind == dsp.MAXIMA]
-        for e in maxima:
+    for e in maxima:
+        if kind != ASG:
             e.label = "stationary"
-            rows.append(row("stationary", dsp.MAXIMA, e.t, e.value))
-        for p in dsp.extract_envelope(smoothed, maxima, k=5):
-            rows.append(row("stationary", ENVELOPE, p.t, p.value))
-    elif kind == FWD:
-        for e in extrema:
-            rows.append(row("fwd", e.kind, e.t, e.value))
-    else:  # CSG / PC / TC: maxima and minima only
-        instance = _INSTANCE_LABELS.get((meta.description or "").upper(), "")
-        for e in extrema:
-            rows.append(row(instance, e.kind, e.t, e.value))
+        if e.label != dsp.UNLABELED:
+            rows.append(row(e.label, dsp.MAXIMA, e.t, e.value))
+    for p in dsp.extract_envelope(smoothed, maxima, k=5):
+        rows.append(row(maxima[p.pass_index - 1].label, ENVELOPE, p.t, p.value))
     return rows
 
 
 def _laser_rows(filename: str, raw: RawFile, config: DspConfig) -> list[LaserRow]:
-    reading, beam = raw.channels[0].series, raw.channels[1].series
-    smoothed = dsp.smooth(reading, config)
+    smoothed = dsp.smooth(raw.channels[0].series, config)
+    beam = raw.channels[1].series.y
     start = _parse_time_of_day(raw.header.get("start_time", "00:00:00"))
-    rows = []
-    for i in range(len(smoothed)):
-        n = i + 1
-        rows.append(
-            LaserRow(
-                filename=filename,
-                sample_number=n,
-                horiz_mm=laser_horizontal(n),
-                laser_reading_mm=float(smoothed.y[i]),
-                beam_location_mm=float(beam.y[i]),
-                sampled_time=_format_time_of_day(start + float(smoothed.t[i])),
-            )
-        )
-    return rows
+    samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), beam.tolist())
+    return [
+        LaserRow(filename, n, laser_horizontal(n), reading, beam_mm, _format_time_of_day(start + t))
+        for n, (t, reading, beam_mm) in enumerate(samples, start=1)
+    ]
 
 
 def _parse_time_of_day(text: str) -> float:
@@ -556,82 +533,73 @@ def format_number(x: float | int | None) -> str:
         return ""
     if isinstance(x, int):
         return str(x)
+    # "-0.000000000" strips to "-0": a value that rounds to zero is "0"
     text = f"{x:.9f}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
-
-
-def _file_info_csv(file_info: list[FileInfoRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(FILE_INFO_HEADER.split(","))
-    for row in file_info:
-        m = row.meta
-        writer.writerow(
-            [
-                row.id,
-                row.filename,
-                m.project_name or "",
-                m.test_section or "",
-                m.sensor_type or "",
-                m.location or "",
-                m.gage_id or "",
-                m.survey_date or "",
-                m.description or "",
-            ]
-        )
-    return out.getvalue()
+    return "0" if text == "-0" else text
 
 
 def emit_normalized(
     rows: list[DataRow], file_info: list[FileInfoRow]
 ) -> tuple[str, str]:
     """Render the sensor data table (by filename_id) and FILE_INFO as CSV."""
-    ids = _id_map(file_info)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(DATA_HEADER.split(","))
-    for row in rows:
-        if row.filename not in ids:
-            raise DanglingReference(f"row cites unknown file {row.filename!r}")
-        writer.writerow(
-            [
-                ids[row.filename],
-                row.captured_instance,
-                row.gage_id,
-                row.placement,
-                format_number(row.cal_coeff),
-                format_number(row.rated_output),
-                row.extrema,
-                format_number(row.seconds_elapsed),
-                format_number(row.processed_datapoint),
-                row.unit,
-            ]
-        )
-    return out.getvalue(), _file_info_csv(file_info)
+    return _emit(DATA_HEADER, rows, file_info, lambda file_id, r: [
+        file_id,
+        r.captured_instance,
+        r.gage_id,
+        r.placement,
+        format_number(r.cal_coeff),
+        format_number(r.rated_output),
+        r.extrema,
+        format_number(r.seconds_elapsed),
+        format_number(r.processed_datapoint),
+        r.unit,
+    ])
 
 
 def emit_laser_normalized(
     rows: list[LaserRow], file_info: list[FileInfoRow]
 ) -> tuple[str, str]:
     """Render the laser table (by filename_id) and FILE_INFO as CSV."""
+    return _emit(LASER_HEADER, rows, file_info, lambda file_id, r: [
+        file_id,
+        r.sample_number,
+        format_number(r.horiz_mm),
+        format_number(r.laser_reading_mm),
+        format_number(r.beam_location_mm),
+        r.sampled_time,
+    ])
+
+
+def _emit(
+    header: str,
+    rows: list[DataRow] | list[LaserRow],
+    file_info: list[FileInfoRow],
+    cells: Callable[[int, DataRow | LaserRow], list],
+) -> tuple[str, str]:
+    """The table under ``header``, one ``cells(file_id, row)`` line per row,
+    and FILE_INFO, both as CSV; a row citing a file FILE_INFO lacks is a
+    :class:`DanglingReference`."""
     ids = _id_map(file_info)
+
+    def lines():
+        for row in rows:
+            if row.filename not in ids:
+                raise DanglingReference(f"row cites unknown file {row.filename!r}")
+            yield cells(ids[row.filename], row)
+
+    info = (
+        [r.id, r.filename] + [getattr(r.meta, c) or "" for c in _FILE_INFO_META]
+        for r in file_info
+    )
+    return _csv(header, lines()), _csv(FILE_INFO_HEADER, info)
+
+
+def _csv(header: str, rows: Iterable[list]) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(LASER_HEADER.split(","))
-    for row in rows:
-        if row.filename not in ids:
-            raise DanglingReference(f"row cites unknown file {row.filename!r}")
-        writer.writerow(
-            [
-                ids[row.filename],
-                row.sample_number,
-                format_number(row.horiz_mm),
-                format_number(row.laser_reading_mm),
-                format_number(row.beam_location_mm),
-                row.sampled_time,
-            ]
-        )
-    return out.getvalue(), _file_info_csv(file_info)
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _id_map(file_info: list[FileInfoRow]) -> dict[str, int]:

@@ -366,6 +366,39 @@ def test_malformed_scenario_exits_3_naming_the_field(
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize(
+    "command, flags, fields, message",
+    [
+        (["daqsim", "run"], ["--site", "a.b"], {}, "field 'site'"),
+        (["daqsim", "run"], ["--daq", "*"], {}, "field 'daq'"),
+        (["daqsim", "run"], ["--duration", "-3"], {}, "field 'duration_s'"),
+        (["daqsim", "run"], [], {"duration_s": -3}, "field 'duration_s'"),
+        (["e2e", "run", "--store", "db"], ["--duration", "-3"], {}, "field 'duration_s'"),
+        (["e2e", "run", "--store", "db"], [], {"duration_s": -3}, "field 'duration_s'"),
+    ],
+    ids=[
+        "daqsim-site", "daqsim-daq", "daqsim-duration", "daqsim-file-duration",
+        "e2e-duration", "e2e-file-duration",
+    ],
+)
+def test_bad_scenario_override_exits_3_naming_the_field(
+    tmp_path, capsys, caplog, monkeypatch, command, flags, fields, message
+):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({"site": "65", "daq": "1", "sensors": [], **fields}))
+
+    def connect(*args, **kwargs):
+        pytest.fail("the scenario must be checked before any connection is made")
+
+    monkeypatch.setattr(cli_mod, "BusClient", connect)
+    monkeypatch.setattr(cli_mod, "Broker", connect)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(command + ["--scenario", str(scenario)] + flags, capsys)
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and message in errors[0]
+
+
 def test_e2e_small_run(tmp_path, capsys):
     scenario = tmp_path / "scen.json"
     write_scenario(scenario, sensors=2, duration=4)
@@ -382,6 +415,22 @@ def test_e2e_small_run(tmp_path, capsys):
     assert report["stored"] == 8
     assert report["seq_gaps"] == 0
     assert report["ok"] is True
+
+
+def test_e2e_twice_into_one_store_counts_each_run(tmp_path, capsys):
+    """The second run's report counts its own samples, not the first run's."""
+    scenario = tmp_path / "scen.json"
+    write_scenario(scenario, sensors=1, duration=5)
+    argv = [
+        "e2e", "run", "--scenario", str(scenario),
+        "--store", str(tmp_path / "db"), "--speedup", "1000",
+    ]
+    for _ in range(2):
+        code, out, _ = run_cli(argv, capsys)
+        report = json.loads(out)
+        assert (code, report["ok"], report["published"], report["stored"]) == (0, True, 5, 5)
+    with Store(tmp_path / "db") as store:
+        assert store.count() == 10
 
 
 def two_dict_latencies(events):

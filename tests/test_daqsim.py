@@ -324,8 +324,14 @@ def test_spec_validation():
         SensorSpec(sensor_id="x", kind="LIDAR")
     with pytest.raises(ValueError):
         SensorSpec(sensor_id="x", kind=EPC, rate_hz=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field 'site'"):
         Scenario(site="s.s", daq="d", sensors=[])
+    with pytest.raises(ValueError, match="field 'daq'"):
+        Scenario(site="s", daq="*", sensors=[])  # a wildcard is no topic level
+    with pytest.raises(ValueError, match="field 'sensor_id'"):
+        SensorSpec(sensor_id=">", kind=EPC)
+    with pytest.raises(ValueError, match="field 'duration_s'"):
+        Scenario(site="s", daq="d", sensors=[], duration_s=-3)
 
 
 def test_duplicate_sensor_ids_are_rejected():

@@ -21,8 +21,10 @@ from paveharvest.etl import (
     DanglingReference,
     DataRow,
     FileMeta,
+    FileInfoRow,
     FormatError,
     IntegrityError,
+    LaserRow,
     build_file_info,
     emit_laser_normalized,
     emit_normalized,
@@ -497,6 +499,21 @@ def make_row(filename, seconds=1.0, value=-0.185732682, instance="first20"):
     )
 
 
+def make_laser_row(filename, sample_number=1):
+    return LaserRow(
+        filename=filename,
+        sample_number=sample_number,
+        horiz_mm=laser_horizontal(sample_number),
+        laser_reading_mm=3.5,
+        beam_location_mm=-0.25,
+        sampled_time="08:00:00.01",
+    )
+
+
+#: each emitter with a row builder for it
+EMITTERS = [(emit_normalized, make_row), (emit_laser_normalized, make_laser_row)]
+
+
 def test_build_file_info_dedupes_first_seen():
     metas = [FileMeta(filename="a.txt"), FileMeta(filename="b.txt"),
              FileMeta(filename="a.txt")]
@@ -530,10 +547,22 @@ def test_emit_assigns_filename_ids():
 
 
 def test_emit_rejects_unknown_file():
-    rows = [make_row("ghost.txt")]
     info = build_file_info([FileMeta(filename="real.txt")])
-    with pytest.raises(DanglingReference):
-        emit_normalized(rows, info)
+    for emit, make in EMITTERS:
+        with pytest.raises(DanglingReference, match="ghost.txt"):
+            emit([make("real.txt"), make("ghost.txt")], info)
+
+
+@pytest.mark.parametrize("emit, make", EMITTERS, ids=["data", "laser"])
+@pytest.mark.parametrize(
+    "ids, message",
+    [([(1, "a.txt"), (2, "a.txt")], "listed twice"), ([(1, "a.txt"), (3, "b.txt")], "dense")],
+    ids=["filename-twice", "ids-not-dense"],
+)
+def test_emit_rejects_broken_file_info(emit, make, ids, message):
+    info = [FileInfoRow(id=i, filename=name, meta=FileMeta(filename=name)) for i, name in ids]
+    with pytest.raises(IntegrityError, match=message):
+        emit([make("a.txt")], info)
 
 
 def test_join_missing_id_is_dangling():
@@ -655,6 +684,10 @@ def test_format_number_canonical():
     assert format_number(1384.0 / 8088.0) == "0.171117705"
     assert format_number(7) == "7"
     assert format_number(0.0) == "0"
+    # a value that rounds to zero at 9 places prints "0", whatever its sign
+    for tiny in (1e-12, -1e-12, -4e-10, -0.0):
+        assert format_number(tiny) == "0"
+    assert format_number(-6e-10) == "-0.000000001"
 
 
 def test_format_time_of_day_carries_rounded_seconds():
