@@ -388,15 +388,20 @@ def cmd_etl_process(args, config) -> int:
     if not paths:
         raise CliError(f"no input files in {in_dir}")
     data_rows: list[etl.DataRow] = []
-    laser_rows: list[etl.LaserRow] = []
+    laser_tables: list[etl.LaserTable] = []
     metas: list[etl.FileMeta] = []
     for path in paths:
-        result = etl.process_file(path, kind)
+        try:
+            result = etl.process_file(path, kind)
+        except (etl.EtlError, dsp.DspError, ValueError) as exc:
+            raise CliError(f"{path.name}: {exc}") from exc
         metas.append(result.meta)
         data_rows.extend(result.data_rows)
-        laser_rows.extend(result.laser_rows)
+        if result.laser_rows:
+            laser_tables.append(result.laser_rows)
         for warning in result.warnings:
             logger.warning("%s: %s", path.name, warning)
+    laser_rows = etl.LaserTable.concat(laser_tables)
     file_info = etl.build_file_info(metas)
     wrote = []
     if data_rows or not laser_rows:

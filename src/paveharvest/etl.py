@@ -19,9 +19,9 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -178,11 +178,86 @@ class RawFile:
     warnings: list[str] = field(default_factory=list)
 
 
+@dataclass(eq=False)
+class LaserTable(Sequence[LaserRow]):
+    """Laser rows held as columns, one entry per sample.
+
+    Row ``i`` belongs to ``filenames[file_index[i]]`` and was sampled
+    ``hundredths[i]`` hundredths of a second after midnight; the other
+    columns are the :class:`LaserRow` fields of the same name. A
+    :class:`LaserRow` is built only when a row is indexed or iterated.
+    """
+
+    filenames: list[str]
+    file_index: np.ndarray
+    sample_number: np.ndarray
+    horiz_mm: np.ndarray
+    laser_reading_mm: np.ndarray
+    beam_location_mm: np.ndarray
+    hundredths: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[LaserRow]) -> LaserTable:
+        """The columns of ``rows``; each ``sampled_time`` must read
+        ``HH:MM:SS.ff``, a time of day."""
+        rows = list(rows)
+        index: dict[str, int] = {}
+        file_index = [index.setdefault(r.filename, len(index)) for r in rows]
+        return cls(
+            list(index),
+            np.array(file_index, dtype=np.int64),
+            np.array([r.sample_number for r in rows], dtype=np.int64),
+            np.array([r.horiz_mm for r in rows], dtype=float),
+            np.array([r.laser_reading_mm for r in rows], dtype=float),
+            np.array([r.beam_location_mm for r in rows], dtype=float),
+            np.array([_clock_hundredths(r.sampled_time) for r in rows], dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Iterable[LaserTable]) -> LaserTable:
+        """One table holding the rows of each part in turn."""
+        # the empty table gives each column its dtype when there are no parts
+        tables = [cls.from_rows([]), *parts]
+        index: dict[str, int] = {}
+        file_index = []
+        for t in tables:
+            ids = [index.setdefault(f, len(index)) for f in t.filenames]
+            file_index.append(np.array(ids, dtype=np.int64)[t.file_index])
+        columns = (  # the per-sample columns, after filenames and file_index
+            np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)[2:]
+        )
+        return cls(list(index), np.concatenate(file_index), *columns)
+
+    def __len__(self) -> int:
+        return len(self.sample_number)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._rows(index)
+        i = range(len(self))[index]
+        return self._rows(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._rows(slice(None)))
+
+    def _rows(self, part: slice) -> list[LaserRow]:
+        return list(map(
+            LaserRow,
+            [self.filenames[i] for i in self.file_index[part].tolist()],
+            self.sample_number[part].tolist(),
+            self.horiz_mm[part].tolist(),
+            self.laser_reading_mm[part].tolist(),
+            self.beam_location_mm[part].tolist(),
+            _clock_texts(self.hundredths[part]),
+        ))
+
+
 @dataclass
 class ProcessResult:
     meta: FileMeta
     data_rows: list[DataRow] = field(default_factory=list)
-    laser_rows: list[LaserRow] = field(default_factory=list)
+    #: a :class:`LaserTable` for a laser file
+    laser_rows: Sequence[LaserRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -227,9 +302,9 @@ def parse_filename(name: str) -> FileMeta:
     return FileMeta(filename=name, unparsed=True)
 
 
-def laser_horizontal(sample_number: int) -> float:
-    """Horizontal position of a laser sample in mm."""
-    if sample_number < 0:
+def laser_horizontal(sample_number: int | np.ndarray) -> float | np.ndarray:
+    """Horizontal position in mm of a laser sample, or of each in an array."""
+    if np.any(np.asarray(sample_number) < 0):
         raise ValueError("sample number must be >= 0")
     return sample_number * LASER_MM_PER_SAMPLE
 
@@ -485,15 +560,19 @@ def _sensor_rows(
     return rows
 
 
-def _laser_rows(filename: str, raw: RawFile, config: DspConfig) -> list[LaserRow]:
+def _laser_rows(filename: str, raw: RawFile, config: DspConfig) -> LaserTable:
     smoothed = dsp.smooth(raw.channels[0].series, config)
-    beam = raw.channels[1].series.y
     start = _parse_time_of_day(raw.header.get("start_time", "00:00:00"))
-    samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), beam.tolist())
-    return [
-        LaserRow(filename, n, laser_horizontal(n), reading, beam_mm, _format_time_of_day(start + t))
-        for n, (t, reading, beam_mm) in enumerate(samples, start=1)
-    ]
+    n = np.arange(1, len(smoothed.y) + 1, dtype=np.int64)
+    return LaserTable(
+        filenames=[filename],
+        file_index=np.zeros(len(n), dtype=np.int64),
+        sample_number=n,
+        horiz_mm=laser_horizontal(n),
+        laser_reading_mm=smoothed.y,
+        beam_location_mm=raw.channels[1].series.y,
+        hundredths=_hundredths_of_day(start + smoothed.t),
+    )
 
 
 def _parse_time_of_day(text: str) -> float:
@@ -510,6 +589,48 @@ def _format_time_of_day(seconds: float) -> str:
     m, s = divmod(int(text[:-3]) % 86_400, 60)
     h, m = divmod(m, 60)
     return f"{h:02d}:{m:02d}:{s:02d}{text[-3:]}"
+
+
+def _hundredths_of_day(seconds: np.ndarray) -> np.ndarray:
+    """:func:`_format_time_of_day`'s rounding over an array: each time,
+    wrapped at midnight, as a whole number of hundredths of a second."""
+    x = seconds % 86_400
+    scaled = x * 100
+    hundredths = np.rint(scaled).astype(np.int64)
+    # scaled is rounded once more than the exact rule's decimal rounding of
+    # x. That rounding keeps the side of a .5 tie, so the two can disagree
+    # only where scaled lands on the tie itself; there, and within a 1e-6
+    # margin of it, the exact rule decides. A 40 Hz log puts every other
+    # sample on a tie.
+    near = np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6)
+    hundredths[near] = [int(f"{v:.2f}".replace(".", "")) for v in x[near].tolist()]
+    return hundredths % 8_640_000
+
+
+def _clock_texts(hundredths: np.ndarray) -> list[str]:
+    """``HH:MM:SS.ff`` for each count of hundredths after midnight."""
+    digits = np.empty((len(hundredths), 11), dtype=np.uint8)
+    for col, value in (
+        (0, hundredths // 360_000),
+        (3, hundredths // 6000 % 60),
+        (6, hundredths // 100 % 60),
+        (9, hundredths % 100),
+    ):
+        digits[:, col] = value // 10
+        digits[:, col + 1] = value % 10
+    digits += ord("0")
+    digits[:, [2, 5]] = ord(":")
+    digits[:, 8] = ord(".")
+    return digits.view("S11")[:, 0].astype("U11").tolist()
+
+
+def _clock_hundredths(text: str) -> int:
+    """The hundredths after midnight that ``HH:MM:SS.ff`` names."""
+    m = re.fullmatch(r"([01]\d|2[0-3]):([0-5]\d):([0-5]\d)\.(\d\d)", text)
+    if not m:
+        raise EtlError(f"sampled_time {text!r} is not a time of day HH:MM:SS.ff")
+    h, mi, s, cs = map(int, m.groups())
+    return ((h * 60 + mi) * 60 + s) * 100 + cs
 
 
 # --- normalization ------------------------------------------------------------
@@ -542,56 +663,69 @@ def emit_normalized(
     rows: list[DataRow], file_info: list[FileInfoRow]
 ) -> tuple[str, str]:
     """Render the sensor data table (by filename_id) and FILE_INFO as CSV."""
-    return _emit(DATA_HEADER, rows, file_info, lambda file_id, r: [
-        file_id,
-        r.captured_instance,
-        r.gage_id,
-        r.placement,
-        format_number(r.cal_coeff),
-        format_number(r.rated_output),
-        r.extrema,
-        format_number(r.seconds_elapsed),
-        format_number(r.processed_datapoint),
-        r.unit,
-    ])
+    ids = _id_map(file_info)
+    lines = (
+        [
+            _file_id(ids, r.filename),
+            r.captured_instance,
+            r.gage_id,
+            r.placement,
+            format_number(r.cal_coeff),
+            format_number(r.rated_output),
+            r.extrema,
+            format_number(r.seconds_elapsed),
+            format_number(r.processed_datapoint),
+            r.unit,
+        ]
+        for r in rows
+    )
+    return _csv(DATA_HEADER, lines), _file_info_csv(file_info)
 
 
 def emit_laser_normalized(
-    rows: list[LaserRow], file_info: list[FileInfoRow]
+    rows: Sequence[LaserRow], file_info: list[FileInfoRow]
 ) -> tuple[str, str]:
-    """Render the laser table (by filename_id) and FILE_INFO as CSV."""
-    return _emit(LASER_HEADER, rows, file_info, lambda file_id, r: [
-        file_id,
-        r.sample_number,
-        format_number(r.horiz_mm),
-        format_number(r.laser_reading_mm),
-        format_number(r.beam_location_mm),
-        r.sampled_time,
-    ])
+    """Render the laser table (by filename_id) and FILE_INFO as CSV.
 
-
-def _emit(
-    header: str,
-    rows: list[DataRow] | list[LaserRow],
-    file_info: list[FileInfoRow],
-    cells: Callable[[int, DataRow | LaserRow], list],
-) -> tuple[str, str]:
-    """The table under ``header``, one ``cells(file_id, row)`` line per row,
-    and FILE_INFO, both as CSV; a row citing a file FILE_INFO lacks is a
-    :class:`DanglingReference`."""
+    ``rows`` is a :class:`LaserTable`, or rows that are first turned into
+    one. The table is written column by column: every field is an integer,
+    a number or a time of day, so none needs CSV quoting.
+    """
     ids = _id_map(file_info)
+    table = rows if isinstance(rows, LaserTable) else LaserTable.from_rows(rows)
+    file_ids = np.array([_file_id(ids, f) for f in table.filenames], dtype=np.int64)
+    columns = [
+        map(str, file_ids[table.file_index].tolist()),
+        map(str, table.sample_number.tolist()),
+        # horiz_mm repeats in every file (each numbers its samples from 1)
+        # and beam locations take a few values; readings hardly repeat
+        _format_distinct(table.horiz_mm),
+        map(format_number, table.laser_reading_mm.tolist()),
+        _format_distinct(table.beam_location_mm),
+        _clock_texts(table.hundredths),
+    ]
+    lines = [LASER_HEADER, *map(",".join, zip(*columns)), ""]
+    return "\r\n".join(lines), _file_info_csv(file_info)
 
-    def lines():
-        for row in rows:
-            if row.filename not in ids:
-                raise DanglingReference(f"row cites unknown file {row.filename!r}")
-            yield cells(ids[row.filename], row)
 
-    info = (
+def _format_distinct(column: np.ndarray) -> Iterable[str]:
+    """:func:`format_number` of each value, called once per distinct value."""
+    values, inverse = np.unique(column, return_inverse=True)
+    texts = [format_number(v) for v in values.tolist()]
+    return map(texts.__getitem__, inverse.tolist())
+
+
+def _file_info_csv(file_info: list[FileInfoRow]) -> str:
+    return _csv(FILE_INFO_HEADER, (
         [r.id, r.filename] + [getattr(r.meta, c) or "" for c in _FILE_INFO_META]
         for r in file_info
-    )
-    return _csv(header, lines()), _csv(FILE_INFO_HEADER, info)
+    ))
+
+
+def _file_id(ids: dict[str, int], filename: str) -> int:
+    if filename not in ids:
+        raise DanglingReference(f"row cites unknown file {filename!r}")
+    return ids[filename]
 
 
 def _csv(header: str, rows: Iterable[list]) -> str:

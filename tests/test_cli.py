@@ -288,6 +288,28 @@ def test_etl_join_dangling_reference_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# kind: TC\n0,1\n1,x\n2,3\n", "line 3: bad number in row: '1,x'"),
+        (laser_raw_text(n_samples=1100, start_time="10:57"), "bad time of day: '10:57'"),
+        (laser_raw_text(n_samples=500), "series of 500 samples needs >= 1001"),
+    ],
+    ids=["bad-row", "bad-start-time", "short-laser-log"],
+)
+def test_etl_process_error_names_the_file(tmp_path, capsys, caplog, text, message):
+    in_dir = tmp_path / "raw"
+    in_dir.mkdir()
+    (in_dir / "a good.txt").write_text(asg_raw_text(n_pass=42))
+    (in_dir / "b bad.txt").write_text(text)
+    code, _, _ = run_cli(
+        ["etl", "process", "--in", str(in_dir), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"b bad.txt: {message}"]
+
+
 def test_etl_process_missing_dir_is_runtime_error(tmp_path, capsys):
     code, _, _ = run_cli(
         ["etl", "process", "--in", str(tmp_path / "nope"), "--out", str(tmp_path)],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import asg_raw_text, laser_raw_text, raw_text, tc_raw_text
-from paveharvest import etl
+from paveharvest import dsp, etl
 from paveharvest.etl import (
     DATA_HEADER,
     FILE_INFO_HEADER,
@@ -20,11 +20,13 @@ from paveharvest.etl import (
     LASER_HEADER,
     DanglingReference,
     DataRow,
+    EtlError,
     FileMeta,
     FileInfoRow,
     FormatError,
     IntegrityError,
     LaserRow,
+    LaserTable,
     build_file_info,
     emit_laser_normalized,
     emit_normalized,
@@ -675,6 +677,135 @@ def test_laser_emit_and_join(tmp_path):
     assert len(jrows) == 1201
 
 
+def test_laser_emit_rejects_a_sampled_time_it_cannot_write():
+    info = build_file_info([FileMeta(filename="a.txt")])
+    for text in ("24:00:00.00", "8:00:00.01", "08:60:00.01", "08:00:00,01", "08:00:00.1"):
+        row = make_laser_row("a.txt")
+        row.sampled_time = text
+        with pytest.raises(EtlError, match="sampled_time"):
+            emit_laser_normalized([row], info)
+
+
+# --- the per-row laser rendering, kept as the reference ------------------------
+
+
+def reference_laser_rows(filename, raw):
+    """One LaserRow per sample, as laser logs were once processed row by
+    row: the smoothed reading, the beam column, ``_format_time_of_day``."""
+    smoothed = dsp.smooth(raw.channels[0].series, dsp.DEFAULT_CONFIGS[raw.kind])
+    start = etl._parse_time_of_day(raw.header.get("start_time", "00:00:00"))
+    samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), raw.channels[1].series.y.tolist())
+    return [
+        LaserRow(filename, n, laser_horizontal(n), reading, beam,
+                 etl._format_time_of_day(start + t))
+        for n, (t, reading, beam) in enumerate(samples, start=1)
+    ]
+
+
+def reference_laser_csv(rows, file_info):
+    """The laser table as the per-row writer rendered it: one ``csv.writer``
+    row per LaserRow."""
+    ids = {r.filename: r.id for r in file_info}
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(LASER_HEADER.split(","))
+    writer.writerows(
+        [ids[r.filename], r.sample_number, format_number(r.horiz_mm),
+         format_number(r.laser_reading_mm), format_number(r.beam_location_mm),
+         r.sampled_time]
+        for r in rows
+    )
+    return out.getvalue()
+
+
+def test_laser_table_reads_as_the_reference_rows(tmp_path):
+    path = tmp_path / "laser.txt"
+    path.write_text(laser_raw_text(n_samples=4000))
+    rows = process_file(path).laser_rows
+    want = reference_laser_rows(path.name, parse_raw_log(path))
+    assert len(rows) == len(want) == 4000
+    assert list(rows) == want
+    for i in (0, 1, 2000, 3999, -1, -2, -4000):
+        assert rows[i] == want[i]
+    for part in (slice(None, 4), slice(-3, None), slice(10, 40, 7), slice(5, 2), slice(None)):
+        assert rows[part] == want[part]
+    for i in (4000, -4001):
+        with pytest.raises(IndexError):
+            rows[i]
+
+
+#: start times: midnight, the fixtures' start, and one that runs over midnight
+_START_TIMES = st.sampled_from(["00:00:00", "10:57:16.47", "23:59:59.99", "23:59:59.995"])
+
+
+@st.composite
+def laser_logs(draw):
+    """A laser log whose start time plus each ``t`` lies on, or a few ulps
+    either side of, a hundredths tie (``t`` is a multiple of 0.005 s, from
+    negative values up), with beam values drawn from a few."""
+    start = draw(_START_TIMES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1001, 1100))
+    t = 0.005 * (draw(st.integers(-3000, 3000)) + draw(st.integers(1, 6)) * np.arange(n))
+    tod = etl._parse_time_of_day(start) + t
+    t = t + np.spacing(tod) * rng.integers(-2, 3, n)
+    reading = 250.88 + rng.normal(0, 0.05, n)
+    beam = rng.choice([0.0, -0.0, 20.0, 1e-10], n)
+    lines = [f"# kind: LASER\n# start_time: {start}"]
+    lines += [f"{a!r},{b!r},{c!r}" for a, b, c in zip(t.tolist(), reading.tolist(), beam.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=40)
+@given(laser_logs())
+def test_laser_table_and_writer_match_the_per_row_reference(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "laser.txt"
+        path.write_text(text)
+        result = process_file(path)
+        want = reference_laser_rows(path.name, parse_raw_log(path))
+    assert list(result.laser_rows) == want
+    info = build_file_info([result.meta])
+    assert emit_laser_normalized(result.laser_rows, info)[0] == reference_laser_csv(want, info)
+
+
+_LASER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-10, -5e-10, 1e-300, 1e15, -1e15, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TIE_SECONDS = st.tuples(st.integers(-10**7, 2 * 10**7), st.integers(-2, 2)).map(
+    lambda k: k[0] / 200 + k[1] * np.spacing(k[0] / 200)
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a.txt", "b,c.txt", "d.txt"]),
+            st.integers(0, 10**6),
+            _LASER_FLOATS,
+            _LASER_FLOATS,
+            st.sampled_from([0.0, -0.0, 20.0, 1e-10]),
+            _TIE_SECONDS,
+        ),
+        max_size=40,
+    ),
+    st.integers(0, 40),
+)
+def test_laser_writer_matches_the_per_row_reference_on_built_rows(samples, cut):
+    rows = [
+        LaserRow(f, n, horiz, reading, beam, etl._format_time_of_day(seconds))
+        for f, n, horiz, reading, beam, seconds in samples
+    ]
+    info = build_file_info([FileMeta(filename=f) for f in ("d.txt", "a.txt", "b,c.txt")])
+    want = (reference_laser_csv(rows, info), emit_normalized([], info)[1])
+    assert emit_laser_normalized(rows, info) == want
+    parts = [LaserTable.from_rows(rows[:cut]), LaserTable.from_rows(rows[cut:])]
+    assert emit_laser_normalized(LaserTable.concat(parts), info) == want
+    assert list(LaserTable.from_rows(rows)) == rows
+
+
 def test_format_number_canonical():
     assert format_number(None) == ""
     assert format_number(0.849) == "0.849"
@@ -688,6 +819,10 @@ def test_format_number_canonical():
     for tiny in (1e-12, -1e-12, -4e-10, -0.0):
         assert format_number(tiny) == "0"
     assert format_number(-6e-10) == "-0.000000001"
+    # a numpy column, formatted once per distinct value, reads as the scalar calls
+    column = np.array([0.849, -0.185732682, 5890.0, 1384.0 / 8088.0, 0.0, 1e-12,
+                       -1e-12, -4e-10, -0.0, -6e-10, 0.849, -0.0, 5890.0])
+    assert list(etl._format_distinct(column)) == [format_number(x) for x in column.tolist()]
 
 
 def test_format_time_of_day_carries_rounded_seconds():
@@ -705,10 +840,15 @@ def test_format_time_of_day_carries_rounded_seconds():
         return f"{h:02d}:{m:02d}:{seconds % 60:05.2f}"
 
     rng = random.Random(41)
+    inputs = []
     for _ in range(20_000):
         seconds = rng.choice(
             [rng.uniform(-1e5, 2e5), rng.randint(0, 8_640_000) / 100 + rng.choice([0.005, -0.005])]
         )
+        inputs.append(seconds)
         want = split_then_round(seconds)
         if not want.endswith("60.00"):
             assert etl._format_time_of_day(seconds) == want, seconds
+    # the columnar rule that laser tables use gives the same text everywhere
+    texts = etl._clock_texts(etl._hundredths_of_day(np.array(inputs)))
+    assert texts == [etl._format_time_of_day(seconds) for seconds in inputs]
