@@ -397,26 +397,27 @@ def cmd_etl_process(args, config) -> int:
             raise CliError(f"{path.name}: {exc}") from exc
         metas.append(result.meta)
         data_rows.extend(result.data_rows)
-        if result.laser_rows:
+        if result.laser_rows is not None:
             laser_tables.append(result.laser_rows)
         for warning in result.warnings:
             logger.warning("%s: %s", path.name, warning)
-    laser_rows = etl.LaserTable.concat(laser_tables)
     file_info = etl.build_file_info(metas)
     wrote = []
-    if data_rows or not laser_rows:
+    if data_rows or not laser_tables:
         data_csv, info_csv = etl.emit_normalized(data_rows, file_info)
         (out_dir / "data.csv").write_text(data_csv)
         wrote.append("data.csv")
-    if laser_rows:
-        laser_csv, info_csv = etl.emit_laser_normalized(laser_rows, file_info)
+    if laser_tables:
+        laser_csv, info_csv = etl.emit_laser_normalized(
+            etl.LaserTable.concat(laser_tables), file_info
+        )
         (out_dir / "laser.csv").write_text(laser_csv)
         wrote.append("laser.csv")
     (out_dir / "file_info.csv").write_text(info_csv)
     wrote.append("file_info.csv")
     logger.info(
         "%d file(s) -> %d data rows, %d laser rows (%s)",
-        len(paths), len(data_rows), len(laser_rows), ", ".join(wrote),
+        len(paths), len(data_rows), sum(map(len, laser_tables)), ", ".join(wrote),
     )
     return EXIT_OK
 

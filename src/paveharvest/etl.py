@@ -10,7 +10,8 @@ lines (kind, unit, gage, placement, cal_coeff, rated_output, location,
 description, start_time), then ``seconds,value[,value...]`` rows. Header
 values may be comma-separated lists, one per channel; a single value
 broadcasts. Laser files carry exactly two value columns per row, the
-laser reading and the beam location, both in mm.
+laser reading and the beam location, both in mm. A laser file yields its
+samples only as the columns of a :class:`LaserTable`, never as rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import logging
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -153,16 +154,6 @@ class DataRow:
 
 
 @dataclass
-class LaserRow:
-    filename: str
-    sample_number: int
-    horiz_mm: float
-    laser_reading_mm: float
-    beam_location_mm: float
-    sampled_time: str
-
-
-@dataclass
 class RawChannel:
     series: Series
     cal: CalibrationSpec | None = None
@@ -179,13 +170,14 @@ class RawFile:
 
 
 @dataclass(eq=False)
-class LaserTable(Sequence[LaserRow]):
-    """Laser rows held as columns, one entry per sample.
+class LaserTable:
+    """The laser table as columns, one entry per sample: the only form in
+    which laser samples are processed and written.
 
-    Row ``i`` belongs to ``filenames[file_index[i]]`` and was sampled
-    ``hundredths[i]`` hundredths of a second after midnight; the other
-    columns are the :class:`LaserRow` fields of the same name. A
-    :class:`LaserRow` is built only when a row is indexed or iterated.
+    Row ``i`` belongs to ``filenames[file_index[i]]``, is sample
+    ``sample_number[i]`` of its file at ``horiz_mm[i]``, reads
+    ``laser_reading_mm[i]`` with the beam at ``beam_location_mm[i]``, and
+    was sampled ``hundredths[i]`` hundredths of a second after midnight.
     """
 
     filenames: list[str]
@@ -197,67 +189,28 @@ class LaserTable(Sequence[LaserRow]):
     hundredths: np.ndarray
 
     @classmethod
-    def from_rows(cls, rows: Iterable[LaserRow]) -> LaserTable:
-        """The columns of ``rows``; each ``sampled_time`` must read
-        ``HH:MM:SS.ff``, a time of day."""
-        rows = list(rows)
-        index: dict[str, int] = {}
-        file_index = [index.setdefault(r.filename, len(index)) for r in rows]
-        return cls(
-            list(index),
-            np.array(file_index, dtype=np.int64),
-            np.array([r.sample_number for r in rows], dtype=np.int64),
-            np.array([r.horiz_mm for r in rows], dtype=float),
-            np.array([r.laser_reading_mm for r in rows], dtype=float),
-            np.array([r.beam_location_mm for r in rows], dtype=float),
-            np.array([_clock_hundredths(r.sampled_time) for r in rows], dtype=np.int64),
-        )
-
-    @classmethod
-    def concat(cls, parts: Iterable[LaserTable]) -> LaserTable:
-        """One table holding the rows of each part in turn."""
-        # the empty table gives each column its dtype when there are no parts
-        tables = [cls.from_rows([]), *parts]
+    def concat(cls, parts: list[LaserTable]) -> LaserTable:
+        """One table holding the rows of each part in turn; at least one part."""
         index: dict[str, int] = {}
         file_index = []
-        for t in tables:
+        for t in parts:
             ids = [index.setdefault(f, len(index)) for f in t.filenames]
             file_index.append(np.array(ids, dtype=np.int64)[t.file_index])
         columns = (  # the per-sample columns, after filenames and file_index
-            np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)[2:]
+            np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(cls)[2:]
         )
         return cls(list(index), np.concatenate(file_index), *columns)
 
     def __len__(self) -> int:
         return len(self.sample_number)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._rows(index)
-        i = range(len(self))[index]
-        return self._rows(slice(i, i + 1))[0]
-
-    def __iter__(self):
-        return iter(self._rows(slice(None)))
-
-    def _rows(self, part: slice) -> list[LaserRow]:
-        return list(map(
-            LaserRow,
-            [self.filenames[i] for i in self.file_index[part].tolist()],
-            self.sample_number[part].tolist(),
-            self.horiz_mm[part].tolist(),
-            self.laser_reading_mm[part].tolist(),
-            self.beam_location_mm[part].tolist(),
-            _clock_texts(self.hundredths[part]),
-        ))
-
 
 @dataclass
 class ProcessResult:
     meta: FileMeta
     data_rows: list[DataRow] = field(default_factory=list)
-    #: a :class:`LaserTable` for a laser file
-    laser_rows: Sequence[LaserRow] = field(default_factory=list)
+    #: the samples of a laser file; None for a sensor file
+    laser_rows: LaserTable | None = None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -576,7 +529,7 @@ def _laser_rows(filename: str, raw: RawFile, config: DspConfig) -> LaserTable:
 
 
 def _parse_time_of_day(text: str) -> float:
-    m = re.match(r"^(\d{1,2}):(\d{2}):(\d{2}(?:\.\d+)?)$", text.strip())
+    m = re.match(r"^([01]?\d|2[0-3]):([0-5]\d):([0-5]\d(?:\.\d+)?)$", text.strip())
     if not m:
         raise ValueError(f"bad time of day: {text!r}")
     return int(m.group(1)) * 3600 + int(m.group(2)) * 60 + float(m.group(3))
@@ -622,15 +575,6 @@ def _clock_texts(hundredths: np.ndarray) -> list[str]:
     digits[:, [2, 5]] = ord(":")
     digits[:, 8] = ord(".")
     return digits.view("S11")[:, 0].astype("U11").tolist()
-
-
-def _clock_hundredths(text: str) -> int:
-    """The hundredths after midnight that ``HH:MM:SS.ff`` names."""
-    m = re.fullmatch(r"([01]\d|2[0-3]):([0-5]\d):([0-5]\d)\.(\d\d)", text)
-    if not m:
-        raise EtlError(f"sampled_time {text!r} is not a time of day HH:MM:SS.ff")
-    h, mi, s, cs = map(int, m.groups())
-    return ((h * 60 + mi) * 60 + s) * 100 + cs
 
 
 # --- normalization ------------------------------------------------------------
@@ -683,16 +627,14 @@ def emit_normalized(
 
 
 def emit_laser_normalized(
-    rows: Sequence[LaserRow], file_info: list[FileInfoRow]
+    table: LaserTable, file_info: list[FileInfoRow]
 ) -> tuple[str, str]:
     """Render the laser table (by filename_id) and FILE_INFO as CSV.
 
-    ``rows`` is a :class:`LaserTable`, or rows that are first turned into
-    one. The table is written column by column: every field is an integer,
-    a number or a time of day, so none needs CSV quoting.
+    The table is written column by column: every field is an integer, a
+    number or a time of day, so none needs CSV quoting.
     """
     ids = _id_map(file_info)
-    table = rows if isinstance(rows, LaserTable) else LaserTable.from_rows(rows)
     file_ids = np.array([_file_id(ids, f) for f in table.filenames], dtype=np.int64)
     columns = [
         map(str, file_ids[table.file_index].tolist()),

@@ -1,10 +1,15 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
-acceptance tests, and the store batches of the crash test's writer."""
+acceptance tests, the per-row laser rendering the laser table is checked
+against, and the store batches of the crash test's writer."""
 
+import csv
+import io
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
+from paveharvest import dsp, etl
 from paveharvest.tsstore import Sample
 
 HOUR = 3_600_000_000
@@ -78,6 +83,48 @@ def laser_raw_text(n_samples: int = 4000, start_time: str = "10:57:16.47") -> st
     beam = np.where(np.arange(n_samples) == 0, 0.0, 20.0)
     header = {"kind": "LASER", "unit": "mm", "start_time": start_time}
     return raw_text(header, t, [reading, beam])
+
+
+
+@dataclass
+class LaserRow:
+    """One laser sample as a row, the form laser logs were once processed in."""
+
+    filename: str
+    sample_number: int
+    horiz_mm: float
+    laser_reading_mm: float
+    beam_location_mm: float
+    sampled_time: str
+
+
+def reference_laser_rows(filename, raw):
+    """One LaserRow per sample, as laser logs were once processed row by
+    row: the smoothed reading, the beam column, ``_format_time_of_day``."""
+    smoothed = dsp.smooth(raw.channels[0].series, dsp.DEFAULT_CONFIGS[raw.kind])
+    start = etl._parse_time_of_day(raw.header.get("start_time", "00:00:00"))
+    samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), raw.channels[1].series.y.tolist())
+    return [
+        LaserRow(filename, n, etl.laser_horizontal(n), reading, beam,
+                 etl._format_time_of_day(start + t))
+        for n, (t, reading, beam) in enumerate(samples, start=1)
+    ]
+
+
+def reference_laser_csv(rows, file_info):
+    """The laser table as the per-row writer rendered it: one ``csv.writer``
+    row per LaserRow."""
+    ids = {r.filename: r.id for r in file_info}
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(etl.LASER_HEADER.split(","))
+    writer.writerows(
+        [ids[r.filename], r.sample_number, etl.format_number(r.horiz_mm),
+         etl.format_number(r.laser_reading_mm), etl.format_number(r.beam_location_mm),
+         r.sampled_time]
+        for r in rows
+    )
+    return out.getvalue()
 
 
 CRASH_SENSORS = ("s0", "s1", "s2", "s3")

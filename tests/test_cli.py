@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import paveharvest
-from helpers import asg_raw_text, laser_raw_text
-from paveharvest import cli as cli_mod
+from helpers import asg_raw_text, laser_raw_text, reference_laser_csv, reference_laser_rows
+from paveharvest import cli as cli_mod, etl
 from paveharvest.cli import build_parser, main
 from paveharvest.timeutil import format_rfc3339
 from paveharvest.tsstore import Sample, Store
@@ -270,6 +270,37 @@ def test_etl_process_laser(tmp_path, capsys):
     assert not (out_dir / "data.csv").exists()
 
 
+def test_etl_process_laser_table_matches_the_per_row_reference(tmp_path, capsys):
+    """Laser files' tables are concatenated in path order, each row under its
+    file's FILE_INFO id, as the per-row reference writes them."""
+    in_dir = tmp_path / "raw"
+    out_dir = tmp_path / "out"
+    in_dir.mkdir()
+    pretraffic = laser_raw_text(n_samples=1100, start_time="23:59:59.99").replace(
+        "# kind: LASER", "# kind: LASER_PRETRAFFIC"
+    )
+    (in_dir / "a scan.txt").write_text(laser_raw_text(n_samples=1200))
+    (in_dir / "b Traffic D1 F20 07-07-22.txt").write_text(asg_raw_text(n_pass=42))
+    (in_dir / "c pretraffic.txt").write_text(pretraffic)
+    code, _, _ = run_cli(
+        ["etl", "process", "--in", str(in_dir), "--out", str(out_dir)], capsys
+    )
+    assert code == 0
+    paths = sorted(in_dir.iterdir())
+    info = etl.build_file_info([etl.FileMeta(filename=p.name) for p in paths])
+    info_rows = list(csv.reader(io.StringIO((out_dir / "file_info.csv").read_text())))
+    assert [row[:2] for row in info_rows[1:]] == [[str(r.id), r.filename] for r in info]
+    want = [
+        row
+        for p in (paths[0], paths[2])
+        for row in reference_laser_rows(p.name, etl.parse_raw_log(p))
+    ]
+    # the pretraffic log starts just before midnight and runs past it
+    assert want[1200].sampled_time == "23:59:59.99"
+    assert want[-1].sampled_time.startswith("00:00:")
+    assert (out_dir / "laser.csv").read_bytes() == reference_laser_csv(want, info).encode()
+
+
 def test_etl_join_dangling_reference_exit_code(tmp_path, capsys):
     data = tmp_path / "data.csv"
     info = tmp_path / "file_info.csv"
@@ -294,8 +325,11 @@ def test_etl_join_dangling_reference_exit_code(tmp_path, capsys):
         ("# kind: TC\n0,1\n1,x\n2,3\n", "line 3: bad number in row: '1,x'"),
         (laser_raw_text(n_samples=1100, start_time="10:57"), "bad time of day: '10:57'"),
         (laser_raw_text(n_samples=500), "series of 500 samples needs >= 1001"),
+        (laser_raw_text(n_samples=1100, start_time="10:75:00"), "bad time of day: '10:75:00'"),
+        (laser_raw_text(n_samples=1100, start_time="24:00:00"), "bad time of day: '24:00:00'"),
+        (laser_raw_text(n_samples=1100, start_time="10:00:60"), "bad time of day: '10:00:60'"),
     ],
-    ids=["bad-row", "bad-start-time", "short-laser-log"],
+    ids=["bad-row", "bad-start-time", "short-laser-log", "minute-75", "hour-24", "second-60"],
 )
 def test_etl_process_error_names_the_file(tmp_path, capsys, caplog, text, message):
     in_dir = tmp_path / "raw"

@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import asg_raw_text, laser_raw_text, raw_text, tc_raw_text
-from paveharvest import dsp, etl
+from helpers import (
+    LaserRow,
+    asg_raw_text,
+    laser_raw_text,
+    raw_text,
+    reference_laser_csv,
+    reference_laser_rows,
+    tc_raw_text,
+)
+from paveharvest import etl
 from paveharvest.etl import (
     DATA_HEADER,
     FILE_INFO_HEADER,
@@ -20,12 +28,10 @@ from paveharvest.etl import (
     LASER_HEADER,
     DanglingReference,
     DataRow,
-    EtlError,
     FileMeta,
     FileInfoRow,
     FormatError,
     IntegrityError,
-    LaserRow,
     LaserTable,
     build_file_info,
     emit_laser_normalized,
@@ -461,16 +467,17 @@ def test_laser_file_rows(tmp_path):
     path = tmp_path / "19-06-18 H L1 0-Passes PL1.txt"
     path.write_text(laser_raw_text(n_samples=4000))
     result = process_file(path)
-    rows = result.laser_rows
-    assert len(rows) == 4000
+    table = result.laser_rows
+    assert len(table) == 4000
     assert result.data_rows == []
-    assert [r.sample_number for r in rows[:4]] == [1, 2, 3, 4]
-    for r in rows:
-        assert r.horiz_mm == pytest.approx(r.sample_number * 1384.0 / 8088.0, abs=1e-9)
+    assert table.sample_number[:4].tolist() == [1, 2, 3, 4]
+    np.testing.assert_allclose(
+        table.horiz_mm, table.sample_number * 1384.0 / 8088.0, rtol=0, atol=1e-9
+    )
+    rows = table_rows(table)
     assert rows[0].sampled_time == "10:57:16.47"
     assert rows[1].sampled_time == "10:57:16.50"
-    assert rows[0].beam_location_mm == 0.0
-    assert rows[1].beam_location_mm == 20.0
+    assert table.beam_location_mm[:2].tolist() == [0.0, 20.0]
 
 
 def test_process_merges_header_metadata(tmp_path):
@@ -501,19 +508,32 @@ def make_row(filename, seconds=1.0, value=-0.185732682, instance="first20"):
     )
 
 
-def make_laser_row(filename, sample_number=1):
-    return LaserRow(
-        filename=filename,
-        sample_number=sample_number,
-        horiz_mm=laser_horizontal(sample_number),
-        laser_reading_mm=3.5,
-        beam_location_mm=-0.25,
-        sampled_time="08:00:00.01",
+def make_laser_table(filename, sample_number=1):
+    """A one-row laser table: ``sample_number`` of ``filename``, at 08:00:00.01."""
+    return built_laser_table(
+        [(filename, sample_number, laser_horizontal(sample_number), 3.5, -0.25, 28_800.01)]
     )
 
 
-#: each emitter with a row builder for it
-EMITTERS = [(emit_normalized, make_row), (emit_laser_normalized, make_laser_row)]
+def table_rows(table):
+    """A laser table's columns read as reference rows, one LaserRow per sample."""
+    return [
+        LaserRow(table.filenames[i], n, horiz, reading, beam,
+                 f"{h // 360_000:02d}:{h // 6000 % 60:02d}:{h // 100 % 60:02d}.{h % 100:02d}")
+        for i, n, horiz, reading, beam, h in zip(
+            table.file_index.tolist(), table.sample_number.tolist(), table.horiz_mm.tolist(),
+            table.laser_reading_mm.tolist(), table.beam_location_mm.tolist(),
+            table.hundredths.tolist(),
+        )
+    ]
+
+
+#: each emitter with a builder of one row of its input, and the function that
+#: joins built rows into that input
+EMITTERS = [
+    (emit_normalized, make_row, list),
+    (emit_laser_normalized, make_laser_table, LaserTable.concat),
+]
 
 
 def test_build_file_info_dedupes_first_seen():
@@ -550,21 +570,21 @@ def test_emit_assigns_filename_ids():
 
 def test_emit_rejects_unknown_file():
     info = build_file_info([FileMeta(filename="real.txt")])
-    for emit, make in EMITTERS:
+    for emit, make, join in EMITTERS:
         with pytest.raises(DanglingReference, match="ghost.txt"):
-            emit([make("real.txt"), make("ghost.txt")], info)
+            emit(join([make("real.txt"), make("ghost.txt")]), info)
 
 
-@pytest.mark.parametrize("emit, make", EMITTERS, ids=["data", "laser"])
+@pytest.mark.parametrize("emit, make, join", EMITTERS, ids=["data", "laser"])
 @pytest.mark.parametrize(
     "ids, message",
     [([(1, "a.txt"), (2, "a.txt")], "listed twice"), ([(1, "a.txt"), (3, "b.txt")], "dense")],
     ids=["filename-twice", "ids-not-dense"],
 )
-def test_emit_rejects_broken_file_info(emit, make, ids, message):
+def test_emit_rejects_broken_file_info(emit, make, join, ids, message):
     info = [FileInfoRow(id=i, filename=name, meta=FileMeta(filename=name)) for i, name in ids]
     with pytest.raises(IntegrityError, match=message):
-        emit([make("a.txt")], info)
+        emit(join([make("a.txt")]), info)
 
 
 def test_join_missing_id_is_dangling():
@@ -677,61 +697,17 @@ def test_laser_emit_and_join(tmp_path):
     assert len(jrows) == 1201
 
 
-def test_laser_emit_rejects_a_sampled_time_it_cannot_write():
-    info = build_file_info([FileMeta(filename="a.txt")])
-    for text in ("24:00:00.00", "8:00:00.01", "08:60:00.01", "08:00:00,01", "08:00:00.1"):
-        row = make_laser_row("a.txt")
-        row.sampled_time = text
-        with pytest.raises(EtlError, match="sampled_time"):
-            emit_laser_normalized([row], info)
-
-
-# --- the per-row laser rendering, kept as the reference ------------------------
-
-
-def reference_laser_rows(filename, raw):
-    """One LaserRow per sample, as laser logs were once processed row by
-    row: the smoothed reading, the beam column, ``_format_time_of_day``."""
-    smoothed = dsp.smooth(raw.channels[0].series, dsp.DEFAULT_CONFIGS[raw.kind])
-    start = etl._parse_time_of_day(raw.header.get("start_time", "00:00:00"))
-    samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), raw.channels[1].series.y.tolist())
-    return [
-        LaserRow(filename, n, laser_horizontal(n), reading, beam,
-                 etl._format_time_of_day(start + t))
-        for n, (t, reading, beam) in enumerate(samples, start=1)
-    ]
-
-
-def reference_laser_csv(rows, file_info):
-    """The laser table as the per-row writer rendered it: one ``csv.writer``
-    row per LaserRow."""
-    ids = {r.filename: r.id for r in file_info}
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(LASER_HEADER.split(","))
-    writer.writerows(
-        [ids[r.filename], r.sample_number, format_number(r.horiz_mm),
-         format_number(r.laser_reading_mm), format_number(r.beam_location_mm),
-         r.sampled_time]
-        for r in rows
-    )
-    return out.getvalue()
+# --- laser tables against the per-row reference in helpers.py -----------------
 
 
 def test_laser_table_reads_as_the_reference_rows(tmp_path):
     path = tmp_path / "laser.txt"
     path.write_text(laser_raw_text(n_samples=4000))
-    rows = process_file(path).laser_rows
+    table = process_file(path).laser_rows
     want = reference_laser_rows(path.name, parse_raw_log(path))
-    assert len(rows) == len(want) == 4000
-    assert list(rows) == want
-    for i in (0, 1, 2000, 3999, -1, -2, -4000):
-        assert rows[i] == want[i]
-    for part in (slice(None, 4), slice(-3, None), slice(10, 40, 7), slice(5, 2), slice(None)):
-        assert rows[part] == want[part]
-    for i in (4000, -4001):
-        with pytest.raises(IndexError):
-            rows[i]
+    assert len(table) == len(want) == 4000
+    assert table.filenames == [path.name]
+    assert table_rows(table) == want
 
 
 #: start times: midnight, the fixtures' start, and one that runs over midnight
@@ -764,7 +740,7 @@ def test_laser_table_and_writer_match_the_per_row_reference(text):
         path.write_text(text)
         result = process_file(path)
         want = reference_laser_rows(path.name, parse_raw_log(path))
-    assert list(result.laser_rows) == want
+    assert table_rows(result.laser_rows) == want
     info = build_file_info([result.meta])
     assert emit_laser_normalized(result.laser_rows, info)[0] == reference_laser_csv(want, info)
 
@@ -800,10 +776,28 @@ def test_laser_writer_matches_the_per_row_reference_on_built_rows(samples, cut):
     ]
     info = build_file_info([FileMeta(filename=f) for f in ("d.txt", "a.txt", "b,c.txt")])
     want = (reference_laser_csv(rows, info), emit_normalized([], info)[1])
-    assert emit_laser_normalized(rows, info) == want
-    parts = [LaserTable.from_rows(rows[:cut]), LaserTable.from_rows(rows[cut:])]
+    table = built_laser_table(samples)
+    # the columnar tie rounding reads as _format_time_of_day on the tie grid
+    assert table_rows(table) == rows
+    assert emit_laser_normalized(table, info) == want
+    parts = [built_laser_table(samples[:cut]), built_laser_table(samples[cut:])]
     assert emit_laser_normalized(LaserTable.concat(parts), info) == want
-    assert list(LaserTable.from_rows(rows)) == rows
+
+
+def built_laser_table(samples):
+    """A laser table made straight from columns of (filename, sample number,
+    horiz, reading, beam, seconds after midnight) samples."""
+    filenames = list(dict.fromkeys(f for f, *_ in samples))
+    f, n, horiz, reading, beam, seconds = zip(*samples) if samples else [()] * 6
+    return LaserTable(
+        filenames,
+        np.array([filenames.index(name) for name in f], dtype=np.int64),
+        np.array(n, dtype=np.int64),
+        np.array(horiz, dtype=float),
+        np.array(reading, dtype=float),
+        np.array(beam, dtype=float),
+        etl._hundredths_of_day(np.array(seconds, dtype=float)),
+    )
 
 
 def test_format_number_canonical():
@@ -823,6 +817,15 @@ def test_format_number_canonical():
     column = np.array([0.849, -0.185732682, 5890.0, 1384.0 / 8088.0, 0.0, 1e-12,
                        -1e-12, -4e-10, -0.0, -6e-10, 0.849, -0.0, 5890.0])
     assert list(etl._format_distinct(column)) == [format_number(x) for x in column.tolist()]
+
+
+def test_parse_time_of_day_takes_a_time_of_day_only():
+    assert etl._parse_time_of_day("00:00:00") == 0
+    assert etl._parse_time_of_day("23:59:59.995") == 86_399.995
+    assert etl._parse_time_of_day("9:05:00") == 32_700
+    for text in ("10:75:00", "24:00:00", "10:00:60", "99:00:99.5"):
+        with pytest.raises(ValueError, match=f"bad time of day: '{text}'"):
+            etl._parse_time_of_day(text)
 
 
 def test_format_time_of_day_carries_rounded_seconds():
