@@ -26,7 +26,7 @@ import numpy as np
 from . import dsp, etl, tsstore, wire
 from .broker import Broker
 from .client import BusClient
-from .connector import Connector, render_metrics_text, sensor_key_for
+from .connector import Connector, sensor_key_for
 from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
 from .timeutil import US_PER_SECOND, format_rfc3339, now_us, parse_duration, parse_rfc3339
 from .tsstore import Store, verify_segments

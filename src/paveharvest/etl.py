@@ -706,30 +706,81 @@ def join_by_filename_id(data_csv: str, fileinfo_csv: str) -> str:
 
     The ``filename_id`` column is replaced by the filename and the
     descriptive FILE_INFO columns are appended. Row count is preserved
-    when referential integrity holds.
-    """
-    info_rows = list(csv.reader(io.StringIO(fileinfo_csv)))
-    if not info_rows or info_rows[0] != FILE_INFO_HEADER.split(","):
-        raise EtlError("unexpected FILE_INFO header")
-    info_cols = info_rows[0]
-    by_id: dict[str, dict[str, str]] = {}
-    for row in info_rows[1:]:
-        record = dict(zip(info_cols, row))
-        if record["id"] in by_id:
-            raise IntegrityError(f"id {record['id']} present twice in file info")
-        by_id[record["id"]] = record
+    when referential integrity holds. A blank data line, or a FILE_INFO
+    row with fewer fields than its header, is a :class:`FormatError`
+    naming its line; one final line end is not a blank line.
 
-    data_rows = list(csv.reader(io.StringIO(data_csv)))
-    if not data_rows or data_rows[0][0] != "filename_id":
+    Only FILE_INFO fields are rendered. ``csv.reader`` splits a line that
+    holds no ``"``, NUL or lone ``\\r`` at its commas, and ``csv.writer``
+    writes those fields back unchanged, so such a table's rows pass through
+    as text, cut at their first comma. Any other table is read and written
+    row by row.
+    """
+    info = _file_info_by_id(fileinfo_csv)
+    if '"' in data_csv or "\0" in data_csv or data_csv.count("\r") != data_csv.count("\r\n"):
+        return _join_rows(data_csv, info)
+    lines = data_csv.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    head, comma, rest = lines[0].partition(",")
+    if head != "filename_id":
+        raise EtlError("data table must start with a filename_id column")
+    out = [f"filename{comma}{rest},{','.join(JOIN_META_COLUMNS)}"]
+    # each id's rendered filename and ",project_name,...,description" tail
+    ends = {}
+    for file_id, fields in info.items():
+        tail = "," + _csv_line(fields[1:])
+        ends[file_id] = (_csv_line(fields)[: -len(tail)], tail)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            raise FormatError("blank line in data table", lineno)
+        file_id, comma, rest = line.partition(",")
+        if file_id not in ends:
+            raise DanglingReference(f"filename_id {file_id} not in file info")
+        filename, tail = ends[file_id]
+        out.append(f"{filename}{comma}{rest}{tail}")
+    out.append("")
+    return "\r\n".join(out)
+
+
+def _join_rows(data_csv: str, info: dict[str, list[str]]) -> str:
+    """:func:`join_by_filename_id` through ``csv.reader`` and ``csv.writer``."""
+    reader = csv.reader(io.StringIO(data_csv))
+    header = next(reader, [])
+    if header[:1] != ["filename_id"]:
         raise EtlError("data table must start with a filename_id column")
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["filename"] + data_rows[0][1:] + list(JOIN_META_COLUMNS))
-    for row in data_rows[1:]:
-        record = by_id.get(row[0])
-        if record is None:
+    writer.writerow(["filename", *header[1:], *JOIN_META_COLUMNS])
+    for row in reader:
+        if not row:
+            raise FormatError("blank line in data table", reader.line_num)
+        if row[0] not in info:
             raise DanglingReference(f"filename_id {row[0]} not in file info")
-        writer.writerow(
-            [record["filename"]] + row[1:] + [record[c] for c in JOIN_META_COLUMNS]
-        )
+        filename, *meta = info[row[0]]
+        writer.writerow([filename, *row[1:], *meta])
     return out.getvalue()
+
+
+def _file_info_by_id(fileinfo_csv: str) -> dict[str, list[str]]:
+    """Each FILE_INFO id's filename and :data:`JOIN_META_COLUMNS` fields."""
+    reader = csv.reader(io.StringIO(fileinfo_csv))
+    columns = FILE_INFO_HEADER.split(",")
+    if next(reader, None) != columns:
+        raise EtlError("unexpected FILE_INFO header")
+    picks = [columns.index(c) for c in ("filename", *JOIN_META_COLUMNS)]
+    by_id: dict[str, list[str]] = {}
+    for row in reader:
+        if len(row) < len(columns):
+            raise FormatError(
+                f"file info row has {len(row)} of {len(columns)} fields", reader.line_num
+            )
+        if row[0] in by_id:
+            raise IntegrityError(f"id {row[0]} present twice in file info")
+        by_id[row[0]] = [row[i] for i in picks]
+    return by_id
+
+
+def _csv_line(fields: list[str]) -> str:
+    """One row as ``csv.writer`` renders it, without its line end."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue().removesuffix("\r\n")

@@ -1,6 +1,7 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
 acceptance tests, the per-row laser rendering the laser table is checked
-against, and the store batches of the crash test's writer."""
+against, the row-by-row join ``etl join`` is checked against, and the store
+batches of the crash test's writer."""
 
 import csv
 import io
@@ -124,6 +125,37 @@ def reference_laser_csv(rows, file_info):
          r.sampled_time]
         for r in rows
     )
+    return out.getvalue()
+
+
+def reference_join(data_csv, fileinfo_csv):
+    """``etl.join_by_filename_id`` as it was once done row by row: both
+    tables read with ``csv.reader``, every joined row written back with
+    ``csv.writer``."""
+    info_rows = list(csv.reader(io.StringIO(fileinfo_csv)))
+    if not info_rows or info_rows[0] != etl.FILE_INFO_HEADER.split(","):
+        raise etl.EtlError("unexpected FILE_INFO header")
+    info_cols = info_rows[0]
+    by_id = {}
+    for row in info_rows[1:]:
+        record = dict(zip(info_cols, row))
+        if record["id"] in by_id:
+            raise etl.IntegrityError(f"id {record['id']} present twice in file info")
+        by_id[record["id"]] = record
+
+    data_rows = list(csv.reader(io.StringIO(data_csv)))
+    if not data_rows or data_rows[0][0] != "filename_id":
+        raise etl.EtlError("data table must start with a filename_id column")
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["filename"] + data_rows[0][1:] + list(etl.JOIN_META_COLUMNS))
+    for row in data_rows[1:]:
+        record = by_id.get(row[0])
+        if record is None:
+            raise etl.DanglingReference(f"filename_id {row[0]} not in file info")
+        writer.writerow(
+            [record["filename"]] + row[1:] + [record[c] for c in etl.JOIN_META_COLUMNS]
+        )
     return out.getvalue()
 
 

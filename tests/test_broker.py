@@ -604,6 +604,8 @@ def test_dropped_counts_the_msg_frames_an_evicted_session_never_got():
         with make_client(b) as pub:
             lazy = socket.create_connection(b.address, timeout=10)
             lazy.sendall(b"SUB flood.> 1\r\n")
+            # accepted, so that one session left below means the lazy one went
+            assert wait_for_sessions(b, 2, timeout=10)
             stop = threading.Event()
 
             def flood():

@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 import paveharvest
-from helpers import asg_raw_text, laser_raw_text, reference_laser_csv, reference_laser_rows
+from helpers import (
+    asg_raw_text,
+    laser_raw_text,
+    pulse_values,
+    raw_text,
+    reference_join,
+    reference_laser_csv,
+    reference_laser_rows,
+    tc_raw_text,
+)
 from paveharvest import cli as cli_mod, etl
 from paveharvest.cli import build_parser, main
 from paveharvest.timeutil import format_rfc3339
@@ -317,6 +326,92 @@ def test_etl_join_dangling_reference_exit_code(tmp_path, capsys):
         ["etl", "join", "--data", str(data), "--fileinfo", str(info)], capsys
     )
     assert code == 4
+
+
+_DATA_ROW = "1,first20,7,36,1,1,maxima,1,1,microstrain\r\n"
+_INFO_ROW = "1,a.txt,,,,,,,\r\n"
+
+
+@pytest.mark.parametrize(
+    "data, info, message",
+    [
+        (etl.DATA_HEADER + "\r\n" + _DATA_ROW + "\r\n" + _DATA_ROW,
+         etl.FILE_INFO_HEADER + "\r\n" + _INFO_ROW,
+         "line 3: blank line in data table"),
+        (etl.DATA_HEADER + "\r\n" + _DATA_ROW.replace("1,1,maxima", '"1",1,maxima') + "\r\n",
+         etl.FILE_INFO_HEADER + "\r\n" + _INFO_ROW,
+         "line 3: blank line in data table"),
+        (etl.DATA_HEADER + "\r\n" + _DATA_ROW,
+         etl.FILE_INFO_HEADER + "\r\n" + _INFO_ROW + "\r\n",
+         "line 3: file info row has 0 of 9 fields"),
+        (etl.DATA_HEADER + "\r\n" + _DATA_ROW,
+         etl.FILE_INFO_HEADER + "\r\n2,b.txt\r\n" + _INFO_ROW,
+         "line 2: file info row has 2 of 9 fields"),
+    ],
+    ids=["blank-data-line", "blank-line-in-quoted-data", "blank-file-info-row", "short-file-info-row"],
+)
+def test_etl_join_malformed_table_exits_3(tmp_path, capsys, caplog, data, info, message):
+    (tmp_path / "data.csv").write_text(data)
+    (tmp_path / "file_info.csv").write_text(info)
+    code, out, _ = run_cli(
+        ["etl", "join", "--data", str(tmp_path / "data.csv"),
+         "--fileinfo", str(tmp_path / "file_info.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [message]
+
+
+def write_every_kind_archive(root, quoted):
+    """Raw logs of every sensor kind. With ``quoted``, a unit holds a comma
+    and a gage a quote, so the data table holds quoted fields; either way a
+    filename and a location hold a comma, so FILE_INFO does."""
+    root.mkdir()
+    unit = "deg F, surface" if quoted else "degF"
+    gage = '7"' if quoted else "7"
+    (root / "Traffic D1 F20 07-07-22.txt").write_text(asg_raw_text(n_pass=42))
+    (root / "101 I69_D1_TC_3_07-Jul-2022.txt").write_text(
+        tc_raw_text().replace("# unit: degF", f"# unit: {unit}\n# location: 12.5, lane 2")
+    )
+    t = np.arange(0.0, 48.0, 1.0 / 50)
+    (root / "102 I69_D1_PC_4_07-Jul-2022.txt").write_text(
+        raw_text({"kind": "PC"}, t, [60.0 + 5.0 * np.sin(2 * np.pi * t / 8.0)])
+    )
+    t, y = pulse_values(3)
+    for fid, kind in enumerate(("CSG", "STATIONARY_ET", "STATIONARY_MT", "FWD"), start=103):
+        name = f"{fid} I69_D1_{kind.replace('_', '')}_5_07-Jul-2022.txt"
+        (root / name).write_text(raw_text({"kind": kind, "gage": gage}, t, [y]))
+    (root / "107 scan, lane 1.txt").write_text(laser_raw_text(n_samples=1100))
+    (root / "108 pretraffic.txt").write_text(
+        laser_raw_text(n_samples=1200).replace("# kind: LASER", "# kind: LASER_PRETRAFFIC")
+    )
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_etl_join_matches_the_row_by_row_reference_on_processed_tables(tmp_path, capsys, quoted):
+    """etl process, then etl join of both tables, all through the CLI: each
+    joined table is the row-by-row join of the tables as the CLI read them."""
+    out_dir = tmp_path / "out"
+    write_every_kind_archive(tmp_path / "raw", quoted)
+    code, _, _ = run_cli(
+        ["etl", "process", "--in", str(tmp_path / "raw"), "--out", str(out_dir)], capsys
+    )
+    assert code == 0
+    info = (out_dir / "file_info.csv").read_text()
+    assert '"' in info
+    for table in ("data", "laser"):
+        data = (out_dir / f"{table}.csv").read_text()
+        assert ('"' in data) == (quoted and table == "data")
+        joined = out_dir / f"joined_{table}.csv"
+        code, _, _ = run_cli(
+            ["etl", "join", "--data", str(out_dir / f"{table}.csv"),
+             "--fileinfo", str(out_dir / "file_info.csv"), "--out", str(joined)],
+            capsys,
+        )
+        assert code == 0
+        assert joined.read_bytes() == reference_join(data, info).encode()
 
 
 @pytest.mark.parametrize(

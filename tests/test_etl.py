@@ -16,6 +16,7 @@ from helpers import (
     asg_raw_text,
     laser_raw_text,
     raw_text,
+    reference_join,
     reference_laser_csv,
     reference_laser_rows,
     tc_raw_text,
@@ -608,6 +609,57 @@ def test_join_empty_data_table():
     joined = join_by_filename_id(data_csv, info_csv)
     rows = list(csv.reader(io.StringIO(joined)))
     assert len(rows) == 1  # header only
+
+
+#: field text for tables that hold no character CSV quotes, and for those
+#: that do
+_PLAIN_FIELDS = st.text(alphabet="0123456789abc.-: ", max_size=6)
+_QUOTED_FIELDS = st.text(alphabet='0123456789abc.-: ,"\n', max_size=6)
+
+
+def _csv_table(rows, end, final_end):
+    out = io.StringIO()
+    csv.writer(out, lineterminator=end).writerows(rows)
+    return out.getvalue() if final_end else out.getvalue().removesuffix(end)
+
+
+@st.composite
+def join_tables(draw):
+    """A data table and a FILE_INFO table, each with ``\\n`` or ``\\r\\n``
+    line ends, with or without a final one. Ids are listed in any order,
+    rows cite them in any order, some tables cite an id FILE_INFO lacks, and
+    some hold fields CSV quotes."""
+    quoted = draw(st.booleans())
+    fields = _QUOTED_FIELDS if quoted else _PLAIN_FIELDS
+    ids = draw(st.lists(st.one_of(st.integers(1, 40).map(str), fields),
+                        min_size=1, max_size=6, unique=True))
+    info = [FILE_INFO_HEADER.split(",")] + [
+        [i, *draw(st.lists(fields, min_size=8, max_size=8))] for i in draw(st.permutations(ids))
+    ]
+    cited = st.sampled_from(ids)
+    if draw(st.booleans()):
+        cited = st.one_of(cited, st.just("x9"))  # "x" is in neither alphabet
+    header = draw(st.sampled_from([DATA_HEADER, LASER_HEADER])).split(",")
+    rows = draw(st.lists(st.tuples(cited, st.lists(fields, max_size=len(header) - 1)),
+                         max_size=30))
+    ends = st.sampled_from(["\n", "\r\n"])
+    return (
+        _csv_table([header, *([i, *rest] for i, rest in rows)], draw(ends), draw(st.booleans())),
+        _csv_table(info, draw(ends), draw(st.booleans())),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(join_tables())
+def test_join_matches_the_row_by_row_reference(tables):
+    data_csv, info_csv = tables
+    try:
+        want = reference_join(data_csv, info_csv)
+    except DanglingReference:
+        with pytest.raises(DanglingReference):
+            join_by_filename_id(data_csv, info_csv)
+    else:
+        assert join_by_filename_id(data_csv, info_csv) == want
 
 
 def random_meta(rng, name):
