@@ -9,6 +9,7 @@ output. Config precedence is flags > PAVEH_* environment variables >
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -28,7 +29,13 @@ from .broker import Broker
 from .client import BusClient
 from .connector import Connector, sensor_key_for
 from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
-from .timeutil import US_PER_SECOND, format_rfc3339, now_us, parse_duration, parse_rfc3339
+from .timeutil import (
+    US_PER_SECOND,
+    format_rfc3339_column,
+    now_us,
+    parse_duration,
+    parse_rfc3339,
+)
 from .tsstore import Store, verify_segments
 
 logger = logging.getLogger(__name__)
@@ -39,6 +46,8 @@ EXIT_RUNTIME = 3
 EXIT_INTEGRITY = 4
 
 ENV_PREFIX = "PAVEH_"
+
+QUERY_BLOCK_ROWS = 65_536  # store query output rows per write
 
 KIND_FLAGS = {
     "auto": "auto",
@@ -354,15 +363,20 @@ def cmd_store_query(args, config) -> int:
     t1 = parse_rfc3339(args.time_to)
     if t0 > t1:
         raise UsageError("--from must not be after --to")
+    bucket = parse_duration(args.bucket) if args.bucket else None
     with Store(store_root) as store:
-        print("ts_rfc3339,value")
-        if args.bucket:
-            bucket = parse_duration(args.bucket)
-            for start, value in store.downsample(args.sensor, t0, t1, bucket, args.agg):
-                print(f"{format_rfc3339(start)},{value}")
+        if bucket is None:
+            samples = store.query_range(args.sensor, t0, t1)
+            stamps, values = [s.ts for s in samples], [s.v for s in samples]
         else:
-            for sample in store.query_range(args.sensor, t0, t1):
-                print(f"{format_rfc3339(sample.ts)},{sample.v}")
+            rows = store.downsample(args.sensor, t0, t1, bucket, args.agg)
+            stamps, values = [ts for ts, _ in rows], [v for _, v in rows]
+    out = sys.stdout  # looked up per call, so a redirected stdout is honoured
+    out.write("ts_rfc3339,value\n")
+    for i in range(0, len(stamps), QUERY_BLOCK_ROWS):
+        text = format_rfc3339_column(stamps[i : i + QUERY_BLOCK_ROWS])
+        block = values[i : i + QUERY_BLOCK_ROWS]
+        out.write("".join([f"{stamp},{value}\n" for stamp, value in zip(text, block)]))
     return EXIT_OK
 
 
@@ -502,7 +516,13 @@ class UsageError(Exception):
 # --- argument plumbing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones.
+
+    ``set_defaults(func=...)`` binds each command's function as it stands
+    at that first call.
+    """
     parser = argparse.ArgumentParser(
         prog="paveharvest",
         description="Pavement sensor data harvesting toolkit",

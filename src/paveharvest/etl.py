@@ -22,7 +22,7 @@ import logging
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -743,16 +743,16 @@ def join_by_filename_id(data_csv: str, fileinfo_csv: str) -> str:
 
 def _join_rows(data_csv: str, info: dict[str, list[str]]) -> str:
     """:func:`join_by_filename_id` through ``csv.reader`` and ``csv.writer``."""
-    reader = csv.reader(io.StringIO(data_csv))
-    header = next(reader, [])
+    rows = _csv_rows(data_csv)
+    _, header = next(rows, (0, []))
     if header[:1] != ["filename_id"]:
         raise EtlError("data table must start with a filename_id column")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["filename", *header[1:], *JOIN_META_COLUMNS])
-    for row in reader:
+    for lineno, row in rows:
         if not row:
-            raise FormatError("blank line in data table", reader.line_num)
+            raise FormatError("blank line in data table", lineno)
         if row[0] not in info:
             raise DanglingReference(f"filename_id {row[0]} not in file info")
         filename, *meta = info[row[0]]
@@ -762,21 +762,34 @@ def _join_rows(data_csv: str, info: dict[str, list[str]]) -> str:
 
 def _file_info_by_id(fileinfo_csv: str) -> dict[str, list[str]]:
     """Each FILE_INFO id's filename and :data:`JOIN_META_COLUMNS` fields."""
-    reader = csv.reader(io.StringIO(fileinfo_csv))
+    rows = _csv_rows(fileinfo_csv)
     columns = FILE_INFO_HEADER.split(",")
-    if next(reader, None) != columns:
+    if next(rows, (0, None))[1] != columns:
         raise EtlError("unexpected FILE_INFO header")
     picks = [columns.index(c) for c in ("filename", *JOIN_META_COLUMNS)]
     by_id: dict[str, list[str]] = {}
-    for row in reader:
+    for lineno, row in rows:
         if len(row) < len(columns):
-            raise FormatError(
-                f"file info row has {len(row)} of {len(columns)} fields", reader.line_num
-            )
+            raise FormatError(f"file info row has {len(row)} of {len(columns)} fields", lineno)
         if row[0] in by_id:
             raise IntegrityError(f"id {row[0]} present twice in file info")
         by_id[row[0]] = [row[i] for i in picks]
     return by_id
+
+
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` of each row of a CSV table; a row the csv
+    module refuses, such as one with a field over its size limit, is a
+    :class:`FormatError` naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise FormatError(str(exc), reader.line_num) from None
+        yield reader.line_num, row
 
 
 def _csv_line(fields: list[str]) -> str:

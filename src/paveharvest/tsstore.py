@@ -428,11 +428,15 @@ def _read_segment(key: ChunkKey, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """ts-ascending, last-write-wins (ts, v) columns of ``key``'s segment.
 
     Every read, and a writer's first look at a chunk, decodes the file
-    anew; nothing is kept. A missing file, or one cut inside its header by
-    a crash, holds no records.
+    anew; nothing is kept. A missing file, even one listed a moment ago
+    and removed since, or one cut inside its header by a crash, holds no
+    records.
     """
     records = np.empty(0, RECORD_DTYPE)
-    raw = path.read_bytes() if path.exists() else b""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raw = b""
     if not _header(key).startswith(raw):
         try:
             khash, start, records = _decode_segment(raw)

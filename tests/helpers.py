@@ -1,12 +1,14 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
 acceptance tests, the per-row laser rendering the laser table is checked
-against, the row-by-row join ``etl join`` is checked against, and the store
-batches of the crash test's writer."""
+against, the row-by-row join ``etl join`` is checked against, the per-row
+rendering ``store query`` output is checked against, and the store batches
+of the crash test's writer."""
 
 import csv
 import io
 import random
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -157,6 +159,20 @@ def reference_join(data_csv, fileinfo_csv):
             [record["filename"]] + row[1:] + [record[c] for c in etl.JOIN_META_COLUMNS]
         )
     return out.getvalue()
+
+
+def reference_query_csv(rows) -> str:
+    """``store query`` output for ``(ts_us, value)`` rows, rendered one row
+    at a time through ``datetime``: a four-digit year, sub-second digits
+    only when nonzero, and the value as Python writes it."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    lines = ["ts_rfc3339,value\n"]
+    for ts, value in rows:
+        seconds, micros = divmod(ts, 1_000_000)
+        dt = epoch + timedelta(seconds=seconds)
+        fraction = f".{micros:06d}" if micros else ""
+        lines.append(f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}{fraction}Z,{value}\n")
+    return "".join(lines)
 
 
 CRASH_SENSORS = ("s0", "s1", "s2", "s3")

@@ -1,5 +1,6 @@
 """Entry-point behavior: parsing, exit codes, stream discipline."""
 
+import contextlib
 import csv
 import io
 import json
@@ -22,11 +23,12 @@ from helpers import (
     reference_join,
     reference_laser_csv,
     reference_laser_rows,
+    reference_query_csv,
     tc_raw_text,
 )
 from paveharvest import cli as cli_mod, etl
 from paveharvest.cli import build_parser, main
-from paveharvest.timeutil import format_rfc3339
+from paveharvest.timeutil import format_rfc3339, parse_duration
 from paveharvest.tsstore import Sample, Store
 
 
@@ -140,6 +142,98 @@ def test_store_query_downsample(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert sum(int(r[1]) for r in rows) == 10
+
+
+QUERY_BASE = 1_717_200_000_000_000  # 2024-06-01T00:00:00Z
+
+
+@pytest.fixture(scope="module")
+def query_store(tmp_path_factory):
+    """One sensor with 70,000 samples over two hours: about a tenth of the
+    stamps whole seconds, the rest with sub-second digits, and values from
+    1e-8 to 1e11, some of them whole."""
+    rng = np.random.default_rng(21)
+    n = 70_000
+    ts = QUERY_BASE + np.sort(rng.choice(72_000, n, replace=False)) * 100_000
+    ts += (ts % 1_000_000 != 0) * rng.integers(0, 100_000, n)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 12, n)
+    v[::7] = np.round(v[::7])
+    root = tmp_path_factory.mktemp("query") / "db"
+    with Store(root) as store:
+        for i in range(0, n, 10_000):
+            store.insert([Sample("s", t, x) for t, x in
+                          zip(ts[i:i + 10_000].tolist(), v[i:i + 10_000].tolist())])
+    return root
+
+
+class RecordingStdout(io.StringIO):
+    """A standard output that keeps each ``write`` apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "hours, extra",
+    [
+        ((1, 1.25), []),
+        ((0, 2), ["--bucket", "5m", "--agg", "avg"]),
+        ((0, 2), ["--bucket", "5m", "--agg", "min"]),
+        ((0, 2), ["--bucket", "7s", "--agg", "max"]),
+        ((0, 2), ["--bucket", "1m", "--agg", "count"]),
+        ((-2, -1), []),
+        ((0, 3), []),
+    ],
+    ids=["raw", "avg", "min", "max", "count", "empty", "over-one-block"],
+)
+def test_store_query_output_matches_the_row_by_row_reference(query_store, hours, extra):
+    """Every ``store query`` output is the per-row reference rendering of
+    the store's rows, byte for byte, written in blocks of at most 65,536
+    rows after the header."""
+    t0, t1 = (QUERY_BASE + int(h * 3_600_000_000) for h in hours)
+    out = RecordingStdout()
+    with contextlib.redirect_stdout(out):
+        code = main(["store", "query", "--store", str(query_store), "--sensor", "s",
+                     "--from", format_rfc3339(t0), "--to", format_rfc3339(t1), *extra])
+    assert code == 0
+    with Store(query_store) as store:
+        if extra:
+            rows = store.downsample("s", t0, t1, parse_duration(extra[1]), extra[3])
+        else:
+            rows = [(s.ts, s.v) for s in store.query_range("s", t0, t1)]
+    assert out.getvalue() == reference_query_csv(rows)
+    assert out.writes[0] == "ts_rfc3339,value\n"
+    assert [block.count("\n") for block in out.writes[1:]] == [
+        min(65_536, len(rows) - i) for i in range(0, len(rows), 65_536)
+    ]
+    if hours == (0, 3):
+        assert len(rows) == 70_000
+
+
+def test_cached_parser_carries_nothing_between_calls(query_store, capsys):
+    """The parser is built once per process, and a call's flags do not
+    leak into the next: a query without ``--bucket`` after one with
+    ``--bucket 5m --agg max`` parses as a raw avg query and prints raw rows."""
+    assert build_parser() is build_parser()
+    span = ["--sensor", "s", "--from", format_rfc3339(QUERY_BASE),
+            "--to", format_rfc3339(QUERY_BASE + 60_000_000)]
+    first = build_parser().parse_args(["store", "query", *span, "--bucket", "5m", "--agg", "max"])
+    second = build_parser().parse_args(["store", "query", *span])
+    assert (first.bucket, first.agg) == ("5m", "max")
+    assert (second.bucket, second.agg, second.store) == (None, "avg", None)
+    argv = ["store", "query", "--store", str(query_store), *span]
+    assert main([*argv, "--bucket", "5m", "--agg", "max"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(argv) == 0
+    with Store(query_store) as store:
+        rows = [(s.ts, s.v) for s in store.query_range("s", QUERY_BASE, QUERY_BASE + 60_000_000)]
+    assert len(rows) > 100
+    assert capsys.readouterr().out == reference_query_csv(rows)
 
 
 def test_store_check_clean_and_corrupt(tmp_path, capsys):
@@ -330,6 +424,7 @@ def test_etl_join_dangling_reference_exit_code(tmp_path, capsys):
 
 _DATA_ROW = "1,first20,7,36,1,1,maxima,1,1,microstrain\r\n"
 _INFO_ROW = "1,a.txt,,,,,,,\r\n"
+_HUGE_FIELD = '"' + "x" * 200_000 + '"'
 
 
 @pytest.mark.parametrize(
@@ -347,8 +442,16 @@ _INFO_ROW = "1,a.txt,,,,,,,\r\n"
         (etl.DATA_HEADER + "\r\n" + _DATA_ROW,
          etl.FILE_INFO_HEADER + "\r\n2,b.txt\r\n" + _INFO_ROW,
          "line 2: file info row has 2 of 9 fields"),
+        # a quoted field longer than the csv module's field_size_limit
+        (etl.DATA_HEADER + "\r\n" + _DATA_ROW + _DATA_ROW.replace("microstrain", _HUGE_FIELD),
+         etl.FILE_INFO_HEADER + "\r\n" + _INFO_ROW,
+         "line 3: field larger than field limit (131072)"),
+        (etl.DATA_HEADER + "\r\n" + _DATA_ROW,
+         etl.FILE_INFO_HEADER + "\r\n" + _INFO_ROW.replace(",,\r", "," + _HUGE_FIELD + "\r"),
+         "line 2: field larger than field limit (131072)"),
     ],
-    ids=["blank-data-line", "blank-line-in-quoted-data", "blank-file-info-row", "short-file-info-row"],
+    ids=["blank-data-line", "blank-line-in-quoted-data", "blank-file-info-row", "short-file-info-row",
+         "oversized-quoted-data-field", "oversized-quoted-file-info-field"],
 )
 def test_etl_join_malformed_table_exits_3(tmp_path, capsys, caplog, data, info, message):
     (tmp_path / "data.csv").write_text(data)

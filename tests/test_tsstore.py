@@ -607,6 +607,29 @@ def test_written_timestamps_are_not_gc_tracked(tmp_path):
         assert not gc.is_tracked(stamps)
 
 
+def test_segment_removed_after_listing_holds_no_records(tmp_path, monkeypatch):
+    """A segment removed after a query listed it, as a retention sweep in
+    another process may, reads as no records and the query goes on."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample("a", h * HOUR + 5, float(h)) for h in range(3)])
+    real_read_bytes = tsstore.Path.read_bytes
+    gone = f"{HOUR}.seg"
+
+    def read_bytes(path):
+        if path.name == gone:
+            path.unlink()
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(tsstore.Path, "read_bytes", read_bytes)
+    with Store(root) as store:
+        assert store.query_range("a", 0, 3 * HOUR) == [
+            Sample("a", 5, 0.0), Sample("a", 2 * HOUR + 5, 2.0)
+        ]
+        assert not (root / "a" / gone).exists()
+        assert store.downsample("a", 0, 3 * HOUR, HOUR, "count") == [(0, 1), (2 * HOUR, 1)]
+
+
 def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
     """The directory is the chunk table: opening reads no sensor directory,
     a one-sensor query lists only its sensor, and no read makes state."""
