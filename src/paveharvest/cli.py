@@ -9,7 +9,6 @@ output. Config precedence is flags > PAVEH_* environment variables >
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -46,8 +45,6 @@ EXIT_RUNTIME = 3
 EXIT_INTEGRITY = 4
 
 ENV_PREFIX = "PAVEH_"
-
-QUERY_BLOCK_ROWS = 65_536  # store query output rows per write
 
 KIND_FLAGS = {
     "auto": "auto",
@@ -371,12 +368,8 @@ def cmd_store_query(args, config) -> int:
         else:
             rows = store.downsample(args.sensor, t0, t1, bucket, args.agg)
             stamps, values = [ts for ts, _ in rows], [v for _, v in rows]
-    out = sys.stdout  # looked up per call, so a redirected stdout is honoured
-    out.write("ts_rfc3339,value\n")
-    for i in range(0, len(stamps), QUERY_BLOCK_ROWS):
-        text = format_rfc3339_column(stamps[i : i + QUERY_BLOCK_ROWS])
-        block = values[i : i + QUERY_BLOCK_ROWS]
-        out.write("".join([f"{stamp},{value}\n" for stamp, value in zip(text, block)]))
+    lines = [f"{stamp},{value}\n" for stamp, value in zip(format_rfc3339_column(stamps), values)]
+    sys.stdout.write("ts_rfc3339,value\n" + "".join(lines))
     return EXIT_OK
 
 
@@ -516,33 +509,17 @@ class UsageError(Exception):
 # --- argument plumbing ---------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by later ones.
-
-    ``set_defaults(func=...)`` binds each command's function as it stands
-    at that first call.
-    """
-    parser = argparse.ArgumentParser(
-        prog="paveharvest",
-        description="Pavement sensor data harvesting toolkit",
-    )
-    parser.add_argument("--config", help="JSON config file (lowest precedence)")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("broker", help="subject bus")
-    bsub = p.add_subparsers(dest="subcommand", required=True)
-    serve = bsub.add_parser("serve", help="run the broker")
+def _add_broker_commands(sub) -> None:
+    serve = sub.add_parser("serve", help="run the broker")
     serve.add_argument("--listen", help="host:port (default 127.0.0.1:4222)")
     serve.add_argument("--max-payload", type=int, default=wire.MAX_PAYLOAD)
     serve.add_argument("--queue", type=int, default=8192)
     serve.add_argument("--ping-interval", type=float, default=30.0)
     serve.set_defaults(func=cmd_broker_serve)
 
-    p = sub.add_parser("daqsim", help="DAQ simulator")
-    dsub = p.add_subparsers(dest="subcommand", required=True)
-    drun = dsub.add_parser("run", help="publish a scenario")
+
+def _add_daqsim_commands(sub) -> None:
+    drun = sub.add_parser("run", help="publish a scenario")
     drun.add_argument("--broker", help="broker host:port")
     drun.add_argument("--scenario", required=True)
     drun.add_argument("--site")
@@ -551,22 +528,22 @@ def build_parser() -> argparse.ArgumentParser:
     drun.add_argument("--duration", type=int)
     drun.set_defaults(func=cmd_daqsim_run)
 
-    p = sub.add_parser("connector", help="bus-to-store connector")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    crun = csub.add_parser("run", help="consume and store")
+
+def _add_connector_commands(sub) -> None:
+    crun = sub.add_parser("run", help="consume and store")
     crun.add_argument("--broker", help="broker host:port")
     crun.add_argument("--store", help="store root directory")
     crun.add_argument("--subject", default="site.>")
     crun.add_argument("--metrics-port", type=int)
     crun.set_defaults(func=cmd_connector_run)
-    cmet = csub.add_parser("metrics", help="fetch metrics from a connector")
+    cmet = sub.add_parser("metrics", help="fetch metrics from a connector")
     cmet.add_argument("--endpoint", required=True, help="http://host:port/metrics")
     cmet.add_argument("--format", choices=("text", "csv"), default="text")
     cmet.set_defaults(func=cmd_connector_metrics)
 
-    p = sub.add_parser("store", help="time-series store")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("query", help="range query / downsample as CSV")
+
+def _add_store_commands(sub) -> None:
+    q = sub.add_parser("query", help="range query / downsample as CSV")
     q.add_argument("--store", help="store root directory")
     q.add_argument("--sensor", required=True)
     q.add_argument("--from", dest="time_from", required=True, metavar="RFC3339")
@@ -575,34 +552,34 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--agg", choices=tsstore.AGGREGATES, default="avg")
     q.add_argument("--format", choices=("csv",), default="csv")
     q.set_defaults(func=cmd_store_query)
-    chk = ssub.add_parser("check", help="verify segment files")
+    chk = sub.add_parser("check", help="verify segment files")
     chk.add_argument("--store", help="store root directory")
     chk.set_defaults(func=cmd_store_check)
 
-    p = sub.add_parser("etl", help="static-path processing")
-    esub = p.add_subparsers(dest="subcommand", required=True)
-    eproc = esub.add_parser("process", help="raw logs to normalized CSV")
+
+def _add_etl_commands(sub) -> None:
+    eproc = sub.add_parser("process", help="raw logs to normalized CSV")
     eproc.add_argument("--in", dest="input", required=True)
     eproc.add_argument("--kind", choices=sorted(KIND_FLAGS), default="auto")
     eproc.add_argument("--out", dest="output", required=True)
     eproc.set_defaults(func=cmd_etl_process)
-    ejoin = esub.add_parser("join", help="denormalize by filename_id")
+    ejoin = sub.add_parser("join", help="denormalize by filename_id")
     ejoin.add_argument("--data", required=True)
     ejoin.add_argument("--fileinfo", required=True)
     ejoin.add_argument("--out", dest="output")
     ejoin.set_defaults(func=cmd_etl_join)
 
-    p = sub.add_parser("dsp", help="signal-processing utilities")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    insp = psub.add_parser("inspect", help="smooth a t,y CSV")
+
+def _add_dsp_commands(sub) -> None:
+    insp = sub.add_parser("inspect", help="smooth a t,y CSV")
     insp.add_argument("--in", dest="input", required=True)
     insp.add_argument("--window", type=int, required=True)
     insp.add_argument("--order", type=int, default=2)
     insp.set_defaults(func=cmd_dsp_inspect)
 
-    p = sub.add_parser("e2e", help="full pipeline run")
-    xsub = p.add_subparsers(dest="subcommand", required=True)
-    xrun = xsub.add_parser("run", help="broker + connector + daqsim")
+
+def _add_e2e_commands(sub) -> None:
+    xrun = sub.add_parser("run", help="broker + connector + daqsim")
     xrun.add_argument("--scenario", required=True)
     xrun.add_argument("--store", help="store root directory")
     xrun.add_argument("--broker", help="listen host:port (default ephemeral)")
@@ -611,11 +588,43 @@ def build_parser() -> argparse.ArgumentParser:
     xrun.add_argument("--metrics-port", type=int)
     xrun.set_defaults(func=cmd_e2e_run)
 
+
+COMMANDS = {  # command: (help, adds its subcommands)
+    "broker": ("subject bus", _add_broker_commands),
+    "daqsim": ("DAQ simulator", _add_daqsim_commands),
+    "connector": ("bus-to-store connector", _add_connector_commands),
+    "store": ("time-series store", _add_store_commands),
+    "etl": ("static-path processing", _add_etl_commands),
+    "dsp": ("signal-processing utilities", _add_dsp_commands),
+    "e2e": ("full pipeline run", _add_e2e_commands),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a command, only that command's subcommands.
+
+    The other commands are still listed, without subcommands, so help and
+    errors read as with the whole tree. One branch costs about a third of
+    the whole tree, and a command line runs one command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="paveharvest",
+        description="Pavement sensor data harvesting toolkit",
+    )
+    parser.add_argument("--config", help="JSON config file (lowest precedence)")
+    parser.add_argument("-v", "--verbose", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_subcommands) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_subcommands(p.add_subparsers(dest="subcommand", required=True))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a first word that is not an option can only be the command
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,

@@ -1,6 +1,5 @@
 """Entry-point behavior: parsing, exit codes, stream discipline."""
 
-import contextlib
 import csv
 import io
 import json
@@ -68,6 +67,31 @@ def test_store_query_args_parse():
     )
     assert args.subcommand == "query"
     assert args.sensor == "65/1/epc3"
+
+
+SUBCOMMANDS = [("broker", "serve"), ("daqsim", "run"), ("connector", "run"),
+               ("connector", "metrics"), ("store", "query"), ("store", "check"),
+               ("etl", "process"), ("etl", "join"), ("dsp", "inspect"), ("e2e", "run")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["nope"], ["-v", "store", "query", "-h"],
+     *([c, "-h"] for c in cli_mod.COMMANDS), *([c, "nope"] for c in cli_mod.COMMANDS),
+     *([c, s, "-h"] for c, s in SUBCOMMANDS), *([c, s, "--nope"] for c, s in SUBCOMMANDS)],
+    ids=" ".join,
+)
+def test_command_branch_reads_as_the_whole_parser(argv, capsys):
+    """``main`` builds only its command's branch of the parser, and its
+    help, usage errors and exit codes are those of the whole tree."""
+    assert {c for c, _ in SUBCOMMANDS} == set(cli_mod.COMMANDS)
+    with pytest.raises(SystemExit) as whole:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as branch:
+        main(argv)
+    assert branch.value.code == whole.value.code
+    assert capsys.readouterr() == expected
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -166,18 +190,6 @@ def query_store(tmp_path_factory):
     return root
 
 
-class RecordingStdout(io.StringIO):
-    """A standard output that keeps each ``write`` apart."""
-
-    def __init__(self):
-        super().__init__()
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return super().write(text)
-
-
 @pytest.mark.parametrize(
     "hours, extra",
     [
@@ -189,51 +201,23 @@ class RecordingStdout(io.StringIO):
         ((-2, -1), []),
         ((0, 3), []),
     ],
-    ids=["raw", "avg", "min", "max", "count", "empty", "over-one-block"],
+    ids=["raw", "avg", "min", "max", "count", "empty", "70k-rows"],
 )
-def test_store_query_output_matches_the_row_by_row_reference(query_store, hours, extra):
+def test_store_query_output_matches_the_row_by_row_reference(query_store, capsys, hours, extra):
     """Every ``store query`` output is the per-row reference rendering of
-    the store's rows, byte for byte, written in blocks of at most 65,536
-    rows after the header."""
+    the store's rows, byte for byte."""
     t0, t1 = (QUERY_BASE + int(h * 3_600_000_000) for h in hours)
-    out = RecordingStdout()
-    with contextlib.redirect_stdout(out):
-        code = main(["store", "query", "--store", str(query_store), "--sensor", "s",
-                     "--from", format_rfc3339(t0), "--to", format_rfc3339(t1), *extra])
+    code = main(["store", "query", "--store", str(query_store), "--sensor", "s",
+                 "--from", format_rfc3339(t0), "--to", format_rfc3339(t1), *extra])
     assert code == 0
     with Store(query_store) as store:
         if extra:
             rows = store.downsample("s", t0, t1, parse_duration(extra[1]), extra[3])
         else:
             rows = [(s.ts, s.v) for s in store.query_range("s", t0, t1)]
-    assert out.getvalue() == reference_query_csv(rows)
-    assert out.writes[0] == "ts_rfc3339,value\n"
-    assert [block.count("\n") for block in out.writes[1:]] == [
-        min(65_536, len(rows) - i) for i in range(0, len(rows), 65_536)
-    ]
+    assert capsys.readouterr().out == reference_query_csv(rows)
     if hours == (0, 3):
         assert len(rows) == 70_000
-
-
-def test_cached_parser_carries_nothing_between_calls(query_store, capsys):
-    """The parser is built once per process, and a call's flags do not
-    leak into the next: a query without ``--bucket`` after one with
-    ``--bucket 5m --agg max`` parses as a raw avg query and prints raw rows."""
-    assert build_parser() is build_parser()
-    span = ["--sensor", "s", "--from", format_rfc3339(QUERY_BASE),
-            "--to", format_rfc3339(QUERY_BASE + 60_000_000)]
-    first = build_parser().parse_args(["store", "query", *span, "--bucket", "5m", "--agg", "max"])
-    second = build_parser().parse_args(["store", "query", *span])
-    assert (first.bucket, first.agg) == ("5m", "max")
-    assert (second.bucket, second.agg, second.store) == (None, "avg", None)
-    argv = ["store", "query", "--store", str(query_store), *span]
-    assert main([*argv, "--bucket", "5m", "--agg", "max"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2
-    assert main(argv) == 0
-    with Store(query_store) as store:
-        rows = [(s.ts, s.v) for s in store.query_range("s", QUERY_BASE, QUERY_BASE + 60_000_000)]
-    assert len(rows) > 100
-    assert capsys.readouterr().out == reference_query_csv(rows)
 
 
 def test_store_check_clean_and_corrupt(tmp_path, capsys):
