@@ -6,7 +6,9 @@ subscriber. Delivery is at-most-once with no persistence; durability
 belongs to the store, not the bus.
 
 One thread runs a ``selectors`` loop over the listener and every session,
-so no state is shared between threads. Each session keeps the encoded
+so no state is shared between threads. The frames one read completes are
+parsed in one walk of an offset, and the input buffer is cut once per
+read. Each session keeps the encoded
 frames it has not yet sent and writes them with one ``send`` per writable
 event. A session whose frames land in a peer already holding
 ``queue_frames`` pending frames is not read again until that peer drains
@@ -93,7 +95,7 @@ class _Session:
         self.sock = sock
         self.alive = True
         self.closing = False  # sends what is pending, then closes
-        self.inbuf = bytearray()
+        self.inbuf = b""  # received bytes not yet parsed, from a frame boundary
         self.out: list[bytes] = []  # encoded frames not yet sent
         self.cut = False  # out[0] is the rest of a frame partly sent
         self.events = 0  # selector events registered for ``sock``
@@ -261,15 +263,17 @@ class Broker:
 
     def _send(self, session: _Session, data: bytes) -> None:
         """Queue an encoded frame; the session being read waits while the
-        receiver holds ``queue_frames`` frames or more."""
-        if not session.out:
+        receiver holds ``queue_frames`` frames or more. Only a first pending
+        frame changes what the receiver waits for; ``_parse`` re-registers
+        the session it reads."""
+        out = session.out
+        out.append(data)
+        if len(out) == 1:
             session.last_drain = time.monotonic()  # the grace starts now
-        session.out.append(data)
-        reader = self._reading
-        if reader is not None and len(session.out) >= self.queue_frames:
-            reader.held_by.add(session)
-            session.holding.add(reader)
-        self._watch(session)
+            self._watch(session)
+        if len(out) >= self.queue_frames and self._reading is not None:
+            self._reading.held_by.add(session)
+            session.holding.add(self._reading)
 
     def _flush(self, session: _Session) -> None:
         data = b"".join(session.out)
@@ -313,25 +317,29 @@ class Broker:
         if not chunk:
             self._close(session)
             return
-        session.inbuf += chunk
+        session.inbuf = session.inbuf + chunk if session.inbuf else chunk
         session.last_activity = time.monotonic()
         session.pinged = False
         self._parse(session)
 
     def _parse(self, session: _Session) -> None:
-        """Dispatch buffered frames until the input runs out or is paused."""
+        """Dispatch buffered frames until the input runs out or is paused.
+
+        The walk moves an offset through the buffer and cuts it once, past
+        the last frame dispatched."""
         self._reading = session
+        buf, pos = session.inbuf, 0
         while not session.held_by and not session.closing:
             try:
-                got = wire.parse_frame(session.inbuf, self.max_payload)
+                got = wire.parse_frame(buf, self.max_payload, pos)
             except wire.MalformedFrame as exc:
                 self._protocol_error(session, str(exc))
                 break
             if got is None:
                 break
-            frame, used = got
-            del session.inbuf[:used]
+            frame, pos = got
             self._dispatch(session, frame)
+        session.inbuf = buf[pos:]
         self._reading = None
         self._watch(session)
 

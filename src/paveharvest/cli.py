@@ -360,7 +360,14 @@ def cmd_store_query(args, config) -> int:
     t1 = parse_rfc3339(args.time_to)
     if t0 > t1:
         raise UsageError("--from must not be after --to")
-    bucket = parse_duration(args.bucket) if args.bucket else None
+    bucket = None
+    if args.bucket:
+        try:
+            bucket = parse_duration(args.bucket)
+        except ValueError as exc:
+            raise UsageError(f"--bucket: {exc}") from None
+        if bucket <= 0:
+            raise UsageError("--bucket must be positive")
     with Store(store_root) as store:
         if bucket is None:
             samples = store.query_range(args.sensor, t0, t1)

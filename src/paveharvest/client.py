@@ -1,8 +1,10 @@
 """Minimal TCP client for the subject bus.
 
-One reader thread per connection dispatches MSG frames to per-sid
-callbacks, answers server PINGs, and wakes subscribers waiting on +OK.
-Callbacks run on the reader thread; keep them short or hand off to a
+One reader thread per connection parses what each socket read returns in
+one pass. It hands every run of consecutive MSG frames for one sid to that
+subscription's handler in one call, as ``(subject, payload)`` pairs in
+arrival order, answers server PINGs, and wakes subscribers waiting on +OK.
+Handlers run on the reader thread; keep them short or hand off to a
 queue.
 """
 
@@ -18,7 +20,8 @@ from .wire import Frame, Subject
 
 logger = logging.getLogger(__name__)
 
-MessageHandler = Callable[[Subject, bytes, int], None]
+#: Called with a run of messages for one subscription, oldest first.
+MessageHandler = Callable[[list[tuple[Subject, bytes]]], None]
 
 CONNECT_TIMEOUT_S = 5.0
 ACK_TIMEOUT_S = 5.0  # wait for the broker's +OK to a SUB or UNSUB
@@ -70,7 +73,10 @@ class BusClient:
         self._send(Frame(wire.PUB, subject=subject, payload=payload))
 
     def subscribe(self, pattern: Subject | str, handler: MessageHandler) -> int:
-        """Register ``handler`` for ``pattern``; blocks until the broker acks."""
+        """Register ``handler`` for ``pattern``; blocks until the broker acks.
+
+        ``handler`` gets each run of the subscription's messages that one
+        socket read completes, and no other frame falls inside a run."""
         if isinstance(pattern, str):
             pattern = wire.intern_subject(pattern.encode(), False)
         sid = self._next_sid
@@ -96,20 +102,11 @@ class BusClient:
     # -- receiving -------------------------------------------------------------
 
     def _read_loop(self) -> None:
-        buf = bytearray()
+        buf = b""  # received bytes not yet parsed, from a frame boundary
         try:
-            while True:
-                chunk = self._sock.recv(65536)
-                if not chunk:
-                    break
-                buf += chunk
-                while True:
-                    got = wire.parse_frame(buf, self.max_payload)
-                    if got is None:
-                        break
-                    frame, used = got
-                    del buf[:used]
-                    self._handle(frame)
+            while chunk := self._sock.recv(65536):
+                buf = buf + chunk if buf else chunk
+                buf = buf[self._parse(buf) :]
         except (OSError, wire.MalformedFrame) as exc:
             if not self._closed.is_set():
                 logger.debug("bus reader stopped: %s", exc)
@@ -119,13 +116,37 @@ class BusClient:
             if self.on_disconnect is not None:
                 self.on_disconnect()
 
+    def _parse(self, buf: bytes) -> int:
+        """Handle every complete frame in ``buf``, in order; returns the
+        offset past the last one. A malformed frame raises once the MSGs
+        before it have reached their handlers."""
+        run: list[tuple[Subject, bytes]] = []  # consecutive MSGs for ``sid``
+        sid = pos = 0
+        try:
+            while (got := wire.parse_frame(buf, self.max_payload, pos)) is not None:
+                frame, pos = got
+                if frame.kind == wire.MSG:
+                    if frame.sid != sid:
+                        self._deliver(sid, run)
+                        run, sid = [], frame.sid
+                    run.append((frame.subject, frame.payload))
+                else:
+                    self._deliver(sid, run)
+                    run = []
+                    self._handle(frame)
+        except wire.MalformedFrame:
+            self._deliver(sid, run)
+            raise
+        self._deliver(sid, run)
+        return pos
+
+    def _deliver(self, sid: int, run: list[tuple[Subject, bytes]]) -> None:
+        if run and (handler := self._handlers.get(sid)) is not None:
+            handler(run)
+
     def _handle(self, frame: Frame) -> None:
         k = frame.kind
-        if k == wire.MSG:
-            handler = self._handlers.get(frame.sid)
-            if handler is not None:
-                handler(frame.subject, frame.payload, frame.sid)
-        elif k == wire.PING:
+        if k == wire.PING:
             self._send(Frame(wire.PONG))
         elif k == wire.OK:
             self._acks.release()

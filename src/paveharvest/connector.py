@@ -6,10 +6,13 @@ Delivery is at-most-once end to end: a record that fails validation or
 storage is counted by reason and never retried; gaps are surfaced through
 per-sensor sequence accounting instead.
 
-The bus reader hands records to one writer thread through a bounded list
-under one lock and condition. A full list stalls the reader, so the bus
-holds the publisher back; the writer takes up to ``batch_size`` records
-the moment its last insert returns (group commit).
+The bus reader hands each run of messages that one socket read completes
+to ``ingest``, which transforms them one by one and then counts and queues
+the whole run under one hold of a lock, with one wake of the writer. The
+queue is a bounded list under that lock and its condition. A full list
+stalls the reader, so the bus holds the publisher back; the writer takes
+up to ``batch_size`` records the moment its last insert returns (group
+commit).
 
 Metrics are readable at any time as a consistent snapshot, and optionally
 served as plaintext ``GET /metrics``.
@@ -41,6 +44,8 @@ DEFAULT_BATCH_SIZE = 500
 DEFAULT_QUEUE_CAP = 10_000
 BACKOFF_BASE_S = 1.0
 BACKOFF_CAP_S = 30.0
+SEQ_WINDOW = 64  # seqs below a sensor's highest that are told apart
+_WINDOW_MASK = (1 << SEQ_WINDOW) - 1
 
 #: reject reasons
 MALFORMED = "malformed"
@@ -217,7 +222,7 @@ class Connector:
         self._duplicate_seq = 0
         self._seq_gaps = 0
         self._skew = 0
-        self._last_seq: dict[str, int] = {}
+        self._seqs: dict[str, list[int]] = {}  # sensor -> [highest, mask, lowest]
         self._latency_counts = [0] * (len(LATENCY_BOUNDS_US) + 1)
         self._rate_counts: dict[int, int] = {}  # epoch second -> accepted
         self._stop = threading.Event()
@@ -232,47 +237,88 @@ class Connector:
 
     # -- ingest path -------------------------------------------------------
 
-    def ingest(self, subject: Subject, payload: bytes, recv_wall_us: int | None = None) -> None:
-        """Count one delivered message and hand it to the writer.
+    def ingest(self, messages: list[tuple[Subject, bytes]]) -> None:
+        """Count a run of delivered ``(subject, payload)`` messages, in
+        order, and hand them to the writer.
 
-        While the handoff is full this waits for the writer to take a
-        batch. Only once the writer has taken nothing for
-        ``SLOW_CONSUMER_GRACE`` (the broker's own eviction grace) is the
+        Each message is transformed on its own, stamped with one receive
+        time for the run; the run is then counted and queued under one
+        hold of the lock, with one wake of the writer. While the handoff
+        is full this waits for the writer to take a batch. Only once the writer has taken nothing for
+        ``SLOW_CONSUMER_GRACE`` (the broker's own eviction grace) is a
         record counted as overflow, so a stalled store shows up as counted
-        loss before the broker would evict the connector.
+        loss before the broker would evict the connector. Each record is
+        counted as it is queued or rejected, so the counters balance at
+        every snapshot, also while a long run waits.
         """
-        reason = OVERFLOW
-        try:
-            record = transform(subject, payload, recv_wall_us)
-        except Reject as exc:
-            record, reason = None, exc.reason
-        pending = self._queue
+        recv_wall_us = now_us()
+        records: list[StoreRecord | str] = []  # a record, or why it was rejected
+        for subject, payload in messages:
+            try:
+                records.append(transform(subject, payload, recv_wall_us))
+            except Reject as exc:
+                records.append(exc.reason)
+        pending, cap = self._queue, self._queue_cap
+        wake = False  # the writer may be waiting for the records queued
         with self._mlock:  # the condition's lock, without its Python-level wrapper
-            while record is not None and len(pending) >= self._queue_cap:
-                left = self._last_take + SLOW_CONSUMER_GRACE - time.monotonic()
-                if left <= 0:
-                    break
-                self._cond.wait(left)
-            self._received += 1
-            if record is not None:
-                self._track_seq(record)
-                if len(pending) < self._queue_cap:
-                    pending.append(record)
-                    if len(pending) == 1:  # the grace counts from here
-                        self._last_take = time.monotonic()
+            for record in records:
+                if isinstance(record, str):
+                    self._received += 1
+                    self._rejected[record] += 1
+                    continue
+                if len(pending) >= cap:
+                    if wake:
                         self._cond.notify_all()
-                    return
-            self._rejected[reason] += 1
+                        wake = False
+                    while len(pending) >= cap:
+                        left = self._last_take + SLOW_CONSUMER_GRACE - time.monotonic()
+                        if left <= 0:
+                            break
+                        self._cond.wait(left)
+                self._received += 1
+                self._track_seq(record)
+                if len(pending) < cap:
+                    if not pending:  # the grace counts from here
+                        self._last_take = time.monotonic()
+                        wake = True
+                    pending.append(record)
+                else:
+                    self._rejected[OVERFLOW] += 1
+            if wake:
+                self._cond.notify_all()
 
     def _track_seq(self, record: StoreRecord) -> None:
-        last = self._last_seq.get(record.sensor_key)
-        if last is not None:
-            if record.seq <= last:
-                self._duplicate_seq += 1
-            elif record.seq > last + 1:
-                self._seq_gaps += record.seq - last - 1
-        if last is None or record.seq > last:
-            self._last_seq[record.sensor_key] = record.seq
+        """Count the seqs a sensor skipped and those it sent twice.
+
+        Per sensor this keeps the highest and lowest seq seen and a mask of
+        the ``SEQ_WINDOW`` seqs below the highest: bit ``d - 1`` is set once
+        seq ``highest - d`` has arrived. A late seq inside the window that
+        was missing fills its gap, or, below the lowest, adds the seqs
+        between it and the lowest to the gaps. A seq seen before, or older
+        than the window, is a duplicate.
+        """
+        seq = record.seq
+        state = self._seqs.get(record.sensor_key)
+        if state is None:
+            self._seqs[record.sensor_key] = [seq, 0, seq]
+            return
+        high, mask, low = state
+        if seq > high:
+            d = seq - high
+            self._seq_gaps += d - 1
+            state[0] = seq
+            state[1] = ((mask << d) | (1 << d - 1)) & _WINDOW_MASK if d <= SEQ_WINDOW else 0
+            return
+        d = high - seq
+        if d == 0 or d > SEQ_WINDOW or mask >> d - 1 & 1:
+            self._duplicate_seq += 1
+            return
+        state[1] = mask | 1 << d - 1
+        if seq < low:
+            self._seq_gaps += low - seq - 1
+            state[2] = seq
+        else:
+            self._seq_gaps -= 1
 
     def _write_loop(self) -> None:
         while batch := self._take():
@@ -379,10 +425,7 @@ class Connector:
                     *self.broker_addr, on_disconnect=disconnected.set
                 )
                 self._client = client
-                client.subscribe(
-                    self.wildcard,
-                    lambda s, p, _sid: self.ingest(s, p, now_us()),
-                )
+                client.subscribe(self.wildcard, self.ingest)
             except (OSError, BusError) as exc:
                 logger.warning(
                     "broker connect failed (%s); retrying in %.1fs", exc, backoff

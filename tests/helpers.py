@@ -1,18 +1,21 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
 acceptance tests, the per-row laser rendering the laser table is checked
 against, the row-by-row join ``etl join`` is checked against, the per-row
-rendering ``store query`` output is checked against, and the store batches
-of the crash test's writer."""
+rendering ``store query`` output is checked against, the store batches
+of the crash test's writer, and the publish failure patterns the retry rule
+and the connector's seq counters are checked under."""
 
 import csv
 import io
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from paveharvest import dsp, etl
+from paveharvest.daqsim import EPC, MOISTURE, SCG, TEMPERATURE, Scenario, SensorSpec
 from paveharvest.tsstore import Sample
 
 HOUR = 3_600_000_000
@@ -194,3 +197,33 @@ def crash_batch(seed: int, n: int, size: int = 64) -> list[Sample]:
             ts = rng.randrange(CRASH_WINDOWS) * HOUR + rng.randrange(1, 200)
         batch.append(Sample(sensor, ts, seed * 1e9 + n * 1e3 + i))
     return batch
+
+
+def failure_patterns(n: int = 200):
+    """``(scenario, outcomes)`` pairs: up to four sensors for up to 12 s, and
+    whether each publish attempt, in order, succeeds, at a failure rate of
+    0.1 to 0.9."""
+    kinds = [EPC, SCG, TEMPERATURE, MOISTURE]
+    rng = random.Random(2024)
+    for _ in range(n):
+        scenario = Scenario(
+            site="s", daq="d", seed=rng.randrange(1000), duration_s=rng.randint(1, 12),
+            sensors=[
+                SensorSpec(sensor_id=f"x{i}", kind=rng.choice(kinds), rate_hz=4,
+                           noise_sigma=0.5)
+                for i in range(rng.randint(1, 4))
+            ],
+        )
+        p_fail = rng.choice([0.1, 0.3, 0.6, 0.9])
+        yield scenario, [rng.random() >= p_fail for _ in range(200)]
+
+
+def dropped(caplog):
+    """``(topic, seq)`` of each drop warning logged, in order."""
+    return [
+        (m.group(1), int(m.group(2)))
+        for r in caplog.records
+        if (m := re.fullmatch(
+            r"(\S+): dropping seq (\d+) after repeated publish failure", r.getMessage()
+        ))
+    ]

@@ -277,13 +277,16 @@ def test_c6_daily_volume(tmp_path):
             sent = 0
             for si, subject in enumerate(subjects):
                 n = per_sensor + (1 if si < remainder else 0)
-                for k in range(n):
-                    ts = base + k * step + si  # unique per sensor
-                    payload = b'{"ts":%d,"v":%d.5,"seq":%d,"unit":"kPa"}' % (
-                        ts, k % 97, k + 1,
-                    )
-                    conn.ingest(subject, payload)
-                    sent += 1
+                messages = [
+                    # ts unique per sensor
+                    (subject, b'{"ts":%d,"v":%d.5,"seq":%d,"unit":"kPa"}' % (
+                        base + k * step + si, k % 97, k + 1,
+                    ))
+                    for k in range(n)
+                ]
+                for i in range(0, n, 500):  # runs about the size of a socket read
+                    conn.ingest(messages[i : i + 500])
+                sent += len(messages)
             assert conn.drain(timeout=120)
             metrics = conn.metrics_snapshot()
             stored = store.count()
@@ -341,11 +344,12 @@ def test_c7_broker_routing_oracle():
         lock = threading.Lock()
         done = threading.Semaphore(0)
 
-        def on_msg(subject, payload, sid):
-            who, seq = payload.split(b":")
+        def on_msg(messages):
             with lock:
-                received.setdefault(who, []).append(int(seq))
-            done.release()
+                for _, payload in messages:
+                    who, seq = payload.split(b":")
+                    received.setdefault(who, []).append(int(seq))
+            done.release(len(messages))
 
         with Broker() as broker:
             with BusClient(*broker.address) as sub:

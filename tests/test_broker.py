@@ -207,8 +207,8 @@ def test_publish_subscribe_fanout(broker):
     got = []
     done = threading.Event()
 
-    def on_msg(subject, payload, sid):
-        got.append((str(subject), bytes(payload)))
+    def on_msg(messages):
+        got.extend((str(subject), bytes(payload)) for subject, payload in messages)
         done.set()
 
     with make_client(broker) as sub, make_client(broker) as pub:
@@ -223,8 +223,8 @@ def test_no_crosstalk(broker):
     right = threading.Event()
 
     with make_client(broker) as sub, make_client(broker) as pub:
-        sub.subscribe("site.99.>", lambda s, p, i: wrong.append(str(s)))
-        sub.subscribe("site.65.>", lambda s, p, i: right.set())
+        sub.subscribe("site.99.>", lambda messages: wrong.extend(str(s) for s, _ in messages))
+        sub.subscribe("site.65.>", lambda messages: right.set())
         pub.publish("site.65.s1", b"x")
         assert right.wait(5)
     assert wrong == []
@@ -233,11 +233,11 @@ def test_no_crosstalk(broker):
 def test_unsubscribe_stops_delivery(broker):
     hits = []
     with make_client(broker) as sub, make_client(broker) as pub:
-        sid = sub.subscribe("a.b", lambda s, p, i: hits.append(p))
+        sid = sub.subscribe("a.b", lambda messages: hits.extend(p for _, p in messages))
         sub.unsubscribe(sid)
         pub.publish("a.b", b"1")
         marker = threading.Event()
-        sub.subscribe("marker", lambda s, p, i: marker.set())
+        sub.subscribe("marker", lambda messages: marker.set())
         pub.publish("marker", b"")
         assert marker.wait(5)
     assert hits == []
@@ -250,11 +250,12 @@ def test_order_preserved_per_publisher(broker):
     lock = threading.Lock()
     total = threading.Semaphore(0)
 
-    def on_msg(subject, payload, sid):
-        who, seq = payload.split(b":")
+    def on_msg(messages):
         with lock:
-            received.setdefault(who, []).append(int(seq))
-        total.release()
+            for _, payload in messages:
+                who, seq = payload.split(b":")
+                received.setdefault(who, []).append(int(seq))
+        total.release(len(messages))
 
     with make_client(broker) as sub:
         sub.subscribe("feed.>", on_msg)
@@ -286,10 +287,11 @@ def test_concurrent_sessions_no_duplicates(broker):
     lock = threading.Lock()
     total = threading.Semaphore(0)
 
-    def on_msg(subject, payload, sid):
+    def on_msg(messages):
         with lock:
-            counts[bytes(payload)] = counts.get(bytes(payload), 0) + 1
-        total.release()
+            for _, payload in messages:
+                counts[bytes(payload)] = counts.get(bytes(payload), 0) + 1
+        total.release(len(messages))
 
     n_publishers, n_msgs = 10, 100
     with make_client(broker) as sub:
@@ -318,11 +320,12 @@ def test_fifty_sessions_publish_1k_each():
     lock = threading.Lock()
     done = threading.Semaphore(0)
 
-    def on_msg(subject, payload, sid):
-        who, seq = payload.split(b":")
+    def on_msg(messages):
         with lock:
-            per_publisher.setdefault(who, []).append(int(seq))
-        done.release()
+            for _, payload in messages:
+                who, seq = payload.split(b":")
+                per_publisher.setdefault(who, []).append(int(seq))
+        done.release(len(messages))
 
     with Broker(ping_interval=120.0) as broker:
         with make_client(broker) as sub:
@@ -351,9 +354,10 @@ def test_slow_subscriber_paces_publisher_without_loss():
     got = []
     done = threading.Event()
 
-    def on_msg(subject, payload, sid):
-        time.sleep(0.0005)  # slower than the publisher
-        got.append(int(payload))
+    def on_msg(messages):
+        for _, payload in messages:
+            time.sleep(0.0005)  # slower than the publisher
+            got.append(int(payload))
         if len(got) == n_msg:
             done.set()
 
@@ -471,14 +475,103 @@ def test_keepalive_drops_idle_session():
 
 def test_client_surfaces_broker_error(broker):
     with make_client(broker) as c:
-        c.subscribe("a.b", lambda s, p, i: None)
+        c.subscribe("a.b", lambda messages: None)
         with pytest.raises(BusError):
             # duplicate sid is a protocol error -> -ERR, session dropped
             c._send(wire.Frame(wire.SUB, subject=Subject.parse("x"), sid=1))
-            c.subscribe("c.d", lambda s, p, i: None)
+            c.subscribe("c.d", lambda messages: None)
 
 
 # --- one loop for every session ----------------------------------------------
+
+
+def send_in_pieces(sock, data, rng, pieces=8):
+    """Send ``data`` cut at random points, pausing between pieces so the
+    peer tends to read them apart."""
+    cuts = sorted(rng.sample(range(1, len(data)), min(pieces - 1, len(data) - 1)))
+    for lo, hi in itertools.pairwise([0, *cuts, len(data)]):
+        sock.sendall(data[lo:hi])
+        time.sleep(0.005)
+
+
+@pytest.mark.parametrize("pieces", [1, 3, 40])
+def test_client_delivers_every_msg_before_a_malformed_frame(pieces):
+    """The reader hands each subscription its MSGs in arrival order, in runs
+    of one sid that no other frame splits, and every MSG before a malformed
+    frame reaches its handler before the connection closes."""
+    rng = random.Random(pieces)
+    sent = [(rng.choice([1, 2]), b"m%d" % i) for i in range(60)]
+    frames = [wire.encode_frame(wire.Frame(wire.MSG, subject=Subject.parse("a.b"),
+                                           sid=sid, payload=payload))
+              for sid, payload in sent]
+    frames.insert(30, b"PING\r\n")
+    stream = b"".join(frames) + b"MSG a.b 1 2\r\nhiXY\r\nMSG a.b 1 1\r\nz\r\n"
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    got, calls = [], []
+    closed = threading.Event()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            for _ in range(2):  # ack each SUB
+                assert conn.recv(64).startswith(b"SUB ")
+                conn.sendall(b"+OK\r\n")
+            send_in_pieces(conn, stream, rng, pieces)
+            closed.wait(5)
+
+    def handler(sid):
+        def on_msg(messages):
+            calls.append(len(messages))
+            got.extend((sid, payload) for _, payload in messages)
+        return on_msg
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        client = BusClient(*listener.getsockname(),
+                           on_disconnect=lambda: (got.append("closed"), closed.set()))
+        with client:
+            assert client.subscribe("a.>", handler(1)) == 1
+            assert client.subscribe("b.>", handler(2)) == 2
+            assert closed.wait(5)
+    finally:
+        server.join(5)
+        listener.close()
+    assert got == sent + ["closed"]
+    assert all(calls) and len(calls) <= len(sent)
+    if pieces == 1:  # one read: a call per run of one sid, split once by the PING
+        runs = [len(list(g)) for _, g in itertools.groupby(sid for sid, _ in sent[:30])]
+        runs += [len(list(g)) for _, g in itertools.groupby(sid for sid, _ in sent[30:])]
+        assert calls == runs
+
+
+def test_broker_routes_frames_cut_at_any_read_boundary(broker):
+    """Frames a publisher sends in pieces, some spelled with double spaces,
+    are routed whole and in order; those before a malformed frame all are."""
+    got = []
+    done = threading.Event()
+    payloads = [b"p%d" % i for i in range(50)]
+
+    def on_msg(messages):
+        got.extend(payload for _, payload in messages)
+        if len(got) == len(payloads):
+            done.set()
+
+    frames = [b"PUB  cut.x  %d\r\n%s\r\n" % (len(p), p) if i % 3 else
+              b"PUB cut.x %d\r\n%s\r\n" % (len(p), p) for i, p in enumerate(payloads)]
+    frames.insert(20, b"PING\r\n")
+    stream = b"".join(frames) + b"PUB cut.x 2\r\nhiXY\r\nPUB cut.x 1\r\nz\r\n"
+    with make_client(broker) as sub:
+        sub.subscribe("cut.>", on_msg)
+        with socket.create_connection(broker.address, timeout=5) as pub:
+            send_in_pieces(pub, stream, random.Random(7), pieces=30)
+            reply = b""
+            while chunk := pub.recv(256):
+                reply += chunk
+        assert done.wait(5)
+    assert reply.startswith(b"PONG\r\n-ERR")
+    assert got == payloads
 
 
 def test_broker_runs_one_thread_at_fifty_sessions():
@@ -558,7 +651,7 @@ def test_stats_count_routes_and_evictions():
         }
         with make_client(b) as pub:
             pub.publish("nobody.here", b"x")
-            pub.subscribe("else.where", lambda s, p, i: None)  # acked after the PUB
+            pub.subscribe("else.where", lambda messages: None)  # acked after the PUB
             assert b.stats()["published"] == 1
             assert b.stats()["unrouted"] == 1
             assert b.stats()["delivered"] == 0
@@ -692,8 +785,8 @@ def test_subscriber_that_reads_everything_drops_nothing():
     got = []
     done = threading.Event()
 
-    def on_msg(subject, payload, sid):
-        got.append(int(payload))
+    def on_msg(messages):
+        got.extend(int(payload) for _, payload in messages)
         if len(got) == 500:
             done.set()
 

@@ -119,6 +119,24 @@ def test_from_after_to_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bucket", ["0s", "5x", "-5m"])
+def test_bad_bucket_is_usage_error(tmp_path, capsys, bucket):
+    """A bucket that is not a positive duration is a bad flag value: exit 2,
+    before the store is opened."""
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "store", "query", "--store", str(tmp_path / "db"),
+                "--sensor", "x", f"--bucket={bucket}",
+                "--from", "2020-01-01T00:00:00Z",
+                "--to", "2020-01-02T00:00:00Z",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--bucket" in capsys.readouterr().err
+    assert not (tmp_path / "db").exists()
+
+
 # --- store query ------------------------------------------------------------
 
 

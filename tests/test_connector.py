@@ -2,6 +2,7 @@
 
 import bisect
 import json
+import logging
 import random
 import threading
 import time
@@ -24,9 +25,12 @@ from paveharvest.connector import (
     sensor_key_for,
     transform,
 )
+from paveharvest.daqsim import run_scenario
 from paveharvest.timeutil import now_us
 from paveharvest.tsstore import Store
-from paveharvest.wire import SUBJECT_CACHE_SIZE, SamplePayload, Subject
+from paveharvest.wire import SUBJECT_CACHE_SIZE, SamplePayload, Subject, mqtt_topic_to_subject
+
+from helpers import dropped, failure_patterns
 
 EPC_SUBJ = Subject.parse("site.65.daq.1.sensor.epc3")
 
@@ -135,10 +139,8 @@ def test_metrics_all_zero_without_traffic(tmp_path):
 def test_valid_and_malformed_counting(tmp_path):
     with Store(tmp_path / "db") as store:
         conn = Connector(store).start()
-        for i in range(10):
-            conn.ingest(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1))
-        conn.ingest(EPC_SUBJ, b"{}")
-        conn.ingest(EPC_SUBJ, b"not json")
+        run = [(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1)) for i in range(10)]
+        conn.ingest(run[:4] + [(EPC_SUBJ, b"{}")] + run[4:] + [(EPC_SUBJ, b"not json")])
         assert conn.drain()
         m = conn.metrics_snapshot()
         conn.stop()
@@ -152,8 +154,8 @@ def test_seq_gap_and_duplicate_counting(tmp_path):
     with Store(tmp_path / "db") as store:
         conn = Connector(store).start()
         for seq in (1, 2, 4):
-            conn.ingest(EPC_SUBJ, payload(ts=seq * 1000, seq=seq))
-        conn.ingest(EPC_SUBJ, payload(ts=4000, seq=4))  # retry lookalike
+            conn.ingest([(EPC_SUBJ, payload(ts=seq * 1000, seq=seq))])
+        conn.ingest([(EPC_SUBJ, payload(ts=4000, seq=4))])  # retry lookalike
         assert conn.drain()
         m = conn.metrics_snapshot()
         conn.stop()
@@ -161,11 +163,57 @@ def test_seq_gap_and_duplicate_counting(tmp_path):
     assert m.duplicate_seq == 1
 
 
+def test_late_seqs_fill_gaps_within_the_window(tmp_path):
+    with Store(tmp_path / "db") as store:
+        conn = Connector(store)  # counting only; the writer is not started
+        seqs = [5, 3, 7, 6, 4, 2, 6, 1, 100, 99, 30, 35, 35, 200, 150]
+        conn.ingest([(EPC_SUBJ, payload(ts=seq * 1000, seq=seq)) for seq in seqs])
+        m = conn.metrics_snapshot()
+    # 3, 2 and 1 arrive below the lowest seq and 7 skips 6: 4 and 6 arrive
+    # later and fill what 3 and 7 left; 100 skips 8..99, of which 99 arrives;
+    # 30 and 35 are older than the window below 100, so duplicates, as are
+    # the second 6 and the second 35; 200 skips 101..199, and 150 fills one
+    assert m.seq_gaps == (99 - 8 + 1) - 1 + (199 - 101 + 1) - 1
+    assert m.duplicate_seq == 4
+    assert m.received == m.in_flight == len(seqs)
+
+
+def test_seq_counters_match_the_drops_of_the_retry_rule(tmp_path, caplog):
+    """Under ``run_scenario``'s failure patterns, a retry sent after a newer
+    seq is neither a gap nor a duplicate: the gaps are the seqs dropped with
+    a WARNING between a sensor's lowest and highest seq received. A drop
+    at either end leaves no seq after it, so no counter can see it."""
+    late = edge_drops = 0
+    with Store(tmp_path / "db") as store:
+        for scenario, outcomes in failure_patterns():
+            conn = Connector(store)  # counting only; the writer is not started
+            attempts = iter(outcomes)
+            received: dict[str, list[int]] = {}
+
+            def publish(topic, sample):
+                if not next(attempts):
+                    raise OSError("link down")
+                received.setdefault(topic, []).append(sample.seq)
+                conn.ingest([(mqtt_topic_to_subject(topic), sample.encode())])
+
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="paveharvest.daqsim"):
+                run_scenario(scenario, publish, speedup=10**9)
+            drops = dropped(caplog)
+            inside = [(topic, seq) for topic, seq in drops if topic in received
+                      and min(received[topic]) < seq < max(received[topic])]
+            m = conn.metrics_snapshot()
+            assert (m.seq_gaps, m.duplicate_seq) == (len(inside), 0)
+            late += sum(seqs != sorted(seqs) for seqs in received.values())
+            edge_drops += len(drops) - len(inside)
+    assert late > 50 and edge_drops > 0  # both cases occur
+
+
 def test_skew_clamped_and_counted(tmp_path):
     future = now_us() + 3_600_000_000  # an hour ahead of the wall clock
     with Store(tmp_path / "db") as store:
         conn = Connector(store).start()
-        conn.ingest(EPC_SUBJ, payload(ts=future, seq=1))
+        conn.ingest([(EPC_SUBJ, payload(ts=future, seq=1))])
         assert conn.drain()
         m = conn.metrics_snapshot()
         conn.stop()
@@ -177,12 +225,51 @@ def test_skew_clamped_and_counted(tmp_path):
 def test_queue_overflow_counted(tmp_path):
     with Store(tmp_path / "db") as store:
         conn = Connector(store, queue_cap=5)  # writer not started
-        for i in range(8):
-            conn.ingest(EPC_SUBJ, payload(ts=1 + i, seq=i + 1))
+        conn.ingest([(EPC_SUBJ, payload(ts=1 + i, seq=i + 1)) for i in range(8)])
         m = conn.metrics_snapshot()
         assert m.rejected.get("overflow") == 3
         assert m.received == 8
         assert m.received == m.accepted + m.rejected_total + m.in_flight
+
+
+def test_run_longer_than_the_queue_is_counted_record_by_record(tmp_path):
+    """A run longer than the queue, ingested while the store stalls, is
+    counted as each record is queued or rejected: the counters balance at
+    every snapshot, the queue never passes its cap, and overflow starts
+    only once the writer has taken nothing for the grace."""
+    cap, batch, n = 50, 10, 200
+    release = threading.Event()
+    with Store(tmp_path / "db") as store:
+        insert = store.insert
+
+        def stalled_insert(samples):
+            release.wait(30)
+            return insert(samples)
+
+        store.insert = stalled_insert
+        conn = Connector(store, queue_cap=cap, batch_size=batch).start()
+        run = [(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1)) for i in range(n)]
+        started = time.monotonic()
+        ingest = threading.Thread(target=conn.ingest, args=(run,))
+        ingest.start()
+        snapshots, waiting = [], True
+        while waiting:  # and one snapshot once the run is counted
+            waiting = ingest.is_alive()
+            queued = len(conn._queue)
+            snapshots.append((time.monotonic() - started, queued, conn.metrics_snapshot()))
+            time.sleep(0.005)
+        release.set()
+        ingest.join()
+        assert conn.drain()
+        final = conn.metrics_snapshot()
+        conn.stop()
+    assert [m for _, _, m in snapshots if not conserved(m)] == []
+    assert max(queued for _, queued, _ in snapshots) <= cap
+    overflowed = [t for t, _, m in snapshots if m.rejected.get("overflow")]
+    assert overflowed and overflowed[0] >= SLOW_CONSUMER_GRACE
+    assert len(snapshots) > 100  # snapshots were taken while the run waited
+    assert final.received == n
+    assert (final.accepted, final.rejected) == (cap + batch, {"overflow": n - cap - batch})
 
 
 def test_conservation_holds_while_a_batch_is_inserted(tmp_path):
@@ -196,7 +283,7 @@ def test_conservation_holds_while_a_batch_is_inserted(tmp_path):
         store.insert = slow_insert
         conn = Connector(store).start()
         for i in range(10):
-            conn.ingest(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1))
+            conn.ingest([(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1))])
         snapshots = []
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
@@ -217,7 +304,7 @@ def test_timestamp_beyond_int64_is_one_rejected_store(tmp_path):
     with Store(tmp_path / "db") as store:
         conn = Connector(store)  # started once all three are queued: one batch
         for seq, ts in enumerate((10, 2**63, 20), 1):
-            conn.ingest(EPC_SUBJ, payload(ts=ts, seq=seq))
+            conn.ingest([(EPC_SUBJ, payload(ts=ts, seq=seq))])
         conn.start()
         assert conn.drain()
         m = conn.metrics_snapshot()
@@ -232,7 +319,7 @@ def test_store_failure_counts_rejected_store(tmp_path):
     store = Store(tmp_path / "db")
     store.close()  # writes now fail
     conn = Connector(store).start()
-    conn.ingest(EPC_SUBJ, payload())
+    conn.ingest([(EPC_SUBJ, payload())])
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
         if conn.metrics_snapshot().rejected.get("store"):
@@ -380,15 +467,13 @@ def test_replay_is_idempotent_against_store(tmp_path):
     ]
     with Store(tmp_path / "db") as store:
         conn = Connector(store).start()
-        for subj, data in stream:
-            conn.ingest(subj, data)
+        conn.ingest(stream)
         assert conn.drain()
         conn.stop()
         first = store.query_range("65/1/epc3", 0, 10**9)
 
         conn = Connector(store).start()
-        for subj, data in stream:
-            conn.ingest(subj, data)
+        conn.ingest(stream)
         assert conn.drain()
         m = conn.metrics_snapshot()
         conn.stop()
@@ -459,7 +544,7 @@ def test_stop_against_a_live_broker_is_prompt(tmp_path):
 def test_metrics_http_endpoint(tmp_path):
     with Store(tmp_path / "db") as store:
         conn = Connector(store, metrics_port=0).start()
-        conn.ingest(EPC_SUBJ, payload(seq=1))
+        conn.ingest([(EPC_SUBJ, payload(seq=1))])
         assert conn.drain()
         url = f"http://127.0.0.1:{conn.metrics_port}/metrics"
         body = urllib.request.urlopen(url, timeout=5).read().decode()

@@ -1,8 +1,6 @@
 """DAQ simulator: averaging, determinism and retry semantics."""
 
 import logging
-import random
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +18,8 @@ from paveharvest.daqsim import (
     waveform,
 )
 from paveharvest.timeutil import US_PER_SECOND
+
+from helpers import dropped, failure_patterns
 
 
 def spec_temperature(**kw):
@@ -151,17 +151,6 @@ def test_publish_failure_retries_with_same_seq():
 T1 = "site/s/daq/d/sensor/t1"
 
 
-def dropped(caplog):
-    """``(topic, seq)`` of each drop warning logged, in order."""
-    return [
-        (m.group(1), int(m.group(2)))
-        for r in caplog.records
-        if (m := re.fullmatch(
-            r"(\S+): dropping seq (\d+) after repeated publish failure", r.getMessage()
-        ))
-    ]
-
-
 def test_sustained_outage_drops_oldest_and_leaves_gap(caplog):
     scenario = Scenario(
         site="s", daq="d", duration_s=5,
@@ -263,19 +252,7 @@ def reference_run(scenario, ok):
 
 
 def test_run_scenario_matches_the_reference_rule(caplog):
-    kinds = [EPC, SCG, TEMPERATURE, MOISTURE]
-    rng = random.Random(2024)
-    for _ in range(200):
-        scenario = Scenario(
-            site="s", daq="d", seed=rng.randrange(1000), duration_s=rng.randint(1, 12),
-            sensors=[
-                SensorSpec(sensor_id=f"x{i}", kind=rng.choice(kinds), rate_hz=4,
-                           noise_sigma=0.5)
-                for i in range(rng.randint(1, 4))
-            ],
-        )
-        p_fail = rng.choice([0.1, 0.3, 0.6, 0.9])
-        outcomes = [rng.random() >= p_fail for _ in range(200)]
+    for scenario, outcomes in failure_patterns():
         want = reference_run(scenario, outcomes.__getitem__)
 
         attempts, published = [], []

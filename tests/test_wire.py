@@ -163,6 +163,110 @@ def test_frame_parse_leaves_trailing_bytes(frame, extra):
         assert type(got.payload) is bytes
 
 
+# --- read-at-a-time parsing ----------------------------------------------------
+
+PARITY_MAX_PAYLOAD = 64  # frames_strategy payloads fit; the oversize items do not
+
+
+@st.composite
+def wire_streams(draw):
+    """Encoded frames of every kind, some spelled with double spaces, and
+    at times a malformed item: a payload over the maximum or one that is
+    not CRLF-terminated."""
+    items = []
+    for _ in range(draw(st.integers(0, 8))):
+        raw = encode_frame(draw(frames_strategy()))
+        if draw(st.booleans()):
+            line, crlf, rest = raw.partition(b"\r\n")
+            raw = line.replace(b" ", b"  ") + crlf + rest
+        items.append(raw)
+    bad = draw(st.sampled_from([
+        None,
+        b"PUB a.b %d\r\n" % draw(st.integers(PARITY_MAX_PAYLOAD + 1, 10**6)),
+        b"MSG a.b 1 2\r\nhiXY\r\n",
+        b"PUB  a.b  2\r\nhi\n",
+    ]))
+    if bad is not None:
+        items.insert(draw(st.integers(0, len(items))), bad)
+    return b"".join(items)
+
+
+def parse_frame_at_a_time(stream):
+    """The frames of ``stream`` by one ``parse_frame`` per frame over the
+    rest of the stream, without the PUB/MSG line match; the bytes left or
+    the error that ended the parse."""
+    frames = []
+    with mock.patch.object(wire, "_PUB_MSG_LINE", re.compile(rb"(?!)")):
+        while True:
+            try:
+                got = parse_frame(stream, PARITY_MAX_PAYLOAD)
+            except MalformedFrame as exc:
+                return frames, (type(exc), str(exc))
+            if got is None:
+                return frames, stream
+            frame, used = got
+            frames.append(frame)
+            stream = stream[used:]
+
+
+def parse_read_at_a_time(stream, cuts):
+    """The frames of ``stream`` as a reader that receives it in pieces
+    ending at ``cuts`` would take them: an offset walks each read's
+    buffer, which is cut once per read."""
+    frames, buf = [], b""
+    for lo, hi in itertools.pairwise([0, *sorted(set(cuts)), len(stream)]):
+        buf = buf + stream[lo:hi] if buf else stream[lo:hi]
+        pos = 0
+        try:
+            while (got := parse_frame(buf, PARITY_MAX_PAYLOAD, pos)) is not None:
+                frame, pos = got
+                frames.append(frame)
+        except MalformedFrame as exc:
+            return frames, (type(exc), str(exc))
+        buf = buf[pos:]
+    return frames, buf
+
+
+@settings(max_examples=200, deadline=None)
+@given(wire_streams(), st.data())
+def test_read_at_a_time_parse_matches_frame_at_a_time(stream, data):
+    """Cut anywhere, a stream yields the frames, the error at the same
+    frame, and the leftover bytes of the general parse, frame by frame."""
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=12))
+    assert parse_read_at_a_time(stream, cuts) == parse_frame_at_a_time(stream)
+
+
+def test_control_line_bound_counts_from_the_start_offset():
+    """The bound on a line without CRLF counts the bytes from ``start`` on,
+    as it counts a buffer that starts at the frame."""
+    done = b"PING\r\n" * 1000  # frames already walked past
+    assert parse_frame(done + b"PUB a.b", start=len(done)) is None
+    assert parse_frame(done + b"x" * wire.MAX_CONTROL_LINE, start=len(done)) is None
+    with pytest.raises(MalformedFrame, match="too long"):
+        parse_frame(done + b"x" * (wire.MAX_CONTROL_LINE + 1), start=len(done))
+
+
+@pytest.mark.parametrize("line", [
+    b"PUB a.b 2", b"MSG a.b 7 2", b"PUB a.b 02", b"MSG a.b 007 2", b"PUB a.b 1 2",
+    b"MSG a.b 2", b"PUB a.b -2", b"PUB a.* 2", b"PUB a..b 2", b"PUB \xff 2",
+    b"PUB a.b 2 ", b" PUB a.b 2", b"PUB\ta.b 2", b"PUBX a.b 2", b"pub a.b 2",
+    b"MSG a.b x 2", b"PUB a.b 2x", b"PUB a.b 99",
+])
+def test_pub_msg_line_match_is_the_general_grammar(line):
+    """Where the line match applies, it gives the general parse's result."""
+    raw = line + b"\r\nhi\r\n"
+
+    def outcome():
+        try:
+            return parse_frame(raw, PARITY_MAX_PAYLOAD)
+        except MalformedFrame as exc:
+            return type(exc), str(exc)
+
+    fast = outcome()
+    with mock.patch.object(wire, "_PUB_MSG_LINE", re.compile(rb"(?!)")):
+        assert outcome() == fast
+
+
 # --- the subject intern ------------------------------------------------------
 
 
