@@ -8,16 +8,16 @@ belongs to the store, not the bus.
 One thread runs a ``selectors`` loop over the listener and every session,
 so no state is shared between threads. The frames one read completes are
 parsed in one walk of an offset, and the input buffer is cut once per
-read. Each session keeps the encoded
-frames it has not yet sent and writes them with one ``send`` per writable
-event. A session whose frames land in a peer already holding
-``queue_frames`` pending frames is not read again until that peer drains
-to half of that, so TCP pushes back on publishers; the peer may be the
-session itself, for its own ``+OK`` and ``PONG`` replies. A peer that
-holds a session back, or sits at the bound, and drains nothing for
-``SLOW_CONSUMER_GRACE`` seconds is evicted as a slow consumer. SUB/UNSUB
-are acknowledged with ``+OK`` so clients can synchronize on subscription
-visibility.
+read; a frame that arrives over many reads is appended to in place. Each
+session keeps the encoded frames it has not yet sent and writes them with
+one ``send`` per writable event. A session whose frames land in a peer
+already holding ``queue_frames`` pending frames is not read again until
+that peer drains to half of that, so TCP pushes back on publishers; the
+peer may be the session itself, for its own ``+OK`` and ``PONG`` replies.
+A peer that holds a session back, or sits at the bound, and drains
+nothing for ``SLOW_CONSUMER_GRACE`` seconds is evicted as a slow
+consumer. SUB/UNSUB are acknowledged with ``+OK`` so clients can
+synchronize on subscription visibility.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class _Session:
         self.sock = sock
         self.alive = True
         self.closing = False  # sends what is pending, then closes
-        self.inbuf = b""  # received bytes not yet parsed, from a frame boundary
+        self.inbuf: bytes | bytearray = b""  # not yet parsed, from a frame boundary
         self.out: list[bytes] = []  # encoded frames not yet sent
         self.cut = False  # out[0] is the rest of a frame partly sent
         self.events = 0  # selector events registered for ``sock``
@@ -317,7 +317,7 @@ class Broker:
         if not chunk:
             self._close(session)
             return
-        session.inbuf = session.inbuf + chunk if session.inbuf else chunk
+        session.inbuf += chunk
         session.last_activity = time.monotonic()
         session.pinged = False
         self._parse(session)
@@ -339,7 +339,7 @@ class Broker:
                 break
             frame, pos = got
             self._dispatch(session, frame)
-        session.inbuf = buf[pos:]
+        session.inbuf = wire.unparsed(buf, pos)
         self._reading = None
         self._watch(session)
 

@@ -102,11 +102,11 @@ class BusClient:
     # -- receiving -------------------------------------------------------------
 
     def _read_loop(self) -> None:
-        buf = b""  # received bytes not yet parsed, from a frame boundary
+        buf: bytes | bytearray = b""  # not yet parsed, from a frame boundary
         try:
             while chunk := self._sock.recv(65536):
-                buf = buf + chunk if buf else chunk
-                buf = buf[self._parse(buf) :]
+                buf += chunk
+                buf = wire.unparsed(buf, self._parse(buf))
         except (OSError, wire.MalformedFrame) as exc:
             if not self._closed.is_set():
                 logger.debug("bus reader stopped: %s", exc)
@@ -116,7 +116,7 @@ class BusClient:
             if self.on_disconnect is not None:
                 self.on_disconnect()
 
-    def _parse(self, buf: bytes) -> int:
+    def _parse(self, buf: bytes | bytearray) -> int:
         """Handle every complete frame in ``buf``, in order; returns the
         offset past the last one. A malformed frame raises once the MSGs
         before it have reached their handlers."""

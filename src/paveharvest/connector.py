@@ -244,12 +244,12 @@ class Connector:
         Each message is transformed on its own, stamped with one receive
         time for the run; the run is then counted and queued under one
         hold of the lock, with one wake of the writer. While the handoff
-        is full this waits for the writer to take a batch. Only once the writer has taken nothing for
-        ``SLOW_CONSUMER_GRACE`` (the broker's own eviction grace) is a
-        record counted as overflow, so a stalled store shows up as counted
-        loss before the broker would evict the connector. Each record is
-        counted as it is queued or rejected, so the counters balance at
-        every snapshot, also while a long run waits.
+        is full this waits for the writer to take a batch. Only once the
+        writer has taken nothing for ``SLOW_CONSUMER_GRACE`` (the broker's
+        own eviction grace) is a record counted as overflow, so a stalled
+        store shows up as counted loss before the broker would evict the
+        connector. Each record is counted as it is queued or rejected, so
+        the counters balance at every snapshot, also while a long run waits.
         """
         recv_wall_us = now_us()
         records: list[StoreRecord | str] = []  # a record, or why it was rejected

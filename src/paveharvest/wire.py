@@ -217,12 +217,6 @@ def _parse_subject(token: bytes, concrete: bool) -> Subject:
         raise MalformedFrame(str(exc)) from exc
 
 
-#: A PUB or MSG control line written as ``encode_frame`` writes it. Every
-#: line it matches splits into the same fields as the general parse, which
-#: takes any other line, so this only saves the split.
-_PUB_MSG_LINE = re.compile(rb"(?:PUB (\S+)|MSG (\S+) ([0-9]+)) ([0-9]+)\r\n")
-
-
 def parse_frame(
     buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLOAD, start: int = 0
 ) -> tuple[Frame, int] | None:
@@ -236,68 +230,75 @@ def parse_frame(
     """
     # Search and slice in place: the buffer can hold many frames.
     data = bytes(buf) if isinstance(buf, memoryview) else buf
-    m = _PUB_MSG_LINE.match(data, start)
-    if m is not None:
-        pub_subject, msg_subject, sid, length = m.groups()
-        if pub_subject is not None:
-            kind, subject = PUB, _parse_subject(pub_subject, True)
-        else:
-            kind, subject, sid = MSG, _parse_subject(msg_subject, True), int(sid)
-        length = int(length)
-        consumed = m.end()
-    else:
-        eol = data.find(CRLF, start)
-        if eol < 0:
-            if len(data) - start > MAX_CONTROL_LINE:
-                raise MalformedFrame("control line too long")
-            return None
-        line = bytes(data[start:eol])
-        consumed = eol + 2
+    eol = data.find(CRLF, start)
+    if eol < 0:
+        if len(data) - start > MAX_CONTROL_LINE:
+            raise MalformedFrame("control line too long")
+        return None
+    line = bytes(data[start:eol])
+    consumed = eol + 2
+    parts = line.split()
+    verb = parts[0] if parts else b""
 
-        if line == b"PING":
-            return Frame(PING), consumed
-        if line == b"PONG":
-            return Frame(PONG), consumed
-        if line == b"+OK":
-            return Frame(OK), consumed
-        if line == b"-ERR" or line.startswith(b"-ERR "):
-            text = line[5:].decode("utf-8", "replace")
-            return Frame(ERR, message=text), consumed
-
-        parts = line.split()
-        if not parts:
-            raise MalformedFrame("empty control line")
-        verb = parts[0]
-
-        if verb == b"SUB":
-            if len(parts) != 3:
-                raise MalformedFrame("SUB expects 2 arguments")
-            subject = _parse_subject(parts[1], False)
-            return Frame(SUB, subject=subject, sid=_parse_int(parts[2], "sid")), consumed
-        if verb == b"UNSUB":
-            if len(parts) != 2:
-                raise MalformedFrame("UNSUB expects 1 argument")
-            return Frame(UNSUB, sid=_parse_int(parts[1], "sid")), consumed
-        if verb not in (b"PUB", b"MSG"):
-            raise MalformedFrame(f"unknown verb: {verb!r}")
-
+    # PUB and MSG first: they are nearly every frame. No line they take is
+    # one of the fixed lines below.
+    if verb == b"MSG" or verb == b"PUB":
         want = 3 if verb == b"PUB" else 4
         if len(parts) != want:
             raise MalformedFrame(f"{verb.decode()} expects {want - 1} arguments")
-        kind = PUB if verb == b"PUB" else MSG
         subject = _parse_subject(parts[1], True)
-        sid = _parse_int(parts[2], "sid") if kind == MSG else None
+        sid = _parse_int(parts[2], "sid") if verb == b"MSG" else None
         length = _parse_int(parts[-1], "payload length")
+        if length > max_payload:
+            raise PayloadTooLarge(f"payload of {length} bytes exceeds {max_payload}")
+        end = consumed + length + 2
+        if len(data) < end:
+            return None
+        payload = bytes(data[consumed : consumed + length])
+        if data[consumed + length : end] != CRLF:
+            raise MalformedFrame("payload not CRLF-terminated")
+        kind = PUB if verb == b"PUB" else MSG
+        return Frame(kind, subject, sid, payload), end
 
-    if length > max_payload:
-        raise PayloadTooLarge(f"payload of {length} bytes exceeds {max_payload}")
-    end = consumed + length + 2
-    if len(data) < end:
-        return None
-    if data[end - 2 : end] != CRLF:
-        raise MalformedFrame("payload not CRLF-terminated")
-    payload = bytes(data[consumed : end - 2])
-    return Frame(kind, subject=subject, sid=sid, payload=payload), end
+    if line == b"PING":
+        return Frame(PING), consumed
+    if line == b"PONG":
+        return Frame(PONG), consumed
+    if line == b"+OK":
+        return Frame(OK), consumed
+    if line == b"-ERR" or line.startswith(b"-ERR "):
+        text = line[5:].decode("utf-8", "replace")
+        return Frame(ERR, message=text), consumed
+
+    if not parts:
+        raise MalformedFrame("empty control line")
+
+    if verb == b"SUB":
+        if len(parts) != 3:
+            raise MalformedFrame("SUB expects 2 arguments")
+        subject = _parse_subject(parts[1], False)
+        return Frame(SUB, subject=subject, sid=_parse_int(parts[2], "sid")), consumed
+
+    if verb == b"UNSUB":
+        if len(parts) != 2:
+            raise MalformedFrame("UNSUB expects 1 argument")
+        return Frame(UNSUB, sid=_parse_int(parts[1], "sid")), consumed
+
+    raise MalformedFrame(f"unknown verb: {verb!r}")
+
+
+def unparsed(buf: bytes | bytearray, end: int) -> bytes | bytearray:
+    """The bytes of ``buf`` from offset ``end`` on, for a reader that
+    appends its next read to them with ``+=``.
+
+    Where ``end`` is 0, no frame was taken from the buffer since the last
+    read. The bytes are then kept as a ``bytearray``, so a frame that
+    arrives over many reads is appended in place rather than copied whole
+    on each read.
+    """
+    if end or not buf:
+        return bytes(buf[end:])
+    return buf if isinstance(buf, bytearray) else bytearray(buf)
 
 
 @dataclass

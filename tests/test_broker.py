@@ -574,6 +574,55 @@ def test_broker_routes_frames_cut_at_any_read_boundary(broker):
     assert got == payloads
 
 
+def session_buffering(broker, n, timeout=5.0):
+    """The broker session that holds ``n`` unparsed bytes, once one does."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for session in list(broker._sessions.values()):
+            if len(session.inbuf) == n:
+                return session
+        time.sleep(0.005)
+    raise AssertionError(f"no session holds {n} unparsed bytes")
+
+
+def test_max_payload_in_small_pieces_is_gathered_in_place(broker):
+    """A PUB of the largest payload, sent in segment-sized pieces, grows one
+    buffer in place at the broker while it is incomplete. Meanwhile the
+    loop answers another session's PING, and the message is routed whole."""
+    payload = bytes(range(256)) * (wire.MAX_PAYLOAD // 256)
+    stream = b"PUB big.x %d\r\n%s\r\n" % (len(payload), payload)
+    got = []
+    done = threading.Event()
+
+    def on_msg(messages):
+        got.extend(p for _, p in messages)
+        done.set()
+
+    with make_client(broker) as sub, socket.create_connection(broker.address, timeout=5) as pub, \
+            socket.create_connection(broker.address, timeout=5) as pinger:
+        sub.subscribe("big.>", on_msg)
+        pub.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sent = 0
+        for piece in (1460, 1460):  # the second read finds the first one's buffer
+            pub.sendall(stream[sent : sent + piece])
+            sent += piece
+            session_buffering(broker, sent)
+        held = session_buffering(broker, sent).inbuf
+        while sent < len(stream) // 2:
+            pub.sendall(stream[sent : sent + 1460])
+            sent += 1460
+        assert session_buffering(broker, sent).inbuf is held
+        started = time.monotonic()
+        pinger.sendall(b"PING\r\n")
+        assert pinger.recv(64) == b"PONG\r\n"
+        assert time.monotonic() - started < 1.0
+        while sent < len(stream):
+            pub.sendall(stream[sent : sent + 1460])
+            sent += 1460
+        assert done.wait(5)
+    assert got == [payload]
+
+
 def test_broker_runs_one_thread_at_fifty_sessions():
     before = set(threading.enumerate())
     b = Broker(ping_interval=60.0).start()
