@@ -110,8 +110,9 @@ def _sensor_key(raw: bytes) -> str:
     return f"{toks[1]}/{toks[3]}/{toks[5]}"
 
 
-def transform(subject: Subject, payload: bytes, recv_wall_us: int | None = None) -> StoreRecord:
-    """Validate a delivered message and map it onto a store record."""
+def transform(subject: Subject, payload: bytes, recv_wall_us: int) -> StoreRecord:
+    """Validate a delivered message and map it onto a store record
+    received at ``recv_wall_us``."""
     key = sensor_key_for(subject)
     try:
         sample = wire.decode_sample(payload)
@@ -119,8 +120,6 @@ def transform(subject: Subject, payload: bytes, recv_wall_us: int | None = None)
         raise RejectMalformed(str(exc)) from exc
     if not math.isfinite(sample.v):
         raise RejectNonFinite(f"non-finite value for {key}")
-    if recv_wall_us is None:
-        recv_wall_us = now_us()
     return StoreRecord(key, sample.ts, sample.v, sample.seq, recv_wall_us)
 
 
@@ -188,9 +187,18 @@ def render_metrics_text(m: IngestMetrics) -> str:
 class Connector:
     """Runnable transform connector.
 
-    ``start()`` begins consuming from the broker (with reconnect and
-    resubscribe on failure) and draining into the store. For replay-style
-    use, ``ingest()`` can be called directly without a broker.
+    ``start()`` starts the writer thread, which drains records into the
+    store. With a broker address the writer also owns the subscription:
+    whenever nothing is queued and no subscription is live (at start, or
+    once the client's connection is lost) it connects and subscribes, with
+    backoff, and then goes back to writing, since records come only from
+    the bus. The bus client's reader thread calls ``ingest``, so a
+    connected connector runs these two threads.
+
+    For replay-style use, ``ingest()`` is called directly on a connector
+    without a broker address. On one with a broker address, records handed
+    to a direct ``ingest()`` during an outage wait until the writer has
+    subscribed again, and a full queue holds the caller back.
     """
 
     def __init__(
@@ -200,7 +208,6 @@ class Connector:
         wildcard: str = DEFAULT_WILDCARD,
         batch_size: int = DEFAULT_BATCH_SIZE,
         queue_cap: int = DEFAULT_QUEUE_CAP,
-        backoff_base_s: float = BACKOFF_BASE_S,
         metrics_port: int | None = None,
         on_insert=None,
     ):
@@ -208,7 +215,6 @@ class Connector:
         self.broker_addr = broker_addr
         self.wildcard = wildcard
         self.batch_size = batch_size
-        self.backoff_base_s = backoff_base_s
         self.on_insert = on_insert
         self._queue: list[StoreRecord] = []  # records for the writer; under _mlock
         self._queue_cap = queue_cap
@@ -228,8 +234,9 @@ class Connector:
         self._stop = threading.Event()
         self._ready = threading.Event()
         self._writer: threading.Thread | None = None
-        self._consumer: threading.Thread | None = None
         self._client: BusClient | None = None
+        self._lost = threading.Event()  # set once no reader can call ingest
+        self._lost.set()
         self._http: ThreadingHTTPServer | None = None
         self.metrics_port: int | None = None
         if metrics_port is not None:
@@ -321,14 +328,21 @@ class Connector:
             self._seq_gaps -= 1
 
     def _write_loop(self) -> None:
-        while batch := self._take():
-            self._insert(batch)
+        while (batch := self._take()) or not self._stop.is_set():
+            if batch:
+                self._insert(batch)
+            else:
+                self._subscribe()
 
     def _take(self) -> list[StoreRecord]:
-        """Wait for records, then take up to ``batch_size`` of them at once;
-        an empty batch once stopped and drained."""
+        """Wait for records, then take up to ``batch_size`` of them at once.
+
+        An empty batch means nothing is queued and no reader is live: the
+        writer then subscribes or, once stopped, ends."""
         with self._cond:
-            while not self._queue and not self._stop.is_set():
+            while not self._queue and not (
+                self._lost.is_set() and (self._stop.is_set() or self.broker_addr is not None)
+            ):
                 self._cond.wait()
             batch = self._queue[: self.batch_size]
             del self._queue[: self.batch_size]
@@ -392,7 +406,7 @@ class Connector:
             )
 
     def wait_ready(self, timeout: float = 10.0) -> bool:
-        """Block until the wildcard subscription is live."""
+        """Block until the broker has acknowledged the wildcard SUB."""
         return self._ready.wait(timeout)
 
     def drain(self, timeout: float = 30.0) -> bool:
@@ -402,63 +416,68 @@ class Connector:
                 lambda: not self._queue and not self._inserting, timeout
             )
 
-    # -- consumer ------------------------------------------------------------
+    # -- subscription --------------------------------------------------------
 
     def start(self) -> "Connector":
+        """Start the writer and return at once; with a broker address the
+        writer subscribes before it writes (see ``wait_ready``)."""
         self._writer = threading.Thread(
             target=self._write_loop, name="connector-writer", daemon=True
         )
         self._writer.start()
-        if self.broker_addr is not None:
-            self._consumer = threading.Thread(
-                target=self._consume_loop, name="connector-consumer", daemon=True
-            )
-            self._consumer.start()
         return self
 
-    def _consume_loop(self) -> None:
-        backoff = self.backoff_base_s
+    def _subscribe(self) -> None:
+        """Connect and subscribe, retrying with backoff, until subscribed
+        or stopped."""
+        backoff = BACKOFF_BASE_S
+        if self._ready.is_set():
+            self._ready.clear()
+            logger.warning("broker connection lost; reconnecting")
+            if self._stop.wait(backoff):
+                return
         while not self._stop.is_set():
-            disconnected = threading.Event()
+            client, lost = None, threading.Event()
             try:
                 client = BusClient(
-                    *self.broker_addr, on_disconnect=disconnected.set
+                    *self.broker_addr, on_disconnect=functools.partial(self._on_lost, lost)
                 )
-                self._client = client
-                client.subscribe(self.wildcard, self.ingest)
+                self._client, self._lost = client, lost
+                # a stop() that read self._client before it was stored ends here
+                if not self._stop.is_set():
+                    client.subscribe(self.wildcard, self.ingest)
+                    logger.info("subscribed to %s", self.wildcard)
+                    self._ready.set()
+                    return
             except (OSError, BusError) as exc:
                 logger.warning(
                     "broker connect failed (%s); retrying in %.1fs", exc, backoff
                 )
-                if self._stop.wait(backoff):
-                    return
-                backoff = min(backoff * 2, BACKOFF_CAP_S)
-                continue
-            logger.info("subscribed to %s", self.wildcard)
-            backoff = self.backoff_base_s
-            self._ready.set()
-            # stop() closes self._client, which ends the reader and sets
-            # `disconnected`; a stop that read self._client before this
-            # client was stored is caught by the check.
-            if not self._stop.is_set():
-                disconnected.wait()
-            self._ready.clear()
-            client.close()
-            if not self._stop.is_set():
-                logger.warning("broker connection lost; reconnecting")
-                if self._stop.wait(self.backoff_base_s):
-                    return
+            if client is not None:
+                client.close()
+            if self._stop.wait(backoff):
+                return
+            backoff = min(backoff * 2, BACKOFF_CAP_S)
+
+    def _on_lost(self, lost: threading.Event) -> None:
+        """A client's reader has ended; wake the writer. Each client sets
+        its own event, so a late one from a client given up on starts no
+        second subscription."""
+        lost.set()
+        with self._cond:
+            self._cond.notify_all()
 
     def stop(self) -> None:
+        """Close the live client, store or reject everything its reader
+        handed over, then end the writer."""
         self._stop.set()
         if self._client is not None:
-            self._client.close()
-        if self._consumer is not None:
-            self._consumer.join(timeout=5)
+            self._client.close()  # its reader ends, then the writer drains
         with self._cond:
-            self._cond.notify_all()  # the writer drains what is left, then exits
+            self._cond.notify_all()
         if self._writer is not None:
             self._writer.join(timeout=10)
+        self._ready.clear()
         if self._http is not None:
             self._http.shutdown()
             self._http.server_close()

@@ -4,6 +4,8 @@ import bisect
 import json
 import logging
 import random
+import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -56,6 +58,30 @@ def publish_sensors(address, n, sensors=16):
     return n
 
 
+def free_port():
+    """A local port where nothing listens, for now."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def threads_since(before, wait_s=0.0):
+    """Names of the live threads started since the snapshot ``before``, but
+    a broker's: the connector's, and the bus reader of its client. With
+    ``wait_s``, each is first given that long to end."""
+    started = [t for t in threading.enumerate() if t not in before and t.name != "broker"]
+    for t in started:
+        t.join(wait_s)
+    return sorted(t.name for t in started if t.is_alive())
+
+
+def wait_logged(caplog, text, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while text not in caplog.text and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return text in caplog.text
+
+
 def wait_received(conn, n, timeout=30.0):
     deadline = time.monotonic() + timeout
     while conn.metrics_snapshot().received < n and time.monotonic() < deadline:
@@ -76,20 +102,20 @@ def test_transform_field_mapping():
 
 def test_transform_rejects_empty_object():
     with pytest.raises(RejectMalformed):
-        transform(EPC_SUBJ, b"{}")
+        transform(EPC_SUBJ, b"{}", 42)
 
 
 def test_transform_rejects_nonfinite():
     with pytest.raises(RejectNonFinite):
-        transform(EPC_SUBJ, b'{"ts":1,"v":NaN,"seq":1,"unit":"kPa"}')
+        transform(EPC_SUBJ, b'{"ts":1,"v":NaN,"seq":1,"unit":"kPa"}', 42)
     with pytest.raises(RejectNonFinite):
-        transform(EPC_SUBJ, b'{"ts":1,"v":Infinity,"seq":1,"unit":"kPa"}')
+        transform(EPC_SUBJ, b'{"ts":1,"v":Infinity,"seq":1,"unit":"kPa"}', 42)
 
 
 def test_transform_rejects_bad_subject_shape():
     for text in ("site.65.daq.1.sensor", "a.b.c.d.e.f", "site.65.x.1.sensor.epc3"):
         with pytest.raises(RejectBadSubject):
-            transform(Subject.parse(text), payload())
+            transform(Subject.parse(text), payload(), 42)
 
 
 def test_sensor_key_is_cached_per_subject_and_a_bad_one_raises_on_repeat():
@@ -482,13 +508,12 @@ def test_replay_is_idempotent_against_store(tmp_path):
     assert m.accepted == 50  # duplicates still count as stored
 
 
-def test_reconnects_after_broker_restart(tmp_path):
+def test_reconnects_after_broker_restart(tmp_path, monkeypatch):
+    monkeypatch.setattr(connector_mod, "BACKOFF_BASE_S", 0.1)
     broker = Broker().start()
     port = broker.port
     with Store(tmp_path / "db") as store:
-        conn = Connector(
-            store, broker_addr=("127.0.0.1", port), backoff_base_s=0.1
-        ).start()
+        conn = Connector(store, broker_addr=("127.0.0.1", port)).start()
         deadline = time.monotonic() + 5
         while conn._client is None and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -518,24 +543,160 @@ def test_reconnects_after_broker_restart(tmp_path):
 
 
 def test_stop_against_a_live_broker_is_prompt(tmp_path):
-    """stop() ends the consumer at once, not at its next poll, also when it
-    races the connect."""
+    """stop() ends the writer and the client's reader at once, not at a next
+    poll, also when it races the connect."""
     with Broker().start() as broker, Store(tmp_path / "db") as store:
         took = []
         for _ in range(5):
+            before = set(threading.enumerate())
             conn = Connector(store, broker_addr=broker.address).start()
             assert conn.wait_ready()
             t = time.monotonic()
             conn.stop()
             took.append(time.monotonic() - t)
-            assert not conn._consumer.is_alive()
+            assert not conn.wait_ready(0)
+            assert threads_since(before, wait_s=1.0) == []
         assert max(took) < 0.05, took
         for _ in range(5):
+            before = set(threading.enumerate())
             conn = Connector(store, broker_addr=broker.address).start()
             t = time.monotonic()
             conn.stop()
             assert time.monotonic() - t < 1.0
-            assert not conn._consumer.is_alive()
+            assert threads_since(before, wait_s=1.0) == []
+
+
+def test_stop_stores_the_run_the_reader_is_ingesting(tmp_path, monkeypatch):
+    """stop() closes the client, and the writer ends only after the reader
+    has handed over the run it was transforming and that run is stored."""
+    entered, release = threading.Event(), threading.Event()
+    transform_now = connector_mod.transform
+
+    def held_transform(*args):
+        entered.set()
+        release.wait(10)
+        return transform_now(*args)
+
+    with Broker().start() as broker, Store(tmp_path / "db") as store:
+        conn = Connector(store, broker_addr=broker.address).start()
+        assert conn.wait_ready()
+        monkeypatch.setattr(connector_mod, "transform", held_transform)
+        with BusClient(*broker.address) as pub:
+            pub.publish(EPC_SUBJ, payload(seq=1))
+        assert entered.wait(10)
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        conn.stop()
+        m = conn.metrics_snapshot()
+        timer.join(5)
+        assert store.count() == 1
+    assert m.received == m.accepted == 1
+    assert m.in_flight == 0
+
+
+def test_stop_while_records_arrive_leaves_nothing_in_flight(tmp_path):
+    """stop() closes the client before the writer drains, so once it
+    returns every record received is stored or rejected and no thread of
+    the connector is left, under a short switch interval too."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    connected, done = threading.Event(), threading.Event()
+    with Broker().start() as broker, Store(tmp_path / "db") as store:
+
+        def publish():
+            with BusClient(*broker.address) as pub:
+                connected.set()
+                seq = 0
+                while not done.is_set():
+                    seq += 1
+                    pub.publish(EPC_SUBJ, payload(ts=seq, seq=seq))
+
+        publisher = threading.Thread(target=publish, daemon=True)
+        publisher.start()
+        try:
+            assert connected.wait(10)
+            rng = random.Random(11)
+            received = 0
+            for _ in range(10):
+                before = set(threading.enumerate())
+                conn = Connector(store, broker_addr=broker.address, batch_size=50).start()
+                assert conn.wait_ready()
+                time.sleep(rng.uniform(0, 0.02))
+                conn.stop()
+                m = conn.metrics_snapshot()
+                assert m.in_flight == 0
+                assert m.received == m.accepted + m.rejected_total
+                received += m.received
+                assert threads_since(before, wait_s=1.0) == []
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            publisher.join(10)
+    assert not publisher.is_alive()
+    assert received > 0
+
+
+def test_subscribes_once_a_broker_comes_up(tmp_path, caplog):
+    """A connector started before its broker retries with backoff, then
+    subscribes and stores what is published."""
+    caplog.set_level(logging.WARNING, logger="paveharvest.connector")
+    port = free_port()
+    with Store(tmp_path / "db") as store:
+        conn = Connector(store, broker_addr=("127.0.0.1", port)).start()
+        try:
+            assert wait_logged(caplog, "broker connect failed")
+            assert not conn.wait_ready(0)
+            with Broker(port=port).start() as broker:
+                assert conn.wait_ready(timeout=10)
+                with BusClient(*broker.address) as pub:
+                    pub.publish(EPC_SUBJ, payload(seq=1))
+                wait_received(conn, 1, timeout=10)
+                assert conn.drain()
+        finally:
+            conn.stop()
+        assert store.count() == 1
+    assert conn.metrics_snapshot().accepted == 1
+
+
+def test_stop_while_waiting_for_a_broker_is_prompt(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="paveharvest.connector")
+    with Store(tmp_path / "db") as store:
+        before = set(threading.enumerate())
+        conn = Connector(store, broker_addr=("127.0.0.1", free_port())).start()
+        assert wait_logged(caplog, "broker connect failed")
+        t = time.monotonic()
+        conn.stop()
+        assert time.monotonic() - t < 1.0
+        assert threads_since(before) == []
+
+
+def test_a_connected_connector_runs_a_writer_and_a_bus_reader(tmp_path, monkeypatch):
+    """Two threads while connected, the same two after a broker restart, and
+    none after stop()."""
+    monkeypatch.setattr(connector_mod, "BACKOFF_BASE_S", 0.1)
+    broker = Broker().start()
+    port = broker.port
+    try:
+        with Store(tmp_path / "db") as store:
+            before = set(threading.enumerate())
+            conn = Connector(store, broker_addr=("127.0.0.1", port)).start()
+            try:
+                assert conn.wait_ready()
+                assert threads_since(before) == ["bus-reader", "connector-writer"]
+                first = conn._client
+                broker.stop()
+                first._reader.join(5)  # the loss is seen before the broker is back
+                broker = Broker(port=port).start()
+                deadline = time.monotonic() + 10
+                while conn._client is first and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert conn.wait_ready()
+                assert threads_since(before) == ["bus-reader", "connector-writer"]
+            finally:
+                conn.stop()
+            assert threads_since(before, wait_s=1.0) == []
+    finally:
+        broker.stop()
 
 
 # --- metrics endpoint --------------------------------------------------------
