@@ -324,12 +324,16 @@ def cmd_connector_run(args, config) -> int:
     if store_root is None:
         raise CliError("--store is required (or PAVEH_STORE)")
     store = Store(store_root)
-    connector = Connector(
-        store,
-        broker_addr=_parse_addr(broker),
-        wildcard=args.subject,
-        metrics_port=args.metrics_port,
-    ).start()
+    try:
+        connector = Connector(
+            store,
+            broker_addr=_parse_addr(broker),
+            wildcard=args.subject,
+            metrics_port=args.metrics_port,
+        )
+    except wire.InvalidSubject as exc:
+        raise UsageError(f"--subject {args.subject!r}: {exc}") from None
+    connector.start()
     if connector.metrics_port is not None:
         logger.info("metrics on http://127.0.0.1:%d/metrics", connector.metrics_port)
     try:

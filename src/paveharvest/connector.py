@@ -211,9 +211,9 @@ class Connector:
         metrics_port: int | None = None,
         on_insert=None,
     ):
+        self.wildcard = Subject.parse(wildcard)  # raises InvalidSubject before any thread starts
         self.store = store
         self.broker_addr = broker_addr
-        self.wildcard = wildcard
         self.batch_size = batch_size
         self.on_insert = on_insert
         self._queue: list[StoreRecord] = []  # records for the writer; under _mlock

@@ -46,6 +46,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import quote, unquote
@@ -146,6 +147,45 @@ def _segments(root: Path, sensor: str | None = None) -> Iterator[tuple[ChunkKey,
                 logger.warning("ignoring stray file %s", path)
                 continue
             yield key, path
+
+
+def _names_a_chunk(sensor) -> bool:
+    """Whether ``sensor`` can name a chunk: a str that UTF-8 can encode and
+    that, quoted, names neither the root nor its parent."""
+    if not isinstance(sensor, str) or sensor in RESERVED_SENSORS:
+        return False
+    try:
+        sensor.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
+
+
+def _nonfinite(ts) -> str:
+    """Status of a sample whose value is no finite float: ``bad-ts`` still
+    goes first, for a ts in range that is not an int, such as 1.5 or 14.0."""
+    try:
+        RECORD.pack(ts, 0.0)
+    except struct.error:
+        return "bad-ts"
+    return "nonfinite"
+
+
+def _pack_each(
+    group: list[tuple[int, int, float]], statuses: list[str]
+) -> tuple[list[tuple[int, int, float]], bytes]:
+    """The samples of ``group`` that pack, and their records; each sample
+    that does not is marked ``bad-ts``. Its value passed ``math.isfinite``,
+    which converts as ``RECORD`` does, so only its ts can fail."""
+    kept, records = [], []
+    for sample in group:
+        try:
+            records.append(RECORD.pack(*sample[1:]))
+        except struct.error:
+            statuses[sample[0]] = "bad-ts"
+        else:
+            kept.append(sample)
+    return kept, b"".join(records)
 
 
 @dataclass
@@ -254,36 +294,70 @@ class Store:
     # -- writes ------------------------------------------------------------
 
     def insert(self, batch: Iterable[Sample]) -> InsertReport:
-        """Append samples, one write per touched chunk; duplicates keep the last write."""
+        """Append samples, one write per touched chunk; duplicates keep the last write.
+
+        Each sample gets a status: ``bad-ts`` for a ts that is not an int in
+        ``0 < ts < TS_END``, ``nonfinite`` for a value that is no finite
+        float (an int beyond float range among them), ``bad-sensor`` for a
+        sensor name that can name no chunk, else what its chunk's write gave.
+        """
         statuses: list[str] = []
-        groups: dict[ChunkKey, list[tuple[int, int, float]]] = {}
+        # Plain (sensor, window start) tuples: they hash and compare equal to
+        # a ChunkKey, which is built only when a chunk is first made.
+        groups: dict[tuple[str, int], list[tuple[int, int, float]]] = {}
+        span, isfinite = self.span, math.isfinite
         with self._lock:
             self._ensure_open()
             for i, (sensor, ts, v) in enumerate(batch):
-                if not 0 < ts < TS_END:
-                    statuses.append("bad-ts")
-                elif not math.isfinite(v):
-                    statuses.append("nonfinite")
-                else:
-                    statuses.append(ACK)
-                    key = ChunkKey(sensor, ts - ts % self.span)
-                    groups.setdefault(key, []).append((i, ts, v))
+                try:
+                    if not 0 < ts < TS_END:
+                        statuses.append("bad-ts")
+                    elif not isfinite(v):
+                        statuses.append(_nonfinite(ts))
+                    else:
+                        statuses.append(ACK)
+                        key = (sensor, ts - ts % span)
+                        group = groups.get(key)
+                        if group is None:
+                            groups[key] = [(i, ts, v)]
+                        else:
+                            group.append((i, ts, v))
+                except OverflowError:  # isfinite of an int beyond float range
+                    statuses.append(_nonfinite(ts))
+            writes = []
+            for key, group in groups.items():
+                try:
+                    records = b"".join([RECORD.pack(ts, v) for _, ts, v in group])
+                except struct.error:  # a ts that is not an int, such as 1.5
+                    group, records = _pack_each(group, statuses)
+                    if not group:
+                        continue
+                    key = (key[0], group[0][1] - group[0][1] % span)
+                writes.append((group[-1][0], key, group, records))
             # The chunk of a sensor's last sample goes last and keeps its handle.
-            for key, group in sorted(groups.items(), key=lambda item: item[1][-1][0]):
-                self._append(key, group, statuses)
+            writes.sort(key=itemgetter(0))
+            for _, key, group, records in writes:
+                self._append(key, group, records, statuses)
         return InsertReport(statuses)
 
     def _append(
-        self, key: ChunkKey, group: list[tuple[int, int, float]], statuses: list[str]
+        self,
+        key: tuple[str, int],
+        group: list[tuple[int, int, float]],
+        records: bytes,
+        statuses: list[str],
     ) -> None:
-        """Write one chunk's samples; on failure set all their statuses to the reason."""
-        if key.sensor in RESERVED_SENSORS:  # once per chunk; a per-sample test costs throughput
-            for i, _, _ in group:
-                statuses[i] = "bad-sensor"
-            return
+        """Write one chunk's samples, packed in ``records``; on failure set
+        all their statuses to the reason."""
         chunk = self._chunks.get(key)
         if chunk is None:
+            if not _names_a_chunk(key[0]):  # once per chunk; a per-sample test costs throughput
+                for i, _, _ in group:
+                    statuses[i] = "bad-sensor"
+                return
+            key = ChunkKey(*key)
             chunk = self._chunks[key] = _Chunk(key, _segment_path(self.root, key))
+        key = chunk.key
         failure = "corrupt-segment"
         try:
             if chunk.corrupt:
@@ -294,7 +368,7 @@ class Store:
                 if ts in held or ts in seen:
                     statuses[i] = DUPLICATE
                 seen[ts] = None
-            chunk.append(b"".join([RECORD.pack(ts, v) for _, ts, v in group]), seen)
+            chunk.append(records, seen)
         except CorruptSegment as exc:
             if not chunk.corrupt:
                 logger.error("%s", exc)

@@ -2,21 +2,24 @@
 acceptance tests, the per-row laser rendering the laser table is checked
 against, the row-by-row join ``etl join`` is checked against, the per-row
 rendering ``store query`` output is checked against, the store batches
-of the crash test's writer, and the publish failure patterns the retry rule
-and the connector's seq counters are checked under."""
+of the crash test's writer, the one-sample-at-a-time insert rule the
+store's inserts are checked against, and the publish failure patterns the
+retry rule and the connector's seq counters are checked under."""
 
 import csv
 import io
+import math
 import random
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from urllib.parse import quote
 
 import numpy as np
 
-from paveharvest import dsp, etl
+from paveharvest import dsp, etl, tsstore
 from paveharvest.daqsim import EPC, MOISTURE, SCG, TEMPERATURE, Scenario, SensorSpec
-from paveharvest.tsstore import Sample
+from paveharvest.tsstore import ACK, DUPLICATE, Sample
 
 HOUR = 3_600_000_000
 
@@ -197,6 +200,60 @@ def crash_batch(seed: int, n: int, size: int = 64) -> list[Sample]:
             ts = rng.randrange(CRASH_WINDOWS) * HOUR + rng.randrange(1, 200)
         batch.append(Sample(sensor, ts, seed * 1e9 + n * 1e3 + i))
     return batch
+
+
+def _utf8_str(sensor):
+    if not isinstance(sensor, str):
+        return False
+    try:
+        sensor.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def reference_insert(root, span, batch, open_per_sensor):
+    """``Store.insert`` of ``batch`` one sample at a time, as the store once
+    ran it: each sample checked in turn and given a ``ChunkKey``, and each
+    touched chunk's segment read back from disk for duplicates. A ts that is
+    not an int in ``0 < ts < TS_END`` is ``bad-ts``, a value that is no
+    finite float ``nonfinite``, and a sensor that is no UTF-8 str naming a
+    directory below ``root`` ``bad-sensor``, in that order. Writes the
+    segments under ``root`` in the store's framing, the chunk of each
+    sensor's last sample last, sets ``open_per_sensor`` (sensor to the chunk
+    it wrote last) and returns the statuses."""
+    statuses, groups = [], {}
+    for i, (sensor, ts, v) in enumerate(batch):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not isinstance(ts, int) or not 0 < ts < tsstore.TS_END:
+            statuses.append("bad-ts")
+        elif not finite:
+            statuses.append("nonfinite")
+        elif not _utf8_str(sensor) or sensor in ("", ".", ".."):
+            statuses.append("bad-sensor")
+        else:
+            statuses.append(ACK)
+            groups.setdefault(tsstore.chunk_for(sensor, ts, span), []).append(i)
+    for key, indices in sorted(groups.items(), key=lambda item: item[1][-1]):
+        path = root / quote(key.sensor, safe="") / f"{key.window_start}.seg"
+        raw = path.read_bytes() if path.exists() else b""
+        held = {ts for ts, _ in tsstore.RECORD.iter_unpack(raw[tsstore.HEADER_SIZE:])}
+        data = b"" if raw else tsstore.HEADER.pack(
+            b"TSEG", 1, tsstore.key_hash(key.sensor), key.window_start, bytes(8))
+        for i in indices:
+            _, ts, v = batch[i]
+            if ts in held:
+                statuses[i] = DUPLICATE
+            held.add(ts)
+            data += tsstore.RECORD.pack(ts, v)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "ab") as fh:
+            fh.write(data)
+        open_per_sensor[key.sensor] = key
+    return statuses
 
 
 def failure_patterns(n: int = 200):

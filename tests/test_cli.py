@@ -137,6 +137,19 @@ def test_bad_bucket_is_usage_error(tmp_path, capsys, bucket):
     assert not (tmp_path / "db").exists()
 
 
+@pytest.mark.parametrize("subject", ["a b", "site..>"])
+def test_connector_run_with_a_bad_subject_is_usage_error(tmp_path, capsys, monkeypatch, subject):
+    """A subject the bus would refuse is a bad flag value: exit 2 naming
+    ``--subject``, before the connector starts, rather than a connector
+    that never subscribes."""
+    monkeypatch.setattr(cli_mod, "_wait_for_interrupt", lambda: None)
+    with pytest.raises(SystemExit) as exc:
+        main(["connector", "run", "--store", str(tmp_path / "db"),
+              "--broker", "127.0.0.1:1", "--subject", subject])
+    assert exc.value.code == 2
+    assert "--subject" in capsys.readouterr().err
+
+
 # --- store query ------------------------------------------------------------
 
 

@@ -30,7 +30,13 @@ from paveharvest.connector import (
 from paveharvest.daqsim import run_scenario
 from paveharvest.timeutil import now_us
 from paveharvest.tsstore import Store
-from paveharvest.wire import SUBJECT_CACHE_SIZE, SamplePayload, Subject, mqtt_topic_to_subject
+from paveharvest.wire import (
+    SUBJECT_CACHE_SIZE,
+    InvalidSubject,
+    SamplePayload,
+    Subject,
+    mqtt_topic_to_subject,
+)
 
 from helpers import dropped, failure_patterns
 
@@ -697,6 +703,17 @@ def test_a_connected_connector_runs_a_writer_and_a_bus_reader(tmp_path, monkeypa
             assert threads_since(before, wait_s=1.0) == []
     finally:
         broker.stop()
+
+
+@pytest.mark.parametrize("wildcard", ["a b", "site..>", "site.>.x", ""])
+def test_an_invalid_wildcard_raises_before_any_thread_starts(tmp_path, wildcard):
+    """A wildcard the bus would refuse fails the constructor, before the
+    metrics server or the writer starts, rather than ending the writer."""
+    before = set(threading.enumerate())
+    with Store(tmp_path / "db") as store:
+        with pytest.raises(InvalidSubject):
+            Connector(store, broker_addr=("127.0.0.1", 1), wildcard=wildcard, metrics_port=0)
+    assert threads_since(before) == []
 
 
 # --- metrics endpoint --------------------------------------------------------

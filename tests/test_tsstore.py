@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paveharvest
-from helpers import CRASH_SENSORS, CRASH_WINDOWS, HOUR, crash_batch
+from helpers import CRASH_SENSORS, CRASH_WINDOWS, HOUR, crash_batch, reference_insert
 from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
@@ -333,6 +333,69 @@ def test_insert_rejects_bad_values(tmp_path):
         )
         assert report.statuses == ["bad-ts", "nonfinite", "ack", "bad-ts", "ack"]
         assert store.count() == 2  # the rest of the batch is stored
+
+
+def test_a_bad_value_is_reported_per_sample_and_never_raises(tmp_path):
+    """A ts that is not an int and an int value beyond float range get a
+    status of their own, as does a sensor that can name no directory, and
+    the samples around them are stored as if they were not there."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        report = store.insert([Sample("a", 30, 1.0), Sample("b", 1.5, 2.0)])
+        assert report.statuses == ["ack", "bad-ts"]
+        report = store.insert(
+            [Sample("b", 7.0, 1.0),  # first of its chunk's group
+             Sample("b", 8, 2.0), Sample("c", 9, 10**400), Sample("c", 10, 10**300),
+             Sample("c", 11, -(10**400)), Sample(5, 12, 1.0), Sample("\udcff", 13, 1.0)]
+        )
+        assert report.statuses == [
+            "bad-ts", "ack", "nonfinite", "ack", "nonfinite", "bad-sensor", "bad-sensor"]
+        assert store.query_range("a", 0, 100) == [Sample("a", 30, 1.0)]
+        assert store.query_range("b", 0, 100) == [Sample("b", 8, 2.0)]
+        assert store.query_range("c", 0, 100) == [Sample("c", 10, 1e300)]
+        assert store.chunks() == [ChunkKey("a", 0), ChunkKey("b", 0), ChunkKey("c", 0)]
+    assert sorted(tree_bytes(root)) == ["a/0.seg", "b/0.seg", "c/0.seg"]
+    assert verify_segments(root) == []
+
+
+_any_sensor = st.sampled_from(["a", "b/x", "", ".", "..", 5, "\udcff"])
+_any_ts = st.one_of(
+    st.integers(1, 60), st.sampled_from([0, -3, 2**63 - 1, 2**63, 1.5, 14.0, float("nan")]))
+_any_value = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, 10**300, 3]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batches=st.lists(st.lists(st.tuples(_any_sensor, _any_ts, _any_value), max_size=30),
+                     max_size=6),
+    reopen=st.integers(0, 3),
+)
+def test_inserts_match_the_reference_rule(batches, reopen):
+    """After each batch the statuses, every segment's path and bytes, and
+    the chunk each sensor keeps open are those of the one-sample-at-a-time
+    rule, over bad values, reserved and unusable sensor names, resends
+    within and across batches, many windows per sensor and reopens."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root, ref_root = Path(tmp) / "db", Path(tmp) / "ref"
+        ref_root.mkdir()
+        store, ref_open = Store(root, chunk_span_us=7), {}
+        for n, batch in enumerate(batches):
+            samples = [Sample(*s) for s in batch]
+            want = reference_insert(ref_root, 7, samples, ref_open)
+            assert store.insert(samples).statuses == want
+            assert tree_bytes(root) == tree_bytes(ref_root)
+            assert store._open_per_sensor == ref_open
+            assert all(type(key) is ChunkKey and type(key.window_start) is int
+                       for key in [*store._chunks, *store._open_per_sensor.values()])
+            if reopen and n % reopen == 0:
+                store.close()
+                store, ref_open = Store(root, chunk_span_us=7), {}
+        store.close()
+        if root.exists():
+            assert verify_segments(root, span=7) == []
 
 
 def test_query_bounds_beyond_int64_compare_exactly(tmp_path):
