@@ -16,7 +16,6 @@ import signal
 import sys
 import threading
 import time
-import urllib.request
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -345,6 +344,8 @@ def cmd_connector_run(args, config) -> int:
 
 
 def cmd_connector_metrics(args, config) -> int:
+    import urllib.request  # only this command fetches; start-up skips the import
+
     body = urllib.request.urlopen(args.endpoint, timeout=10).read().decode()
     if args.format == "csv":
         print("name,value")
@@ -370,8 +371,8 @@ def cmd_store_query(args, config) -> int:
             bucket = parse_duration(args.bucket)
         except ValueError as exc:
             raise UsageError(f"--bucket: {exc}") from None
-        if bucket <= 0:
-            raise UsageError("--bucket must be positive")
+        if not 0 < bucket < tsstore.TS_END:
+            raise UsageError("--bucket must be positive and shorter than 2**63 us")
     with Store(store_root) as store:
         if bucket is None:
             samples = store.query_range(args.sensor, t0, t1)

@@ -68,8 +68,13 @@ class BusClient:
             raise BusError(f"connection lost: {exc}") from exc
 
     def publish(self, subject: Subject | str, payload: bytes) -> None:
+        """Send ``payload`` on ``subject``; a pattern raises
+        :class:`wire.InvalidSubject` before anything is sent, as the broker
+        would evict the session for it."""
         if isinstance(subject, str):
-            subject = wire.intern_subject(subject.encode(), False)
+            subject = wire.intern_subject(subject.encode(), True)
+        elif subject.is_pattern:
+            raise wire.InvalidSubject(f"wildcard forbidden here: {subject}")
         self._send(Frame(wire.PUB, subject=subject, payload=payload))
 
     def subscribe(self, pattern: Subject | str, handler: MessageHandler) -> int:

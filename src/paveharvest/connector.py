@@ -28,7 +28,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import wire
 from .broker import SLOW_CONSUMER_GRACE
@@ -237,7 +236,7 @@ class Connector:
         self._client: BusClient | None = None
         self._lost = threading.Event()  # set once no reader can call ingest
         self._lost.set()
-        self._http: ThreadingHTTPServer | None = None
+        self._http = None  # the /metrics ThreadingHTTPServer, while it serves
         self.metrics_port: int | None = None
         if metrics_port is not None:
             self._start_http(metrics_port)
@@ -492,6 +491,9 @@ class Connector:
     # -- http ------------------------------------------------------------
 
     def _start_http(self, port: int) -> None:
+        # Imported here, its one use, so a process that serves no metrics skips it.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         connector = self
 
         class Handler(BaseHTTPRequestHandler):

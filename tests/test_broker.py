@@ -482,6 +482,22 @@ def test_client_surfaces_broker_error(broker):
             c.subscribe("c.d", lambda messages: None)
 
 
+@pytest.mark.parametrize(
+    "subject", ["site.*.x", "site.>", Subject.parse("site.*.x")], ids=["star", "tail", "Subject"]
+)
+def test_publish_to_a_wildcard_raises_and_keeps_the_session(broker, subject):
+    """The broker evicts a session that publishes to a pattern, so the client
+    refuses one before sending: later publishes on it are still delivered."""
+    got = threading.Event()
+    with make_client(broker) as sub, make_client(broker) as pub:
+        sub.subscribe("site.1.x", lambda messages: got.set())
+        with pytest.raises(wire.InvalidSubject):
+            pub.publish(subject, b"x")
+        pub.publish("site.1.x", b"y")
+        assert got.wait(5)
+    assert broker.stats()["evicted"]["protocol_error"] == 0
+
+
 # --- one loop for every session ----------------------------------------------
 
 

@@ -37,12 +37,12 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-
-def test_cli_import_leaves_scipy_unloaded():
-    """Commands that do no signal processing do not pay for importing scipy."""
+def loaded_by_cli_import(*modules: str) -> list[str]:
+    """Those of ``modules`` that a fresh interpreter has loaded once it has
+    imported ``paveharvest.cli``."""
     src = str(Path(paveharvest.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = "import sys, paveharvest.cli; print('scipy' in sys.modules)"
+    code = f"import sys, paveharvest.cli; print(*[m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -51,7 +51,19 @@ def test_cli_import_leaves_scipy_unloaded():
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Commands that do no signal processing do not pay for importing scipy."""
+    assert loaded_by_cli_import("scipy") == []
+
+
+def test_cli_import_leaves_the_http_modules_unloaded():
+    """Only ``connector metrics`` fetches and only a connector with a metrics
+    port serves, so no other command pays for importing their modules."""
+    assert loaded_by_cli_import("urllib.request", "http.server") == []
+
 
 # --- argument parsing -----------------------------------------------------
 
@@ -119,10 +131,12 @@ def test_from_after_to_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("bucket", ["0s", "5x", "-5m"])
+@pytest.mark.parametrize(
+    "bucket", ["0s", "5x", "-5m", "106751992d", "9223372036854775808us"]
+)
 def test_bad_bucket_is_usage_error(tmp_path, capsys, bucket):
-    """A bucket that is not a positive duration is a bad flag value: exit 2,
-    before the store is opened."""
+    """A bucket that is not a positive duration below 2**63 us is a bad flag
+    value: exit 2, before the store is opened."""
     with pytest.raises(SystemExit) as exc:
         main(
             [
@@ -231,8 +245,9 @@ def query_store(tmp_path_factory):
         ((0, 2), ["--bucket", "1m", "--agg", "count"]),
         ((-2, -1), []),
         ((0, 3), []),
+        ((0, 2), ["--bucket", "106751991d", "--agg", "count"]),
     ],
-    ids=["raw", "avg", "min", "max", "count", "empty", "70k-rows"],
+    ids=["raw", "avg", "min", "max", "count", "empty", "70k-rows", "longest-bucket"],
 )
 def test_store_query_output_matches_the_row_by_row_reference(query_store, capsys, hours, extra):
     """Every ``store query`` output is the per-row reference rendering of

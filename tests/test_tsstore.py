@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paveharvest
-from helpers import CRASH_SENSORS, CRASH_WINDOWS, HOUR, crash_batch, reference_insert
+from helpers import (
+    CRASH_SENSORS,
+    CRASH_WINDOWS,
+    HOUR,
+    crash_batch,
+    reference_downsample,
+    reference_insert,
+    reference_segment_rows,
+)
 from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
@@ -614,6 +622,76 @@ def test_inserts_match_dict_model(batches, reopen):
             )
         store.close()
         assert verify_segments(tmp, span=7) == []
+
+
+_stamp = st.integers(1, 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    head=st.lists(_stamp, unique=True, max_size=30).map(sorted),
+    tail=st.lists(_stamp, max_size=30),
+    torn=st.integers(0, RECORD_SIZE - 1),
+    cut=st.sampled_from([None, 0, 10, HEADER_SIZE]),
+)
+def test_read_segment_matches_a_dict_replay(head, tail, torn, cut):
+    """A segment decodes to its records replayed in file order into a dict:
+    an in-order head, then a tail of late and resent stamps, duplicates
+    within the file among them, with or without a torn trailing record. A
+    file cut at or inside its header, or one that is gone, holds none."""
+    key = ChunkKey("a", 0)
+    header = tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash("a"), 0, bytes(8))
+    records = b"".join(RECORD.pack(ts, float(i)) for i, ts in enumerate(head + tail))
+    raw = (header + records + bytes(range(1, torn + 1)))[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "0.seg"
+        if cut != 0:
+            path.write_bytes(raw)
+        ts, v = tsstore._read_segment(key, path)
+    assert list(zip(ts.tolist(), v.tolist())) == reference_segment_rows(raw)
+
+
+_window = st.integers(0, 3)
+_offset = st.integers(-3, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    span=st.sampled_from([10, HOUR]),
+    writes=st.lists(st.tuples(_window, _offset, st.integers(-1000, 1000)), max_size=60),
+    batch=st.integers(1, 20),
+    bounds=st.tuples(_window, _offset, _window, _offset),
+    bucket=st.sampled_from([1, 7, HOUR, 5 * HOUR, 2**63 - 1]),
+)
+def test_reads_match_the_per_row_models(span, writes, batch, bounds, bucket):
+    """``query_range`` returns ``Sample`` rows and ``downsample`` gives each
+    aggregate of a per-row bucket model, over writes in arrival order into
+    chunks of several windows, with late and resent stamps. Values are whole
+    numbers, so every sum is exact and the models compare by equality."""
+    samples = [Sample("a", max(1, w * span + off), float(v)) for w, off, v in writes]
+    model = {s.ts: s.v for s in samples}
+    rows = sorted(model.items())
+    t0, t1 = sorted(max(0, w * span + off) for w, off in (bounds[:2], bounds[2:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        with Store(tmp, chunk_span_us=span) as store:
+            for i in range(0, len(samples), batch):
+                store.insert(samples[i : i + batch])
+            got = store.query_range("a", t0, t1)
+            assert all(type(s) is Sample for s in got)
+            assert got == [Sample("a", ts, v) for ts, v in rows if t0 <= ts < t1]
+            for agg in tsstore.AGGREGATES:
+                want = reference_downsample(rows, t0, t1, bucket, agg)
+                assert store.downsample("a", t0, t1, bucket, agg) == want, agg
+
+
+@pytest.mark.parametrize("bucket", [0, -1, 2**63, 2**64, 10**30])
+def test_downsample_rejects_a_bucket_beyond_int64(tmp_path, bucket):
+    """A bucket must be a positive int64; a larger one raises before numpy
+    sees it, which would overflow or, at numpy 1.24, compute in float64."""
+    with Store(tmp_path / "db") as store:
+        store.insert([Sample("a", 10, 1.0)])
+        with pytest.raises(ValueError, match="bucket"):
+            store.downsample("a", 0, 100, bucket, "avg")
 
 
 def test_close_releases_every_chunk(tmp_path):
