@@ -158,7 +158,7 @@ class E2EReport:
 
 
 class _LatencyJoin:
-    """Publish-to-insert latencies, joined on (sensor, seq) as the walls
+    """Publish-to-insert latencies, joined on (store key, seq) as the walls
     arrive. ``on_publish`` fires after the send, so an insert can come
     first; whichever wall comes first waits until the other arrives, and
     a joined sample keeps only its latency."""
@@ -186,19 +186,16 @@ class _LatencyJoin:
                 self.latencies_us.append(wall_us - published)
 
 
-def _stored(store: Store, scenario: Scenario) -> int:
+def _stored(store: Store, scenario: Scenario, keys: dict[str, str]) -> int:
     """How many of the points the scenario publishes the store holds: one
-    per sensor at the end of each simulated second. Other data in the
-    store, even between those stamps, is not counted."""
+    per sensor at the end of each simulated second, under the store key
+    ``keys`` gives its topic. Other data in the store, even between those
+    stamps, is not counted."""
     start = scenario.start_time_us
     end = start + scenario.duration_s * US_PER_SECOND + 1
-    keys = [
-        sensor_key_for(wire.mqtt_topic_to_subject(state.topic))
-        for state in ScenarioRun(scenario).states
-    ]
     return sum(
         (sample.ts - start) % US_PER_SECOND == 0
-        for key in keys
+        for key in keys.values()
         for sample in store.query_range(key, start + US_PER_SECOND, end)
     )
 
@@ -207,16 +204,20 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
     """Run broker + connector + daqsim end to end against one store.
 
     Latency is measured per sample from the wall-clock publish instant to
-    the wall-clock insert completion, joined on (sensor, seq), so it stays
-    meaningful at any speedup.
+    the wall-clock insert completion, joined on (store key, seq), so it
+    stays meaningful at any speedup.
     """
     scenario = _load_scenario(config.scenario_path, duration_s=config.duration_s)
     report = E2EReport(duration_s=scenario.duration_s, speedup=config.speedup)
+    keys = {
+        state.topic: sensor_key_for(wire.mqtt_topic_to_subject(state.topic))
+        for state in ScenarioRun(scenario).states
+    }
 
     join = _LatencyJoin()
 
     def on_insert(record, wall_us):
-        join.insert((record.sensor_key.rsplit("/", 1)[1], record.seq), wall_us)
+        join.insert((record.sensor_key, record.seq), wall_us)
 
     broker = Broker(*config.broker_address)
     store = Store(config.store_root)
@@ -237,8 +238,8 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
             scenario,
             bus_publisher(publisher_client),
             speedup=config.speedup,
-            on_publish=lambda sensor_id, payload, wall: join.publish(
-                (sensor_id, payload.seq), wall
+            on_publish=lambda topic, payload, wall: join.publish(
+                (keys[topic], payload.seq), wall
             ),
         )
         report.published = run_report.published
@@ -260,7 +261,7 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
             report.skew_events = metrics.skew_events
             connector.stop()
         broker.stop()
-        report.stored = _stored(store, scenario)
+        report.stored = _stored(store, scenario, keys)
         store.close()
 
     latencies = np.sort(np.frombuffer(join.latencies_us, dtype=np.int64))

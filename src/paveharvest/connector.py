@@ -138,13 +138,8 @@ class IngestMetrics:
     duplicate_seq: int = 0
     seq_gaps: int = 0
     skew_events: int = 0
-    latency_bounds_us: tuple = LATENCY_BOUNDS_US
     latency_counts: list[int] = field(default_factory=list)
     rate_per_s: float = 0.0
-
-    @property
-    def rejected_total(self) -> int:
-        return sum(self.rejected.values())
 
 
 def _latency_histogram(timestamps: list[int], wall: int) -> tuple[list[int], int]:
@@ -176,7 +171,7 @@ def render_metrics_text(m: IngestMetrics) -> str:
         f"skew_events {m.skew_events}",
         f"rate_per_s {m.rate_per_s:.3f}",
     ]
-    for bound, count in zip(m.latency_bounds_us, m.latency_counts):
+    for bound, count in zip(LATENCY_BOUNDS_US, m.latency_counts):
         lines.append(f"latency_le_{bound}us {count}")
     if m.latency_counts:
         lines.append(f"latency_overflow {m.latency_counts[-1]}")

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import wire
 from .timeutil import US_PER_SECOND, parse_rfc3339
+from .tsstore import TS_END
 from .wire import SamplePayload, Subject, mqtt_topic_to_subject
 
 logger = logging.getLogger(__name__)
@@ -125,6 +126,15 @@ class Scenario:
         _validate(self, "site", "daq")  # the ids are subject tokens
         if self.duration_s < 0:
             raise ValueError(f"field 'duration_s' must be >= 0, got {self.duration_s}")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"field 'seed' must be >= 0, got {self.seed}")
+        first = self.start_time_us + US_PER_SECOND
+        last = self.start_time_us + self.duration_s * US_PER_SECOND
+        if first <= 0 or last >= TS_END:  # the store keeps 0 < ts < TS_END
+            raise ValueError(
+                f"field 'start_time_us' gives stamps {first} to {last}, "
+                "outside 0 < ts < 2**63"
+            )
         ids = collections.Counter(spec.sensor_id for spec in self.sensors)
         if dups := [sensor_id for sensor_id, n in ids.items() if n > 1]:
             # two sensors with one id would publish one subject with the same seqs
@@ -230,11 +240,11 @@ def run_scenario(
     is retried ahead of its next fresh sample, so arrival order stays
     seq-ascending on a healthy link; a failure while an older payload
     waits drops the older one. Payloads still waiting after the last tick
-    get one more attempt. ``on_publish(sensor_id, payload, wall_us)`` fires
+    get one more attempt. ``on_publish(topic, payload, wall_us)`` fires
     after each success.
     """
-    if speedup < 1:
-        raise ValueError("speedup must be >= 1")
+    if not speedup >= 1:  # NaN too
+        raise ValueError(f"speedup must be >= 1, got {speedup}")
     run = ScenarioRun(scenario)
     report = RunReport()
     # topic -> its one failed payload; only send() stores here, and a failure
@@ -253,7 +263,7 @@ def run_scenario(
         else:
             report.published += 1
             if on_publish is not None:
-                on_publish(topic.rsplit("/", 1)[1], payload, time.time_ns() // 1000)
+                on_publish(topic, payload, time.time_ns() // 1000)
 
     t0 = time.monotonic()
     for second in range(scenario.duration_s):

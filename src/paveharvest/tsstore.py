@@ -17,9 +17,8 @@ for duplicate checks.
 The segment files are the store's only state, and the directory is the
 chunk table: ``<root>/<quoted sensor>/<window start>.seg``. Opening a
 store reads and creates nothing; the first insert makes the root. A query
-lists only its sensor's directory, and ``chunks``, ``sensors``,
-``count()`` and a retention sweep list them all. One walk,
-:func:`_segments`, owns that naming for the store and
+lists only its sensor's directory, and a retention sweep lists them all.
+One walk, :func:`_segments`, owns that naming for the store and
 :func:`verify_segments`; any other ``.seg`` name is skipped with a warning.
 A store keeps state only for the chunks its session writes, and ``close``
 releases every one. The sensor names ``""``, ``.`` and ``..`` would name
@@ -92,16 +91,6 @@ class Sample(NamedTuple):
 class ChunkKey(NamedTuple):
     sensor: str
     window_start: int
-
-
-def chunk_for(sensor: str, ts: int, span: int = DEFAULT_CHUNK_SPAN_US) -> ChunkKey:
-    """Chunk key owning ``ts``: window start floored to the span.
-
-    A ts exactly on a boundary belongs to the chunk it starts.
-    """
-    if span <= 0:
-        raise ValueError("span must be positive")
-    return ChunkKey(sensor, ts - ts % span)
 
 
 def key_hash(sensor: str) -> int:
@@ -447,20 +436,6 @@ class Store:
         else:
             values = (np.minimum if agg == "min" else np.maximum).reduceat(v, first)
         return list(zip((index[first] * bucket).tolist(), values.tolist()))
-
-    def count(self, sensor: str | None = None) -> int:
-        """Live (deduplicated) record count, optionally for one sensor."""
-        with self._lock:
-            self._ensure_open()
-            return sum(len(_read_segment(key, path)[0]) for key, path in self._on_disk(sensor))
-
-    def sensors(self) -> list[str]:
-        with self._lock:
-            return sorted({key.sensor for key, _ in self._on_disk()})
-
-    def chunks(self) -> list[ChunkKey]:
-        with self._lock:
-            return [key for key, _ in self._on_disk()]
 
     # -- maintenance ------------------------------------------------------------
 

@@ -154,19 +154,6 @@ def mqtt_topic_to_subject(topic: str) -> Subject:
         raise InvalidTopic(f"bad topic: {topic!r}") from exc
 
 
-def subject_to_mqtt_topic(subject: Subject) -> str:
-    """Inverse of :func:`mqtt_topic_to_subject` (the mapping is injective)."""
-    levels = []
-    for tok in subject.tokens:
-        if tok == "*":
-            levels.append("+")
-        elif tok == ">":
-            levels.append("#")
-        else:
-            levels.append(tok)
-    return "/".join(levels)
-
-
 @dataclass
 class Frame:
     """One wire-protocol unit.

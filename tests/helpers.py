@@ -1,10 +1,12 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
 acceptance tests, the per-row laser rendering the laser table is checked
 against, the row-by-row join ``etl join`` is checked against, the per-row
-rendering ``store query`` output is checked against, the store batches
-of the crash test's writer, the one-sample-at-a-time insert rule the
-store's inserts are checked against, and the publish failure patterns the
-retry rule and the connector's seq counters are checked under."""
+rendering ``store query`` output is checked against, a store's segment
+keys and stored samples counted from its files, the store batches of the
+crash test's writer, the one-sample-at-a-time insert rule the store's
+inserts are checked against, the connector's rejections in total, and the
+publish failure patterns the retry rule and the connector's seq counters
+are checked under."""
 
 import csv
 import io
@@ -13,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -193,6 +195,22 @@ def reference_segment_rows(raw: bytes) -> list[tuple[int, float]]:
     return sorted(held.items())
 
 
+def segment_keys(root) -> list[tsstore.ChunkKey]:
+    """``ChunkKey`` of each segment file under store ``root``, in key order."""
+    return sorted(
+        tsstore.ChunkKey(unquote(path.parent.name), int(path.stem))
+        for path in root.glob("*/*.seg")
+    )
+
+
+def stored_count(root, sensor=None) -> int:
+    """Distinct (sensor, ts) pairs the segment files under store ``root``
+    hold, of one sensor or of all, read file by file with
+    :func:`reference_segment_rows`; a store not made yet holds none."""
+    pattern = "*/*.seg" if sensor is None else f"{quote(sensor, safe='')}/*.seg"
+    return sum(len(reference_segment_rows(path.read_bytes())) for path in root.glob(pattern))
+
+
 def reference_downsample(rows, t0, t1, bucket, agg) -> list[tuple[int, float]]:
     """``Store.downsample`` of ts-ascending ``(ts, v)`` rows, one row at a
     time: each row with ``t0 <= ts < t1`` joins the bucket that starts at
@@ -260,7 +278,7 @@ def reference_insert(root, span, batch, open_per_sensor):
             statuses.append("bad-sensor")
         else:
             statuses.append(ACK)
-            groups.setdefault(tsstore.chunk_for(sensor, ts, span), []).append(i)
+            groups.setdefault(tsstore.ChunkKey(sensor, ts - ts % span), []).append(i)
     for key, indices in sorted(groups.items(), key=lambda item: item[1][-1]):
         path = root / quote(key.sensor, safe="") / f"{key.window_start}.seg"
         raw = path.read_bytes() if path.exists() else b""
@@ -278,6 +296,11 @@ def reference_insert(root, span, batch, open_per_sensor):
             fh.write(data)
         open_per_sensor[key.sensor] = key
     return statuses
+
+
+def rejected_total(m) -> int:
+    """Messages the connector rejected, over every reason."""
+    return sum(m.rejected.values())
 
 
 def failure_patterns(n: int = 200):

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import asg_raw_text, laser_raw_text
+from helpers import asg_raw_text, laser_raw_text, rejected_total, stored_count
 from paveharvest import dsp, etl
 from paveharvest.broker import Broker, SubjectRouter
 from paveharvest.cli import E2EReport, PipelineConfig, run_e2e
@@ -289,11 +289,11 @@ def test_c6_daily_volume(tmp_path):
                 sent += len(messages)
             assert conn.drain(timeout=120)
             metrics = conn.metrics_snapshot()
-            stored = store.count()
+            stored = stored_count(store.root)
             conn.stop()
         assert sent == total
         assert metrics.received == total
-        assert metrics.received == metrics.accepted + metrics.rejected_total  # exact
+        assert metrics.received == metrics.accepted + rejected_total(metrics)  # exact
         assert metrics.accepted >= 2_000_000
         assert stored == metrics.accepted
         assert metrics.seq_gaps == 0

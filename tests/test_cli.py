@@ -23,6 +23,7 @@ from helpers import (
     reference_laser_csv,
     reference_laser_rows,
     reference_query_csv,
+    stored_count,
     tc_raw_text,
 )
 from paveharvest import cli as cli_mod, etl
@@ -659,10 +660,21 @@ def test_malformed_scenario_exits_3_naming_the_field(
         (["daqsim", "run"], [], {"duration_s": -3}, "field 'duration_s'"),
         (["e2e", "run", "--store", "db"], ["--duration", "-3"], {}, "field 'duration_s'"),
         (["e2e", "run", "--store", "db"], [], {"duration_s": -3}, "field 'duration_s'"),
+        (["daqsim", "run"], [], {"seed": -1}, "field 'seed'"),
+        (["e2e", "run", "--store", "db"], [], {"seed": -1}, "field 'seed'"),
+        (["daqsim", "run"], [], {"start_time": "1960-06-01T00:00:00Z"}, "field 'start_time_us'"),
+        (["e2e", "run", "--store", "db"], [], {"start_time": "1960-06-01T00:00:00Z"},
+         "field 'start_time_us'"),
+        (["e2e", "run", "--store", "db"], [], {"start_time": 2**63 - 30 * 10**6},
+         "field 'start_time_us'"),
+        (["e2e", "run", "--store", "db"], ["--duration", "40"],
+         {"start_time": 2**63 - 40 * 10**6, "duration_s": 39}, "field 'start_time_us'"),
     ],
     ids=[
         "daqsim-site", "daqsim-daq", "daqsim-duration", "daqsim-file-duration",
-        "e2e-duration", "e2e-file-duration",
+        "e2e-duration", "e2e-file-duration", "daqsim-file-seed", "e2e-file-seed",
+        "daqsim-file-start-before-epoch", "e2e-file-start-before-epoch",
+        "e2e-file-end-beyond-int64", "e2e-duration-end-beyond-int64",
     ],
 )
 def test_bad_scenario_override_exits_3_naming_the_field(
@@ -714,7 +726,7 @@ def test_e2e_twice_into_one_store_counts_each_run(tmp_path, capsys):
         report = json.loads(out)
         assert (code, report["ok"], report["published"], report["stored"]) == (0, True, 5, 5)
     with Store(tmp_path / "db") as store:
-        assert store.count() == 10
+        assert stored_count(store.root) == 10
 
 
 def two_dict_latencies(events):

@@ -38,7 +38,7 @@ from paveharvest.wire import (
     mqtt_topic_to_subject,
 )
 
-from helpers import dropped, failure_patterns
+from helpers import dropped, failure_patterns, rejected_total, stored_count
 
 EPC_SUBJ = Subject.parse("site.65.daq.1.sensor.epc3")
 
@@ -48,7 +48,7 @@ def payload(ts=1_700_000_000_000_000, v=12.5, seq=9, unit="kPa"):
 
 
 def conserved(m):
-    return m.received == m.accepted + m.rejected_total + m.in_flight
+    return m.received == m.accepted + rejected_total(m) + m.in_flight
 
 
 def publish_sensors(address, n, sensors=16):
@@ -164,7 +164,7 @@ def test_metrics_all_zero_without_traffic(tmp_path):
         conn = Connector(store).start()
         m = conn.metrics_snapshot()
         conn.stop()
-    assert m.received == m.accepted == m.rejected_total == 0
+    assert m.received == m.accepted == rejected_total(m) == 0
     assert sum(m.latency_counts) == 0
 
 
@@ -261,7 +261,7 @@ def test_queue_overflow_counted(tmp_path):
         m = conn.metrics_snapshot()
         assert m.rejected.get("overflow") == 3
         assert m.received == 8
-        assert m.received == m.accepted + m.rejected_total + m.in_flight
+        assert m.received == m.accepted + rejected_total(m) + m.in_flight
 
 
 def test_run_longer_than_the_queue_is_counted_record_by_record(tmp_path):
@@ -341,7 +341,7 @@ def test_timestamp_beyond_int64_is_one_rejected_store(tmp_path):
         assert conn.drain()
         m = conn.metrics_snapshot()
         conn.stop()
-        assert store.count() == 2
+        assert stored_count(store.root) == 2
     assert m.accepted == 2
     assert m.rejected == {"store": 1}
     assert conserved(m)
@@ -386,14 +386,14 @@ def test_end_to_end_counting(tmp_path):
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             m = conn.metrics_snapshot()
-            if m.accepted + m.rejected_total >= n and m.in_flight == 0:
+            if m.accepted + rejected_total(m) >= n and m.in_flight == 0:
                 break
             time.sleep(0.05)
         m = conn.metrics_snapshot()
-        stored = sum(store.count(s) for s in store.sensors())
+        stored = stored_count(store.root)
         conn.stop()
     assert m.accepted == 180
-    assert m.rejected_total == 0
+    assert rejected_total(m) == 0
     assert m.seq_gaps == 0
     assert stored == 180
 
@@ -416,7 +416,7 @@ def test_payload_beyond_float_range_is_counted_and_the_subscription_lives_on(tmp
         stats = broker.stats()
         assert conn._client is client  # no reconnect
         conn.stop()
-        assert store.count() == 5
+        assert stored_count(store.root) == 5
     assert m.received == 6
     assert m.accepted == 5
     assert m.rejected == {"malformed": 1}
@@ -433,7 +433,7 @@ def test_bus_replay_at_full_speed_loses_nothing(tmp_path):
         wait_received(conn, n)
         assert conn.drain()
         m = conn.metrics_snapshot()
-        stored = store.count()
+        stored = stored_count(store.root)
         conn.stop()
     assert m.rejected == {}
     assert m.received == m.accepted == n
@@ -483,12 +483,12 @@ def test_store_stall_behind_broker_ends_as_counted_overflow(tmp_path):
         wait_received(conn, n)
         assert conn.drain()
         m = conn.metrics_snapshot()
-        stored = store.count()
+        stored = stored_count(store.root)
         assert conn._client is client and not client.closed  # not evicted
         conn.stop()
     assert published == [n]
     assert m.received == n
-    assert m.received == m.accepted + m.rejected_total
+    assert m.received == m.accepted + rejected_total(m)
     assert set(m.rejected) == {"overflow"}
     assert stored == m.accepted > 0
 
@@ -595,7 +595,7 @@ def test_stop_stores_the_run_the_reader_is_ingesting(tmp_path, monkeypatch):
         conn.stop()
         m = conn.metrics_snapshot()
         timer.join(5)
-        assert store.count() == 1
+        assert stored_count(store.root) == 1
     assert m.received == m.accepted == 1
     assert m.in_flight == 0
 
@@ -631,7 +631,7 @@ def test_stop_while_records_arrive_leaves_nothing_in_flight(tmp_path):
                 conn.stop()
                 m = conn.metrics_snapshot()
                 assert m.in_flight == 0
-                assert m.received == m.accepted + m.rejected_total
+                assert m.received == m.accepted + rejected_total(m)
                 received += m.received
                 assert threads_since(before, wait_s=1.0) == []
         finally:
@@ -660,7 +660,7 @@ def test_subscribes_once_a_broker_comes_up(tmp_path, caplog):
                 assert conn.drain()
         finally:
             conn.stop()
-        assert store.count() == 1
+        assert stored_count(store.root) == 1
     assert conn.metrics_snapshot().accepted == 1
 
 

@@ -226,7 +226,7 @@ def reference_run(scenario, ok):
         success = ok(len(attempts))
         attempts.append((topic, payload, success))
         if success:
-            published.append((topic.rsplit("/", 1)[1], payload))
+            published.append((topic, payload))
         return success
 
     for second in range(scenario.duration_s):
@@ -263,9 +263,9 @@ def test_run_scenario_matches_the_reference_rule(caplog):
             if not success:
                 raise OSError("link down")
 
-        def on_publish(sensor_id, payload, wall_us):
+        def on_publish(topic, payload, wall_us):
             assert isinstance(wall_us, int)
-            published.append((sensor_id, payload))
+            published.append((topic, payload))
 
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="paveharvest.daqsim"):
@@ -309,6 +309,24 @@ def test_spec_validation():
         SensorSpec(sensor_id=">", kind=EPC)
     with pytest.raises(ValueError, match="field 'duration_s'"):
         Scenario(site="s", daq="d", sensors=[], duration_s=-3)
+    with pytest.raises(ValueError, match="field 'seed'"):
+        Scenario(site="s", daq="d", sensors=[], seed=-1)
+    # stamps run from start + 1 s to start + duration_s s, in the store's 0 < ts < 2**63
+    Scenario(site="s", daq="d", sensors=[], start_time_us=1 - US_PER_SECOND)
+    with pytest.raises(ValueError, match="field 'start_time_us'"):
+        Scenario(site="s", daq="d", sensors=[], start_time_us=-US_PER_SECOND)
+    latest = 2**63 - 1 - 10 * US_PER_SECOND
+    Scenario(site="s", daq="d", sensors=[], start_time_us=latest, duration_s=10)
+    with pytest.raises(ValueError, match="field 'start_time_us'"):
+        Scenario(site="s", daq="d", sensors=[], start_time_us=latest + 1, duration_s=10)
+
+
+@pytest.mark.parametrize("speedup", [0.5, float("nan")])
+def test_run_scenario_rejects_a_speedup_below_one(speedup):
+    scenario = Scenario(site="s", daq="d", sensors=[spec_temperature()], duration_s=2)
+    with pytest.raises(ValueError, match="speedup must be >= 1"):
+        run_scenario(scenario, lambda t, p: pytest.fail("nothing may be published"),
+                     speedup=speedup)
 
 
 def test_duplicate_sensor_ids_are_rejected():

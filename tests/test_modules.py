@@ -6,6 +6,18 @@ from pathlib import Path
 import paveharvest
 
 SRC = Path(paveharvest.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: Public names that nothing in ``src/`` or ``bench/`` reads, kept on purpose.
+KEPT_UNREAD = {
+    "do_GET": "http.server calls it for each request to /metrics",
+    "log_message": "http.server calls it to log a request",
+    "ping": "BusClient's half of the documented PING verb",
+    "unsubscribe": "BusClient's half of the documented UNSUB verb",
+    "stats": "the broker's delivery counters, kept for an operator-facing reader",
+    "session_count": "the broker's live sessions, kept beside stats() for that reader",
+    "retention_sweep": "the store's documented retention, until it is wired in or deleted",
+}
 
 
 def unread_imports(source: str) -> list[str]:
@@ -53,3 +65,67 @@ def test_no_module_imports_a_name_it_never_reads():
         if (names := unread_imports(path.read_text(encoding="utf-8")))
     }
     assert unread == {}
+
+
+def unread_public_names(defining: list[str], reading: list[str]) -> list[str]:
+    """Public module-level functions and public methods (of any class, a
+    nested one too) defined in the ``defining`` sources that no source of
+    either list reads, as a name or as an attribute.
+
+    It matches by name alone, so a name that any source reads for another
+    purpose hides: ``Store.count`` and ``Store.sensors`` hid behind
+    ``list.count`` and ``Scenario.sensors``.
+    """
+    defining_trees = [ast.parse(source) for source in defining]
+    defined, read = set(), set()
+    for tree in defining_trees:
+        bodies = [tree.body] + [
+            node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        ]
+        defined.update(
+            node.name for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+        )
+    for tree in defining_trees + [ast.parse(source) for source in reading]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_unread_public_names_finds_what_it_should():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "class C:\n"
+        "    def called(self): pass\n"
+        "    def idle(self): pass\n"
+        "    def count(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "    def make(self):\n"
+        "        class Inner:\n"
+        "            def hook(self): pass\n"
+        "        def nested(): pass\n"
+        "        return Inner\n"
+        "used()\n"
+        "C().make()\n"
+    )
+    reader = "from m import C\nC().called()\n[].count(1)\n"
+    assert unread_public_names([source], [reader]) == ["hook", "idle", "unused"]
+
+
+def test_every_public_function_and_method_has_a_reader():
+    """A public name only tests call is surface to keep for nothing; move
+    what the tests need to ``tests/helpers.py``."""
+    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
+    reading = [
+        path.read_text(encoding="utf-8") for path in sorted(BENCH.rglob("*.py"))
+        if "tests" not in path.relative_to(BENCH).parts
+    ]
+    assert reading, f"no benchmark sources under {BENCH}"
+    # a kept name that gains a reader or loses its definition leaves the list
+    assert unread_public_names(defining, reading) == sorted(KEPT_UNREAD)

@@ -23,6 +23,8 @@ from helpers import (
     reference_downsample,
     reference_insert,
     reference_segment_rows,
+    segment_keys,
+    stored_count,
 )
 from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
@@ -36,7 +38,6 @@ from paveharvest.tsstore import (
     CorruptSegment,
     Sample,
     Store,
-    chunk_for,
     verify_segments,
 )
 
@@ -59,25 +60,41 @@ def record_reads(monkeypatch):
     return read
 
 
-def test_chunk_for_floors_to_window():
-    ts = parse_rfc3339("2020-11-23T10:30:00Z")
-    want = parse_rfc3339("2020-11-23T10:00:00Z")
-    assert chunk_for("s", ts, HOUR) == ChunkKey("s", want)
+def test_insert_files_a_sample_under_its_window_floor(tmp_path):
+    """A sample lands in the segment of the window its ts floors to."""
+    root = tmp_path / "db"
+    with Store(root) as store:
+        store.insert([Sample("s", parse_rfc3339("2020-11-23T10:30:00Z"), 1.0)])
+    assert segment_keys(root) == [ChunkKey("s", parse_rfc3339("2020-11-23T10:00:00Z"))]
 
 
-def test_chunk_for_boundary_belongs_to_started_window():
-    ts = parse_rfc3339("2020-11-23T10:00:00Z")
-    assert chunk_for("s", ts, HOUR).window_start == ts
+def test_insert_files_a_boundary_sample_under_the_window_it_starts(tmp_path):
+    """A ts exactly on a window boundary lands in the window it starts."""
+    root = tmp_path / "db"
+    hour = parse_rfc3339("2020-11-23T10:00:00Z")
+    with Store(root) as store:
+        store.insert([Sample("s", hour, 1.0)])
+    assert segment_keys(root) == [ChunkKey("s", hour)]
+    assert reference_segment_rows((root / "s" / f"{hour}.seg").read_bytes()) == [(hour, 1.0)]
 
 
-def test_chunk_for_property():
+def test_segment_windows_floor_every_sample(tmp_path):
+    """Each segment is named by a multiple of the span and holds only the
+    stamps of its window, and together they hold every stamp inserted."""
     rng = random.Random(3)
-    for _ in range(10_000):
-        span = rng.choice([1, 7, 1000, HOUR])
-        ts = rng.randint(1, 2**48)
-        start = chunk_for("s", ts, span).window_start
-        assert start <= ts < start + span
-        assert start % span == 0
+    for span in (1, 7, 1000, HOUR):
+        stamps = {rng.randint(1, 2**48) for _ in range(300)}
+        root = tmp_path / str(span)
+        with Store(root, chunk_span_us=span) as store:
+            store.insert([Sample("s", ts, 0.0) for ts in stamps])
+        held = set()
+        for key in segment_keys(root):
+            start = key.window_start
+            rows = reference_segment_rows((root / "s" / f"{start}.seg").read_bytes())
+            assert start % span == 0
+            assert all(start <= ts < start + span for ts, _ in rows)
+            held.update(ts for ts, _ in rows)
+        assert held == stamps, span
 
 
 def test_insert_query_round_trip(tmp_path):
@@ -197,7 +214,7 @@ def test_retention_matches_age_filter(tmp_path):
     with Store(tmp_path / "db", chunk_span_us=1000) as store:
         samples = [Sample("a", rng.randint(1, 50_000), 0.0) for _ in range(300)]
         store.insert(samples)
-        keys_before = store.chunks()
+        keys_before = segment_keys(tmp_path / "db")
         now, keep = 40_000, 10_000
         want = [k for k in keys_before if k.window_start + 1000 <= now - keep]
         assert store.retention_sweep(now, keep) == want
@@ -214,7 +231,7 @@ def test_reopen_preserves_query_results(tmp_path):
         store.insert(samples)
         golden = {
             sensor: store.query_range(sensor, 0, 10**8)
-            for sensor in store.sensors()
+            for sensor in {sample.sensor for sample in samples}
         }
     with Store(root, chunk_span_us=10_000) as store:
         for sensor, want in golden.items():
@@ -340,7 +357,7 @@ def test_insert_rejects_bad_values(tmp_path):
              Sample("b", 2**63, 1.0), Sample("c", 2**63 - 1, 1.0)]  # ts is an i64
         )
         assert report.statuses == ["bad-ts", "nonfinite", "ack", "bad-ts", "ack"]
-        assert store.count() == 2  # the rest of the batch is stored
+        assert stored_count(tmp_path / "db") == 2  # the rest of the batch is stored
 
 
 def test_a_bad_value_is_reported_per_sample_and_never_raises(tmp_path):
@@ -361,7 +378,6 @@ def test_a_bad_value_is_reported_per_sample_and_never_raises(tmp_path):
         assert store.query_range("a", 0, 100) == [Sample("a", 30, 1.0)]
         assert store.query_range("b", 0, 100) == [Sample("b", 8, 2.0)]
         assert store.query_range("c", 0, 100) == [Sample("c", 10, 1e300)]
-        assert store.chunks() == [ChunkKey("a", 0), ChunkKey("b", 0), ChunkKey("c", 0)]
     assert sorted(tree_bytes(root)) == ["a/0.seg", "b/0.seg", "c/0.seg"]
     assert verify_segments(root) == []
 
@@ -431,11 +447,9 @@ def test_sensor_names_of_the_root_or_its_parent_are_rejected(tmp_path, sensor):
     with Store(root) as store:
         assert store.query_range(sensor, 0, 100) == []
         assert store.downsample(sensor, 0, 100, 10, "count") == []
-        assert store.count(sensor) == 0
         report = store.insert([Sample(sensor, 20, 2.0), Sample("a", 10, 1.0)])
         assert report.statuses == ["bad-sensor", "ack"]
         assert store.query_range(sensor, 0, 100) == []
-        assert store.chunks() == [ChunkKey("a", 0)]
     after = tree_bytes(tmp_path)
     assert after.pop("db/a/0.seg")
     assert after == before
@@ -499,12 +513,12 @@ def test_reads_return_plain_python_values(tmp_path):
 
 
 def test_close_after_insert_session_decodes_no_segment(tmp_path, monkeypatch):
-    """A count reads what the session wrote from disk, and closing reads
+    """A read decodes what the session wrote from disk, and closing reads
     back none of the segments it wrote."""
     store = Store(tmp_path / "db")
     for h in range(6):
         store.insert([Sample(s, h * HOUR + i, float(i)) for s in "ab" for i in (5, 9, 5)])
-    assert store.count("b") == 12
+    assert len(store.query_range("b", 0, 6 * HOUR)) == 12
     read = record_reads(monkeypatch)
     store.close()
     assert read == []
@@ -538,7 +552,7 @@ def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
     ]
     with Store(tmp_path / "db", chunk_span_us=1000) as store:
         store.insert(samples)
-        assert len(opens) == len(set(opens)) == len(store.chunks()) > 100
+        assert len(opens) == len(set(opens)) == len(segment_keys(tmp_path / "db")) > 100
 
 
 @pytest.mark.parametrize("fault", ["short", "enospc"])
@@ -583,8 +597,7 @@ def test_failed_first_write_leaves_no_segment(tmp_path, monkeypatch):
     with Store(root) as store:
         report = store.insert([Sample("a", 10, 1.0), Sample("b", 10, 1.0)])
         assert report.statuses == ["storage-full", "ack"]
-        assert not (root / "a" / "0.seg").exists()
-        assert store.chunks() == [ChunkKey("b", 0)]
+        assert segment_keys(root) == [ChunkKey("b", 0)]
     monkeypatch.undo()
     with Store(root) as store:
         assert store.insert([Sample("a", 10, 1.0)]).statuses == ["ack"]
@@ -714,10 +727,6 @@ def test_reads_keep_no_state(tmp_path):
         assert store.downsample("b", 0, 3 * HOUR, HOUR, "avg") == [
             (h * HOUR, float(h)) for h in range(3)
         ]
-        assert store.count() == 6
-        assert store.count("a") == 3
-        assert store.sensors() == ["a", "b"]
-        assert len(store.chunks()) == 6
         assert store._chunks == {}
 
 
@@ -726,8 +735,6 @@ def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
     store = Store(root)
     assert store.query_range("a", 0, HOUR) == []
     assert store.downsample("a", 0, HOUR, 60, "max") == []
-    assert store.count() == store.count("a") == 0
-    assert store.sensors() == store.chunks() == []
     assert store.retention_sweep(now=HOUR, keep=1) == []
     store.close()
     assert list(tmp_path.iterdir()) == []
@@ -792,7 +799,7 @@ def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
     assert got == [Sample("b", HOUR + 5, 1.0), Sample("b", 2 * HOUR + 5, 2.0)]
     assert store._chunks == {}
     assert listed == ["b"]
-    assert store.count("c") == 4
+    assert store.downsample("c", 0, 4 * HOUR, 4 * HOUR, "count") == [(0, 4)]
     assert listed == ["b", "c"]
     store.close()
 
@@ -820,12 +827,11 @@ def test_stray_segment_file_is_ignored(tmp_path, caplog, name):
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample("a", 10, 1.0)])
-    (root / "a" / name).write_bytes((root / "a" / "0.seg").read_bytes())
-    warning = f"ignoring stray file {root / 'a' / name}"
+    stray = root / "a" / name
+    stray.write_bytes((root / "a" / "0.seg").read_bytes())
+    warning = f"ignoring stray file {stray}"
     with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
         with Store(root) as store:
-            assert store.chunks() == [ChunkKey("a", 0)]
-            assert store.count() == 1
             assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0)]
     assert warning in caplog.text
     caplog.clear()
@@ -835,6 +841,12 @@ def test_stray_segment_file_is_ignored(tmp_path, caplog, name):
     with open(root / "a" / "0.seg", "ab") as fh:  # the real segment is still checked
         fh.write(RECORD.pack(2 * HOUR, 1.0))
     assert [issue.path for issue in verify_segments(root)] == [str(root / "a" / "0.seg")]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
+        with Store(root) as store:  # a sweep of every sensor lists window 0 once
+            assert store.retention_sweep(now=2 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
+    assert warning in caplog.text
+    assert stray.exists()
 
 
 def test_stray_sensor_directory_is_ignored(tmp_path, caplog):
@@ -848,11 +860,12 @@ def test_stray_sensor_directory_is_ignored(tmp_path, caplog):
     (stray / "0.seg").write_bytes((root / "a" / "0.seg").read_bytes())
     (tmp_path / "0.seg").write_bytes(b"beside the root")
     with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
-        with Store(root) as store:
-            assert store.chunks() == [ChunkKey("a", 0)]
-            assert store.count() == 1
         assert verify_segments(root) == []
-    assert caplog.text.count(f"ignoring stray directory {stray}") == 3
+        with Store(root) as store:
+            assert store.retention_sweep(now=2 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
+    assert caplog.text.count(f"ignoring stray directory {stray}") == 2
+    assert (stray / "0.seg").exists()
+    assert (tmp_path / "0.seg").read_bytes() == b"beside the root"
 
 
 CRASH_WRITER = """
