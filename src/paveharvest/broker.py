@@ -11,9 +11,10 @@ parsed in one walk of an offset, and the input buffer is cut once per
 read; a frame that arrives over many reads is appended to in place. Each
 session keeps the encoded frames it has not yet sent and writes them with
 one ``send`` per writable event. A session whose frames land in a peer
-already holding ``queue_frames`` pending frames is not read again until
-that peer drains to half of that, so TCP pushes back on publishers; the
-peer may be the session itself, for its own ``+OK`` and ``PONG`` replies.
+already holding ``DEFAULT_QUEUE_FRAMES`` pending frames is not read again
+until that peer drains to half of that, so TCP pushes back on publishers;
+the peer may be the session itself, for its own ``+OK`` and ``PONG``
+replies.
 A peer that holds a session back, or sits at the bound, and drains
 nothing for ``SLOW_CONSUMER_GRACE`` seconds is evicted as a slow
 consumer. SUB/UNSUB are acknowledged with ``+OK`` so clients can
@@ -109,19 +110,9 @@ class _Session:
 class Broker:
     """Runnable broker; ``start()`` binds and serves until ``stop()``."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_payload: int = wire.MAX_PAYLOAD,
-        queue_frames: int = DEFAULT_QUEUE_FRAMES,
-        ping_interval: float = DEFAULT_PING_INTERVAL,
-    ):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
-        self.max_payload = max_payload
-        self.queue_frames = queue_frames
-        self.ping_interval = ping_interval
         self.router = SubjectRouter()
         self._sessions: dict[int, _Session] = {}
         self._ids = itertools.count(1)
@@ -184,7 +175,7 @@ class Broker:
     # -- the loop ------------------------------------------------------------
 
     def _serve(self, wake: socket.socket) -> None:
-        tick = min(self.ping_interval, SLOW_CONSUMER_GRACE) / 4
+        tick = min(DEFAULT_PING_INTERVAL, SLOW_CONSUMER_GRACE) / 4
         next_tick = time.monotonic() + tick
         try:
             while not self._stopping:
@@ -230,17 +221,17 @@ class Broker:
         for session in list(self._sessions.values()):
             if session.held_by:
                 session.last_activity = now  # unread by our choice, not idle
-            stalls = session.holding or len(session.out) >= self.queue_frames
+            stalls = session.holding or len(session.out) >= DEFAULT_QUEUE_FRAMES
             idle = now - session.last_activity
             if stalls and now - session.last_drain > SLOW_CONSUMER_GRACE:
                 logger.warning("session %d: slow consumer, dropping", session.id)
                 self._evicted["slow_consumer"] += 1
                 self._close(session)
-            elif idle > 2 * self.ping_interval:
+            elif idle > 2 * DEFAULT_PING_INTERVAL:
                 logger.info("session %d: keepalive timeout", session.id)
                 self._evicted["keepalive"] += 1
                 self._close(session)
-            elif idle > self.ping_interval and not (session.pinged or session.closing):
+            elif idle > DEFAULT_PING_INTERVAL and not (session.pinged or session.closing):
                 session.pinged = True
                 self._send(session, wire.encode_frame(Frame(wire.PING)))
 
@@ -263,15 +254,15 @@ class Broker:
 
     def _send(self, session: _Session, data: bytes) -> None:
         """Queue an encoded frame; the session being read waits while the
-        receiver holds ``queue_frames`` frames or more. Only a first pending
-        frame changes what the receiver waits for; ``_parse`` re-registers
-        the session it reads."""
+        receiver holds ``DEFAULT_QUEUE_FRAMES`` frames or more. Only a first
+        pending frame changes what the receiver waits for; ``_parse``
+        re-registers the session it reads."""
         out = session.out
         out.append(data)
         if len(out) == 1:
             session.last_drain = time.monotonic()  # the grace starts now
             self._watch(session)
-        if len(out) >= self.queue_frames and self._reading is not None:
+        if len(out) >= DEFAULT_QUEUE_FRAMES and self._reading is not None:
             self._reading.held_by.add(session)
             session.holding.add(self._reading)
 
@@ -293,7 +284,7 @@ class Broker:
         if session.closing and not session.out:
             self._close(session)
             return
-        if len(session.out) <= self.queue_frames // 2:
+        if len(session.out) <= DEFAULT_QUEUE_FRAMES // 2:
             self._release(session)
         self._watch(session)
 
@@ -331,7 +322,7 @@ class Broker:
         buf, pos = session.inbuf, 0
         while not session.held_by and not session.closing:
             try:
-                got = wire.parse_frame(buf, self.max_payload, pos)
+                got = wire.parse_frame(buf, pos)
             except wire.MalformedFrame as exc:
                 self._protocol_error(session, str(exc))
                 break

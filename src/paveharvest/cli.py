@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -288,13 +289,7 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
 def cmd_broker_serve(args, config) -> int:
     listen = _resolve(args.listen, "listen", config, "127.0.0.1:4222")
     host, port = _parse_addr(listen)
-    broker = Broker(
-        host,
-        port,
-        max_payload=args.max_payload,
-        queue_frames=args.queue,
-        ping_interval=args.ping_interval,
-    ).start()
+    broker = Broker(host, port).start()
     logger.info("serving on %s:%d", *broker.address)
     try:
         _wait_for_interrupt()
@@ -522,12 +517,21 @@ class UsageError(Exception):
 # --- argument plumbing ---------------------------------------------------------
 
 
+def _speedup(text: str) -> float:
+    """A ``--speedup`` value: ``run_scenario`` takes only one >= 1, and a
+    bad one fails here, before any connection is made."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 1:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be a number >= 1, got {text!r}")
+    return value
+
+
 def _add_broker_commands(sub) -> None:
     serve = sub.add_parser("serve", help="run the broker")
     serve.add_argument("--listen", help="host:port (default 127.0.0.1:4222)")
-    serve.add_argument("--max-payload", type=int, default=wire.MAX_PAYLOAD)
-    serve.add_argument("--queue", type=int, default=8192)
-    serve.add_argument("--ping-interval", type=float, default=30.0)
     serve.set_defaults(func=cmd_broker_serve)
 
 
@@ -537,7 +541,7 @@ def _add_daqsim_commands(sub) -> None:
     drun.add_argument("--scenario", required=True)
     drun.add_argument("--site")
     drun.add_argument("--daq")
-    drun.add_argument("--speedup", type=float, default=1.0)
+    drun.add_argument("--speedup", type=_speedup, default=1.0)
     drun.add_argument("--duration", type=int)
     drun.set_defaults(func=cmd_daqsim_run)
 
@@ -563,7 +567,6 @@ def _add_store_commands(sub) -> None:
     q.add_argument("--to", dest="time_to", required=True, metavar="RFC3339")
     q.add_argument("--bucket", help="downsample bucket, e.g. 5m")
     q.add_argument("--agg", choices=tsstore.AGGREGATES, default="avg")
-    q.add_argument("--format", choices=("csv",), default="csv")
     q.set_defaults(func=cmd_store_query)
     chk = sub.add_parser("check", help="verify segment files")
     chk.add_argument("--store", help="store root directory")
@@ -597,7 +600,7 @@ def _add_e2e_commands(sub) -> None:
     xrun.add_argument("--store", help="store root directory")
     xrun.add_argument("--broker", help="listen host:port (default ephemeral)")
     xrun.add_argument("--duration", type=int)
-    xrun.add_argument("--speedup", type=float, default=1.0)
+    xrun.add_argument("--speedup", type=_speedup, default=1.0)
     xrun.add_argument("--metrics-port", type=int)
     xrun.set_defaults(func=cmd_e2e_run)
 
@@ -652,9 +655,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE  # unreachable
     except (etl.DanglingReference, etl.IntegrityError, tsstore.CorruptSegment) as exc:
         logger.error("data integrity: %s", exc)
-        return EXIT_INTEGRITY
-    except IntegrityExit as exc:
-        logger.error("%s", exc)
         return EXIT_INTEGRITY
     except CliError as exc:
         logger.error("%s", exc)

@@ -38,10 +38,8 @@ class BusClient:
         self,
         host: str,
         port: int,
-        max_payload: int = wire.MAX_PAYLOAD,
         on_disconnect: Callable[[], None] | None = None,
     ):
-        self.max_payload = max_payload
         self.on_disconnect = on_disconnect
         self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         self._sock.settimeout(None)
@@ -69,12 +67,17 @@ class BusClient:
 
     def publish(self, subject: Subject | str, payload: bytes) -> None:
         """Send ``payload`` on ``subject``; a pattern raises
-        :class:`wire.InvalidSubject` before anything is sent, as the broker
-        would evict the session for it."""
+        :class:`wire.InvalidSubject` and a payload over ``wire.MAX_PAYLOAD``
+        :class:`wire.PayloadTooLarge` before anything is sent, as the broker
+        would evict the session for either."""
         if isinstance(subject, str):
             subject = wire.intern_subject(subject.encode(), True)
         elif subject.is_pattern:
             raise wire.InvalidSubject(f"wildcard forbidden here: {subject}")
+        if len(payload) > wire.MAX_PAYLOAD:
+            raise wire.PayloadTooLarge(
+                f"payload of {len(payload)} bytes exceeds {wire.MAX_PAYLOAD}"
+            )
         self._send(Frame(wire.PUB, subject=subject, payload=payload))
 
     def subscribe(self, pattern: Subject | str, handler: MessageHandler) -> int:
@@ -128,7 +131,7 @@ class BusClient:
         run: list[tuple[Subject, bytes]] = []  # consecutive MSGs for ``sid``
         sid = pos = 0
         try:
-            while (got := wire.parse_frame(buf, self.max_payload, pos)) is not None:
+            while (got := wire.parse_frame(buf, pos)) is not None:
                 frame, pos = got
                 if frame.kind == wire.MSG:
                     if frame.sid != sid:

@@ -11,8 +11,8 @@ to ``ingest``, which transforms them one by one and then counts and queues
 the whole run under one hold of a lock, with one wake of the writer. The
 queue is a bounded list under that lock and its condition. A full list
 stalls the reader, so the bus holds the publisher back; the writer takes
-up to ``batch_size`` records the moment its last insert returns (group
-commit).
+up to ``DEFAULT_BATCH_SIZE`` records the moment its last insert returns
+(group commit).
 
 Metrics are readable at any time as a consistent snapshot, and optionally
 served as plaintext ``GET /metrics``.
@@ -200,18 +200,14 @@ class Connector:
         store: Store,
         broker_addr: tuple[str, int] | None = None,
         wildcard: str = DEFAULT_WILDCARD,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        queue_cap: int = DEFAULT_QUEUE_CAP,
         metrics_port: int | None = None,
         on_insert=None,
     ):
         self.wildcard = Subject.parse(wildcard)  # raises InvalidSubject before any thread starts
         self.store = store
         self.broker_addr = broker_addr
-        self.batch_size = batch_size
         self.on_insert = on_insert
         self._queue: list[StoreRecord] = []  # records for the writer; under _mlock
-        self._queue_cap = queue_cap
         self._mlock = threading.Lock()
         self._cond = threading.Condition(self._mlock)
         self._inserting = 0  # records of the batch in store.insert
@@ -259,7 +255,7 @@ class Connector:
                 records.append(transform(subject, payload, recv_wall_us))
             except Reject as exc:
                 records.append(exc.reason)
-        pending, cap = self._queue, self._queue_cap
+        pending, cap = self._queue, DEFAULT_QUEUE_CAP
         wake = False  # the writer may be waiting for the records queued
         with self._mlock:  # the condition's lock, without its Python-level wrapper
             for record in records:
@@ -329,7 +325,7 @@ class Connector:
                 self._subscribe()
 
     def _take(self) -> list[StoreRecord]:
-        """Wait for records, then take up to ``batch_size`` of them at once.
+        """Wait for records, then take up to ``DEFAULT_BATCH_SIZE`` at once.
 
         An empty batch means nothing is queued and no reader is live: the
         writer then subscribes or, once stopped, ends."""
@@ -338,8 +334,8 @@ class Connector:
                 self._lost.is_set() and (self._stop.is_set() or self.broker_addr is not None)
             ):
                 self._cond.wait()
-            batch = self._queue[: self.batch_size]
-            del self._queue[: self.batch_size]
+            batch = self._queue[:DEFAULT_BATCH_SIZE]
+            del self._queue[:DEFAULT_BATCH_SIZE]
             self._inserting = len(batch)
             self._last_take = time.monotonic()
             self._cond.notify_all()  # room for a waiting ingest

@@ -1,7 +1,7 @@
 """Embedded time-series store with per-sensor, per-time-window chunks.
 
-Every sample lands in the chunk for its sensor and hour (default span);
-chunks are append-only binary segment files:
+Every sample lands in the chunk for its sensor and hour
+(``DEFAULT_CHUNK_SPAN_US``); chunks are append-only binary segment files:
 
     32-byte header: magic "TSEG", version u32 LE, sensor-key hash u64 LE,
                     window start i64 LE (us), 8 reserved bytes
@@ -262,13 +262,10 @@ class _Chunk:
 class Store:
     """A sample store rooted at ``root``; its first insert creates the directory."""
 
-    def __init__(self, root: str | Path, chunk_span_us: int = DEFAULT_CHUNK_SPAN_US):
-        if chunk_span_us <= 0:
-            raise ValueError("chunk span must be positive")
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():  # reads would find nothing in it
             raise NotADirectoryError(errno.ENOTDIR, "store root is not a directory", str(root))
-        self.span = chunk_span_us
         self._lock = threading.RLock()
         self._chunks: dict[ChunkKey, _Chunk] = {}
         self._open_per_sensor: dict[str, ChunkKey] = {}  # the chunk each sensor wrote last
@@ -295,7 +292,7 @@ class Store:
         # Plain (sensor, window start) tuples: they hash and compare equal to
         # a ChunkKey, which is built only when a chunk is first made.
         groups: dict[tuple[str, int], list[tuple[int, int, float]]] = {}
-        span, isfinite = self.span, math.isfinite
+        span, isfinite = DEFAULT_CHUNK_SPAN_US, math.isfinite
         with self._lock:
             self._ensure_open()
             for i, (sensor, ts, v) in enumerate(batch):
@@ -381,7 +378,7 @@ class Store:
     def _columns(self, sensor: str, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1."""
         ts_parts, v_parts = [np.empty(0, np.int64)], [np.empty(0)]
-        first = t0 - t0 % self.span
+        first = t0 - t0 % DEFAULT_CHUNK_SPAN_US
         # t0 <= ts < t1 as t0 - 1 < ts <= t1 - 1, with both bounds clamped
         # to the stored range 0 < ts < TS_END: an int beyond int64 would
         # make numpy compare in float64, where TS_END - 1 rounds to TS_END.
@@ -448,7 +445,7 @@ class Store:
         with self._lock:
             self._ensure_open()
             for key, path in self._on_disk():
-                if key.window_start + self.span <= cutoff:
+                if key.window_start + DEFAULT_CHUNK_SPAN_US <= cutoff:
                     chunk = self._chunks.pop(key, None)
                     if chunk is not None:
                         chunk.close()
@@ -532,14 +529,15 @@ class SegmentIssue:
     problem: str
 
 
-def verify_segments(root: str | Path, span: int = DEFAULT_CHUNK_SPAN_US) -> list[SegmentIssue]:
+def verify_segments(root: str | Path) -> list[SegmentIssue]:
     """Scan every segment under ``root`` for partition purity and framing.
 
     Checks header magic/version, that the key hash and window start match
     the file's location, and that every record ts lies inside the chunk
-    window. Lists segments as the store does, so a file the store ignores is
-    skipped with the same warning. Returns a list of issues; empty means
-    the store is clean.
+    window. The window is ``DEFAULT_CHUNK_SPAN_US`` long, the span the store
+    writes with; the segment header does not record it. Lists segments as
+    the store does, so a file the store ignores is skipped with the same
+    warning. Returns a list of issues; empty means the store is clean.
     """
     issues: list[SegmentIssue] = []
     for key, seg in sorted(_segments(Path(root))):
@@ -556,7 +554,7 @@ def verify_segments(root: str | Path, span: int = DEFAULT_CHUNK_SPAN_US) -> list
         if (len(raw) - HEADER_SIZE) % RECORD_SIZE:
             issues.append(SegmentIssue(str(seg), "torn trailing record"))
         ts = records["ts"]
-        outside = (ts < start) | (ts >= start + span)
+        outside = (ts < start) | (ts >= start + DEFAULT_CHUNK_SPAN_US)
         if outside.any():
             first = int(ts[outside.argmax()])
             issues.append(SegmentIssue(str(seg), f"record ts {first} outside window"))

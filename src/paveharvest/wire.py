@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-MAX_PAYLOAD = 1 << 20  # default cap, configurable per call
+MAX_PAYLOAD = 1 << 20  # the largest payload a frame may carry, on every side
 MAX_CONTROL_LINE = 4096
 SUBJECT_CACHE_SIZE = 4096  # interned subjects; least recently used go first
 
@@ -49,7 +49,7 @@ class MalformedFrame(WireError):
 
 
 class PayloadTooLarge(MalformedFrame):
-    """Declared payload length exceeds the configured maximum."""
+    """Payload length exceeds ``MAX_PAYLOAD``."""
 
 
 class InvalidSubject(WireError):
@@ -207,7 +207,7 @@ def _parse_subject(token: bytes, concrete: bool) -> Subject:
 
 
 def parse_frame(
-    buf: bytes | bytearray | memoryview, max_payload: int = MAX_PAYLOAD, start: int = 0
+    buf: bytes | bytearray | memoryview, start: int = 0
 ) -> tuple[Frame, int] | None:
     """Parse the complete frame that starts at offset ``start`` of ``buf``.
 
@@ -238,8 +238,8 @@ def parse_frame(
         subject = _parse_subject(parts[1], True)
         sid = _parse_int(parts[2], "sid") if verb == b"MSG" else None
         length = _parse_int(parts[-1], "payload length")
-        if length > max_payload:
-            raise PayloadTooLarge(f"payload of {length} bytes exceeds {max_payload}")
+        if length > MAX_PAYLOAD:
+            raise PayloadTooLarge(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
         end = consumed + length + 2
         if len(data) < end:
             return None

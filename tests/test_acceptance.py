@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import asg_raw_text, laser_raw_text, rejected_total, stored_count
-from paveharvest import dsp, etl
+from paveharvest import connector as connector_mod, dsp, etl
 from paveharvest.broker import Broker, SubjectRouter
 from paveharvest.cli import E2EReport, PipelineConfig, run_e2e
 from paveharvest.client import BusClient
@@ -255,7 +255,7 @@ def test_c5_end_to_end_pipeline(tmp_path):
 # --- 6. daily volume at scaled rate --------------------------------------------
 
 
-def test_c6_daily_volume(tmp_path):
+def test_c6_daily_volume(tmp_path, monkeypatch):
     with criterion(
         6,
         "time-compressed day at 23.15 samples/s stores >= 2,000,000 with "
@@ -270,8 +270,9 @@ def test_c6_daily_volume(tmp_path):
         subjects = [Subject.parse(s) for s in sensors]
         per_sensor = total // len(sensors)
         remainder = total - per_sensor * len(sensors)
+        monkeypatch.setattr(connector_mod, "DEFAULT_BATCH_SIZE", 2000)
         with Store(tmp_path / "db") as store:
-            conn = Connector(store, batch_size=2000).start()
+            conn = Connector(store).start()
             base = 1_700_000_000_000_000
             step = day_s * US_PER_SECOND // per_sensor
             sent = 0

@@ -17,8 +17,20 @@ from paveharvest.wire import Subject
 
 
 @pytest.fixture
-def broker():
-    b = Broker(ping_interval=60.0).start()
+def quiet_pings(monkeypatch):
+    """Sessions idle for the length of a test are not pinged."""
+    monkeypatch.setattr(broker_mod, "DEFAULT_PING_INTERVAL", 60.0)
+
+
+@pytest.fixture
+def small_queue(monkeypatch):
+    """A peer holds a session back from 16 pending frames on."""
+    monkeypatch.setattr(broker_mod, "DEFAULT_QUEUE_FRAMES", 16)
+
+
+@pytest.fixture
+def broker(quiet_pings):
+    b = Broker().start()
     yield b
     b.stop()
 
@@ -313,7 +325,7 @@ def test_concurrent_sessions_no_duplicates(broker):
     assert all(c == 1 for c in counts.values())
 
 
-def test_fifty_sessions_publish_1k_each():
+def test_fifty_sessions_publish_1k_each(monkeypatch):
     """50 concurrent sessions x 1k msgs: all 50k routed, none duplicated."""
     n_pub, n_msg = 50, 1000
     per_publisher: dict[bytes, list[int]] = {}
@@ -327,7 +339,8 @@ def test_fifty_sessions_publish_1k_each():
                 per_publisher.setdefault(who, []).append(int(seq))
         done.release(len(messages))
 
-    with Broker(ping_interval=120.0) as broker:
+    monkeypatch.setattr(broker_mod, "DEFAULT_PING_INTERVAL", 120.0)
+    with Broker() as broker:
         with make_client(broker) as sub:
             sub.subscribe("bulk.>", on_msg)
 
@@ -348,7 +361,7 @@ def test_fifty_sessions_publish_1k_each():
         assert seqs == list(range(n_msg))  # complete, ordered, no duplicates
 
 
-def test_slow_subscriber_paces_publisher_without_loss():
+def test_slow_subscriber_paces_publisher_without_loss(small_queue, quiet_pings):
     """A reading but slow subscriber stalls its publisher; it is not evicted."""
     n_msg = 2000
     got = []
@@ -361,7 +374,7 @@ def test_slow_subscriber_paces_publisher_without_loss():
         if len(got) == n_msg:
             done.set()
 
-    with Broker(queue_frames=16, ping_interval=60.0) as b:
+    with Broker() as b:
         with make_client(b) as sub, make_client(b) as pub:
             sub.subscribe("pace.>", on_msg)
             for seq in range(n_msg):
@@ -384,8 +397,8 @@ def test_stop_after_the_loop_has_ended():
     assert b._thread is None
 
 
-def test_slow_consumer_dropped():
-    b = Broker(queue_frames=16, ping_interval=60.0).start()
+def test_slow_consumer_dropped(small_queue, quiet_pings):
+    b = Broker().start()
     try:
         # raw socket subscriber that never reads
         lazy = socket.create_connection(b.address, timeout=5)
@@ -418,9 +431,9 @@ def test_slow_consumer_dropped():
         b.stop()
 
 
-def test_slow_consumer_evicted_once(caplog):
+def test_slow_consumer_evicted_once(caplog, small_queue, quiet_pings):
     """Publishers flooding one stalled subscriber evict it exactly once."""
-    b = Broker(queue_frames=16, ping_interval=60.0).start()
+    b = Broker().start()
     try:
         lazy = socket.create_connection(b.address, timeout=5)
         lazy.sendall(b"SUB flood.> 1\r\n")
@@ -450,8 +463,9 @@ def test_slow_consumer_evicted_once(caplog):
     assert len(evictions) == 1
 
 
-def test_keepalive_drops_idle_session():
-    b = Broker(ping_interval=0.2).start()
+def test_keepalive_drops_idle_session(monkeypatch):
+    monkeypatch.setattr(broker_mod, "DEFAULT_PING_INTERVAL", 0.2)
+    b = Broker().start()
     try:
         sock = socket.create_connection(b.address, timeout=5)
         sock.sendall(b"PING\r\n")
@@ -495,6 +509,28 @@ def test_publish_to_a_wildcard_raises_and_keeps_the_session(broker, subject):
             pub.publish(subject, b"x")
         pub.publish("site.1.x", b"y")
         assert got.wait(5)
+    assert broker.stats()["evicted"]["protocol_error"] == 0
+
+
+def test_publish_over_the_payload_cap_raises_and_keeps_the_session(broker):
+    """The broker evicts a session that sends a payload over the cap, so the
+    client refuses one before sending; a payload at the cap still goes."""
+    got = []
+    done = threading.Event()
+
+    def on_msg(messages):
+        got.extend(payload for _, payload in messages)
+        done.set()
+
+    largest = b"y" * wire.MAX_PAYLOAD
+    with make_client(broker) as sub, make_client(broker) as pub:
+        sub.subscribe("site.1.x", on_msg)
+        with pytest.raises(wire.PayloadTooLarge):
+            pub.publish("site.1.x", b"x" * (wire.MAX_PAYLOAD + 1))
+        assert not pub.closed
+        pub.publish("site.1.x", largest)
+        assert done.wait(5)
+    assert got == [largest]
     assert broker.stats()["evicted"]["protocol_error"] == 0
 
 
@@ -639,9 +675,9 @@ def test_max_payload_in_small_pieces_is_gathered_in_place(broker):
     assert got == [payload]
 
 
-def test_broker_runs_one_thread_at_fifty_sessions():
+def test_broker_runs_one_thread_at_fifty_sessions(quiet_pings):
     before = set(threading.enumerate())
-    b = Broker(ping_interval=60.0).start()
+    b = Broker().start()
     socks = []
     try:
         socks = [socket.create_connection(b.address, timeout=5) for _ in range(50)]
@@ -653,8 +689,8 @@ def test_broker_runs_one_thread_at_fifty_sessions():
         b.stop()
 
 
-def test_stop_is_prompt_and_closes_every_session():
-    b = Broker(ping_interval=60.0).start()
+def test_stop_is_prompt_and_closes_every_session(quiet_pings):
+    b = Broker().start()
     socks = [socket.create_connection(b.address, timeout=5) for _ in range(10)]
     try:
         assert wait_for_sessions(b, len(socks))
@@ -669,9 +705,9 @@ def test_stop_is_prompt_and_closes_every_session():
         b.stop()
 
 
-def test_pinging_non_reader_evicted_while_others_are_served():
+def test_pinging_non_reader_evicted_while_others_are_served(small_queue, quiet_pings):
     """A session that never reads its PONGs stalls only itself, then goes."""
-    b = Broker(queue_frames=16, ping_interval=60.0).start()
+    b = Broker().start()
     lazy = socket.create_connection(b.address, timeout=5)
     other = socket.create_connection(b.address, timeout=5)
     try:
@@ -707,8 +743,8 @@ def test_pinging_non_reader_evicted_while_others_are_served():
 # --- counters ----------------------------------------------------------------
 
 
-def test_stats_count_routes_and_evictions():
-    b = Broker(queue_frames=16, ping_interval=60.0).start()
+def test_stats_count_routes_and_evictions(small_queue, quiet_pings):
+    b = Broker().start()
     try:
         assert b.stats() == {
             "published": 0, "delivered": 0, "unrouted": 0, "dropped": 0,
@@ -752,12 +788,12 @@ def test_stats_count_routes_and_evictions():
         b.stop()
 
 
-def test_dropped_counts_the_msg_frames_an_evicted_session_never_got():
+def test_dropped_counts_the_msg_frames_an_evicted_session_never_got(small_queue, quiet_pings):
     """Every MSG queued for a session either reached its socket, at least
     its head, or is counted as dropped when the session is evicted."""
     payload = b"MSG " * 250
     frame_size = len(b"MSG flood.data 1 1000\r\n" + payload + b"\r\n")
-    b = Broker(queue_frames=16, ping_interval=60.0).start()
+    b = Broker().start()
     try:
         with make_client(b) as pub:
             lazy = socket.create_connection(b.address, timeout=10)
@@ -846,7 +882,7 @@ def test_protocol_error_sends_the_rest_of_a_cut_frame_before_err():
         assert b.stats()["dropped"] == 3 - started, sent
 
 
-def test_subscriber_that_reads_everything_drops_nothing():
+def test_subscriber_that_reads_everything_drops_nothing(small_queue, quiet_pings):
     got = []
     done = threading.Event()
 
@@ -855,7 +891,7 @@ def test_subscriber_that_reads_everything_drops_nothing():
         if len(got) == 500:
             done.set()
 
-    with Broker(queue_frames=16, ping_interval=60.0) as b:
+    with Broker() as b:
         with make_client(b) as sub, make_client(b) as pub:
             sub.subscribe("all.>", on_msg)
             for seq in range(500):

@@ -695,6 +695,27 @@ def test_bad_scenario_override_exits_3_naming_the_field(
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("speedup", ["0.5", "nan", "fast"])
+@pytest.mark.parametrize("command", [["daqsim", "run"], ["e2e", "run", "--store", "db"]],
+                         ids=["daqsim", "e2e"])
+def test_bad_speedup_is_a_usage_error_before_any_connection(
+    tmp_path, capsys, monkeypatch, command, speedup
+):
+    scenario = tmp_path / "scen.json"
+    write_scenario(scenario, sensors=1, duration=3)
+
+    def connect(*args, **kwargs):
+        pytest.fail("--speedup must be checked before any connection is made")
+
+    monkeypatch.setattr(cli_mod, "BusClient", connect)
+    monkeypatch.setattr(cli_mod, "Broker", connect)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--scenario", str(scenario), "--speedup", speedup])
+    assert exc.value.code == 2
+    assert f"argument --speedup: must be a number >= 1, got '{speedup}'" in capsys.readouterr().err
+
+
 def test_e2e_small_run(tmp_path, capsys):
     scenario = tmp_path / "scen.json"
     write_scenario(scenario, sensors=2, duration=4)

@@ -254,9 +254,10 @@ def test_skew_clamped_and_counted(tmp_path):
     assert m.latency_counts[0] == 1  # clamped to zero lands in the first bucket
 
 
-def test_queue_overflow_counted(tmp_path):
+def test_queue_overflow_counted(tmp_path, monkeypatch):
+    monkeypatch.setattr(connector_mod, "DEFAULT_QUEUE_CAP", 5)
     with Store(tmp_path / "db") as store:
-        conn = Connector(store, queue_cap=5)  # writer not started
+        conn = Connector(store)  # writer not started
         conn.ingest([(EPC_SUBJ, payload(ts=1 + i, seq=i + 1)) for i in range(8)])
         m = conn.metrics_snapshot()
         assert m.rejected.get("overflow") == 3
@@ -264,12 +265,14 @@ def test_queue_overflow_counted(tmp_path):
         assert m.received == m.accepted + rejected_total(m) + m.in_flight
 
 
-def test_run_longer_than_the_queue_is_counted_record_by_record(tmp_path):
+def test_run_longer_than_the_queue_is_counted_record_by_record(tmp_path, monkeypatch):
     """A run longer than the queue, ingested while the store stalls, is
     counted as each record is queued or rejected: the counters balance at
     every snapshot, the queue never passes its cap, and overflow starts
     only once the writer has taken nothing for the grace."""
     cap, batch, n = 50, 10, 200
+    monkeypatch.setattr(connector_mod, "DEFAULT_QUEUE_CAP", cap)
+    monkeypatch.setattr(connector_mod, "DEFAULT_BATCH_SIZE", batch)
     release = threading.Event()
     with Store(tmp_path / "db") as store:
         insert = store.insert
@@ -279,7 +282,7 @@ def test_run_longer_than_the_queue_is_counted_record_by_record(tmp_path):
             return insert(samples)
 
         store.insert = stalled_insert
-        conn = Connector(store, queue_cap=cap, batch_size=batch).start()
+        conn = Connector(store).start()
         run = [(EPC_SUBJ, payload(ts=1000 + i, seq=i + 1)) for i in range(n)]
         started = time.monotonic()
         ingest = threading.Thread(target=conn.ingest, args=(run,))
@@ -424,10 +427,11 @@ def test_payload_beyond_float_range_is_counted_and_the_subscription_lives_on(tmp
     assert stats["unrouted"] == 0
 
 
-def test_bus_replay_at_full_speed_loses_nothing(tmp_path):
+def test_bus_replay_at_full_speed_loses_nothing(tmp_path, monkeypatch):
     n = 20_000
+    monkeypatch.setattr(connector_mod, "DEFAULT_QUEUE_CAP", 200)
     with Broker().start() as broker, Store(tmp_path / "db") as store:
-        conn = Connector(store, broker_addr=broker.address, queue_cap=200).start()
+        conn = Connector(store, broker_addr=broker.address).start()
         assert conn.wait_ready()
         publish_sensors(broker.address, n)
         wait_received(conn, n)
@@ -441,11 +445,12 @@ def test_bus_replay_at_full_speed_loses_nothing(tmp_path):
     assert m.seq_gaps == 0
 
 
-def test_store_stall_behind_broker_ends_as_counted_overflow(tmp_path):
+def test_store_stall_behind_broker_ends_as_counted_overflow(tmp_path, monkeypatch):
     """A store that blocks longer than the grace first holds the bus back,
     then sheds load as counted overflow; the broker never evicts the
     connector, so every published sample is received and accounted for."""
     n = 20_000
+    monkeypatch.setattr(connector_mod, "DEFAULT_QUEUE_CAP", 200)
     entered, release = threading.Event(), threading.Event()
     published = []
     with Broker().start() as broker, Store(tmp_path / "db") as store:
@@ -457,7 +462,7 @@ def test_store_stall_behind_broker_ends_as_counted_overflow(tmp_path):
             return insert(samples)
 
         store.insert = stalled_insert
-        conn = Connector(store, broker_addr=broker.address, queue_cap=200).start()
+        conn = Connector(store, broker_addr=broker.address).start()
         assert conn.wait_ready()
         client = conn._client
         publisher = threading.Thread(
@@ -600,10 +605,11 @@ def test_stop_stores_the_run_the_reader_is_ingesting(tmp_path, monkeypatch):
     assert m.in_flight == 0
 
 
-def test_stop_while_records_arrive_leaves_nothing_in_flight(tmp_path):
+def test_stop_while_records_arrive_leaves_nothing_in_flight(tmp_path, monkeypatch):
     """stop() closes the client before the writer drains, so once it
     returns every record received is stored or rejected and no thread of
     the connector is left, under a short switch interval too."""
+    monkeypatch.setattr(connector_mod, "DEFAULT_BATCH_SIZE", 50)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     connected, done = threading.Event(), threading.Event()
@@ -625,7 +631,7 @@ def test_stop_while_records_arrive_leaves_nothing_in_flight(tmp_path):
             received = 0
             for _ in range(10):
                 before = set(threading.enumerate())
-                conn = Connector(store, broker_addr=broker.address, batch_size=50).start()
+                conn = Connector(store, broker_addr=broker.address).start()
                 assert conn.wait_ready()
                 time.sleep(rng.uniform(0, 0.02))
                 conn.stop()

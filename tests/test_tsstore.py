@@ -10,6 +10,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,14 +79,15 @@ def test_insert_files_a_boundary_sample_under_the_window_it_starts(tmp_path):
     assert reference_segment_rows((root / "s" / f"{hour}.seg").read_bytes()) == [(hour, 1.0)]
 
 
-def test_segment_windows_floor_every_sample(tmp_path):
+def test_segment_windows_floor_every_sample(tmp_path, monkeypatch):
     """Each segment is named by a multiple of the span and holds only the
     stamps of its window, and together they hold every stamp inserted."""
     rng = random.Random(3)
     for span in (1, 7, 1000, HOUR):
         stamps = {rng.randint(1, 2**48) for _ in range(300)}
         root = tmp_path / str(span)
-        with Store(root, chunk_span_us=span) as store:
+        monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", span)
+        with Store(root) as store:
             store.insert([Sample("s", ts, 0.0) for ts in stamps])
         held = set()
         for key in segment_keys(root):
@@ -120,9 +122,10 @@ def test_query_empty_store_and_empty_interval(tmp_path):
         assert store.query_range("a", 5, 5) == []  # half-open
 
 
-def test_query_spanning_chunks_matches_filter(tmp_path):
+def test_query_spanning_chunks_matches_filter(tmp_path, monkeypatch):
     rng = random.Random(5)
-    with Store(tmp_path / "db", chunk_span_us=1000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 1000)
+    with Store(tmp_path / "db") as store:
         samples = [
             Sample("a", rng.randint(1, 5000), rng.random()) for _ in range(800)
         ]
@@ -137,9 +140,10 @@ def test_query_spanning_chunks_matches_filter(tmp_path):
         assert store.query_range("a", t0, t1) == want
 
 
-def test_query_union_is_exact_partition(tmp_path):
+def test_query_union_is_exact_partition(tmp_path, monkeypatch):
     rng = random.Random(6)
-    with Store(tmp_path / "db", chunk_span_us=500) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 500)
+    with Store(tmp_path / "db") as store:
         store.insert(
             [Sample("a", rng.randint(1, 3000), rng.random()) for _ in range(500)]
         )
@@ -163,10 +167,11 @@ def test_downsample_count_conserves(tmp_path):
         assert sum(v for _s, v in buckets) == 500
 
 
-def test_downsample_matches_reference(tmp_path):
+def test_downsample_matches_reference(tmp_path, monkeypatch):
     rng = random.Random(9)
     samples = [Sample("a", rng.randint(1, 10**6), rng.uniform(-5, 5)) for _ in range(3000)]
-    with Store(tmp_path / "db", chunk_span_us=100_000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 100_000)
+    with Store(tmp_path / "db") as store:
         store.insert(samples)
         dedup = {}
         for s in samples:
@@ -209,9 +214,10 @@ def test_retention_drops_whole_old_chunks(tmp_path):
         assert store.query_range("a", 0, 10 * HOUR) == [Sample("a", new_ts, 2.0)]
 
 
-def test_retention_matches_age_filter(tmp_path):
+def test_retention_matches_age_filter(tmp_path, monkeypatch):
     rng = random.Random(13)
-    with Store(tmp_path / "db", chunk_span_us=1000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 1000)
+    with Store(tmp_path / "db") as store:
         samples = [Sample("a", rng.randint(1, 50_000), 0.0) for _ in range(300)]
         store.insert(samples)
         keys_before = segment_keys(tmp_path / "db")
@@ -220,47 +226,50 @@ def test_retention_matches_age_filter(tmp_path):
         assert store.retention_sweep(now, keep) == want
 
 
-def test_reopen_preserves_query_results(tmp_path):
+def test_reopen_preserves_query_results(tmp_path, monkeypatch):
     rng = random.Random(17)
     samples = [
         Sample(f"s{rng.randint(0, 3)}", rng.randint(1, 10**7), rng.random())
         for _ in range(2000)
     ]
     root = tmp_path / "db"
-    with Store(root, chunk_span_us=10_000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 10_000)
+    with Store(root) as store:
         store.insert(samples)
         golden = {
             sensor: store.query_range(sensor, 0, 10**8)
             for sensor in {sample.sensor for sample in samples}
         }
-    with Store(root, chunk_span_us=10_000) as store:
+    with Store(root) as store:
         for sensor, want in golden.items():
             assert store.query_range(sensor, 0, 10**8) == want
 
 
-def test_partition_purity_checker(tmp_path):
+def test_partition_purity_checker(tmp_path, monkeypatch):
     rng = random.Random(19)
     root = tmp_path / "db"
-    with Store(root, chunk_span_us=5000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 5000)
+    with Store(root) as store:
         store.insert(
             [
                 Sample(f"site/{i % 3}/epc", rng.randint(1, 100_000), rng.random())
                 for i in range(1000)
             ]
         )
-    assert verify_segments(root, span=5000) == []
+    assert verify_segments(root) == []
 
 
-def test_checker_flags_out_of_window_record(tmp_path):
+def test_checker_flags_out_of_window_record(tmp_path, monkeypatch):
     root = tmp_path / "db"
-    with Store(root, chunk_span_us=1000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 1000)
+    with Store(root) as store:
         store.insert([Sample("a", 1500, 1.0)])
     seg = next((root / "a").glob("*.seg"))
     import struct
 
     with open(seg, "ab") as fh:
         fh.write(struct.pack("<qd", 99_999, 3.0))  # outside the window
-    issues = verify_segments(root, span=1000)
+    issues = verify_segments(root)
     assert any("outside window" in i.problem for i in issues)
 
 
@@ -402,10 +411,11 @@ def test_inserts_match_the_reference_rule(batches, reopen):
     the chunk each sensor keeps open are those of the one-sample-at-a-time
     rule, over bad values, reserved and unusable sensor names, resends
     within and across batches, many windows per sensor and reopens."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", 7):
         root, ref_root = Path(tmp) / "db", Path(tmp) / "ref"
         ref_root.mkdir()
-        store, ref_open = Store(root, chunk_span_us=7), {}
+        store, ref_open = Store(root), {}
         for n, batch in enumerate(batches):
             samples = [Sample(*s) for s in batch]
             want = reference_insert(ref_root, 7, samples, ref_open)
@@ -416,10 +426,10 @@ def test_inserts_match_the_reference_rule(batches, reopen):
                        for key in [*store._chunks, *store._open_per_sensor.values()])
             if reopen and n % reopen == 0:
                 store.close()
-                store, ref_open = Store(root, chunk_span_us=7), {}
+                store, ref_open = Store(root), {}
         store.close()
         if root.exists():
-            assert verify_segments(root, span=7) == []
+            assert verify_segments(root) == []
 
 
 def test_query_bounds_beyond_int64_compare_exactly(tmp_path):
@@ -550,7 +560,8 @@ def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
         Sample(f"s{rng.randrange(3)}", rng.randint(1, 60_000), rng.random())
         for _ in range(3000)
     ]
-    with Store(tmp_path / "db", chunk_span_us=1000) as store:
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 1000)
+    with Store(tmp_path / "db") as store:
         store.insert(samples)
         assert len(opens) == len(set(opens)) == len(segment_keys(tmp_path / "db")) > 100
 
@@ -617,8 +628,9 @@ def test_inserts_match_dict_model(batches, reopen):
     """Statuses and last-write-wins reads follow a dict of (sensor, ts) -> v,
     across batches with in-batch resends and chunks touched out of order."""
     model: dict[tuple[str, int], float] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        store = Store(tmp, chunk_span_us=7)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", 7):
+        store = Store(tmp)
         for i, batch in enumerate(batches):
             samples = [Sample(s, ts, float(v)) for s, ts, v in batch]
             want = []
@@ -628,13 +640,13 @@ def test_inserts_match_dict_model(batches, reopen):
             assert store.insert(samples).statuses == want
             if reopen and i % 2:
                 store.close()
-                store = Store(tmp, chunk_span_us=7)
+                store = Store(tmp)
         for sensor in "ab":
             assert store.query_range(sensor, 0, 100) == sorted(
                 Sample(s, ts, v) for (s, ts), v in model.items() if s == sensor
             )
         store.close()
-        assert verify_segments(tmp, span=7) == []
+        assert verify_segments(tmp) == []
 
 
 _stamp = st.integers(1, 40)
@@ -685,8 +697,9 @@ def test_reads_match_the_per_row_models(span, writes, batch, bounds, bucket):
     model = {s.ts: s.v for s in samples}
     rows = sorted(model.items())
     t0, t1 = sorted(max(0, w * span + off) for w, off in (bounds[:2], bounds[2:]))
-    with tempfile.TemporaryDirectory() as tmp:
-        with Store(tmp, chunk_span_us=span) as store:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", span):
+        with Store(tmp) as store:
             for i in range(0, len(samples), batch):
                 store.insert(samples[i : i + batch])
             got = store.query_range("a", t0, t1)
