@@ -31,7 +31,6 @@ from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
 from .timeutil import (
     US_PER_SECOND,
     format_rfc3339_column,
-    now_us,
     parse_duration,
     parse_rfc3339,
 )
@@ -96,21 +95,25 @@ def _resolve(flag_value, name: str, config: dict, default=None):
     return default
 
 
+def _store_root(args, config: dict) -> str:
+    """``--store``, else ``PAVEH_STORE``, else the config file's ``store``."""
+    store_root = _resolve(args.store, "store", config)
+    if store_root is None:
+        raise CliError("--store is required (or PAVEH_STORE)")
+    return store_root
+
+
 def _load_scenario(
     path: str, site: str | None = None, daq: str | None = None, duration_s: int | None = None
 ) -> Scenario:
     """The scenario file at ``path`` with the given overrides, checked as
-    the file's own fields are; a scenario without a start time starts now,
-    so event time runs with the wall."""
-    scenario = Scenario.from_file(path)
+    the file's own fields are."""
     changes = {
         name: value
         for name, value in (("site", site), ("daq", daq), ("duration_s", duration_s))
         if value is not None
     }
-    if scenario.start_time_us == 1:
-        changes["start_time_us"] = now_us()
-    return replace(scenario, **changes)
+    return replace(Scenario.from_file(path), **changes)
 
 
 # --- e2e orchestration -----------------------------------------------------
@@ -315,10 +318,7 @@ def cmd_daqsim_run(args, config) -> int:
 
 def cmd_connector_run(args, config) -> int:
     broker = _resolve(args.broker, "broker", config, "127.0.0.1:4222")
-    store_root = _resolve(args.store, "store", config)
-    if store_root is None:
-        raise CliError("--store is required (or PAVEH_STORE)")
-    store = Store(store_root)
+    store = Store(_store_root(args, config))
     try:
         connector = Connector(
             store,
@@ -354,9 +354,7 @@ def cmd_connector_metrics(args, config) -> int:
 
 
 def cmd_store_query(args, config) -> int:
-    store_root = _resolve(args.store, "store", config)
-    if store_root is None:
-        raise CliError("--store is required (or PAVEH_STORE)")
+    store_root = _store_root(args, config)
     t0 = parse_rfc3339(args.time_from)
     t1 = parse_rfc3339(args.time_to)
     if t0 > t1:
@@ -382,10 +380,7 @@ def cmd_store_query(args, config) -> int:
 
 
 def cmd_store_check(args, config) -> int:
-    store_root = _resolve(args.store, "store", config)
-    if store_root is None:
-        raise CliError("--store is required (or PAVEH_STORE)")
-    issues = verify_segments(store_root)
+    issues = verify_segments(_store_root(args, config))
     for issue in issues:
         print(f"{issue.path}: {issue.problem}", file=sys.stderr)
     if issues:
@@ -449,17 +444,22 @@ def cmd_etl_join(args, config) -> int:
 
 
 def cmd_dsp_inspect(args, config) -> int:
-    rows = [
-        line.split(",")
-        for line in Path(args.input).read_text().strip().splitlines()
-    ]
-    start = 1 if rows and not _is_number(rows[0][0]) else 0
-    t = np.array([float(r[0]) for r in rows[start:]])
-    y = np.array([float(r[1]) for r in rows[start:]])
-    series = dsp.Series(t=t, y=y)
-    smoothed = dsp.smooth(
-        series, dsp.DspConfig(window=args.window, polyorder=args.order)
-    )
+    try:
+        smoothing = dsp.DspConfig(window=args.window, polyorder=args.order)
+    except ValueError as exc:
+        raise UsageError(f"--window/--order: {exc}") from None
+    lines = Path(args.input).read_text().strip().splitlines()
+    start = 1 if lines and not _is_number(lines[0].split(",")[0]) else 0  # a header
+    t = np.empty(len(lines) - start)
+    y = np.empty(len(t))
+    for i, line in enumerate(lines[start:]):
+        try:
+            t[i], y[i] = map(float, line.split(",")[:2])
+        except ValueError:
+            raise CliError(
+                f"{args.input} line {start + i + 1}: expected t,y numbers, got {line!r}"
+            ) from None
+    smoothed = dsp.smooth(dsp.Series(t=t, y=y), smoothing)
     print("t,y,y_smoothed")
     for ti, yi, si in zip(t, y, smoothed.y):
         print(f"{ti},{yi},{si}")
@@ -468,12 +468,9 @@ def cmd_dsp_inspect(args, config) -> int:
 
 def cmd_e2e_run(args, config) -> int:
     broker = _resolve(args.broker, "broker", config, "127.0.0.1:0")
-    store_root = _resolve(args.store, "store", config)
-    if store_root is None:
-        raise CliError("--store is required (or PAVEH_STORE)")
     pipeline = PipelineConfig(
         scenario_path=args.scenario,
-        store_root=store_root,
+        store_root=_store_root(args, config),
         broker_address=_parse_addr(broker),
         duration_s=args.duration,
         speedup=args.speedup,

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import wire
-from .timeutil import US_PER_SECOND, parse_rfc3339
+from .timeutil import US_PER_SECOND, now_us, parse_rfc3339
 from .tsstore import TS_END
 from .wire import SamplePayload, Subject, mqtt_topic_to_subject
 
@@ -143,10 +143,11 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         """Parse a scenario file; a missing, unknown or mistyped field
-        raises ValueError naming it."""
+        raises ValueError naming it. A file with no ``start_time`` starts
+        now, so event time runs with the wall."""
         obj = json.loads(text)
         try:
-            start = obj.get("start_time", 1)
+            start = obj.get("start_time", now_us())
             return cls(
                 site=str(obj["site"]),
                 daq=str(obj["daq"]),

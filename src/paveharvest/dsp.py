@@ -7,7 +7,8 @@ elastic-recovery envelope extraction and gauge calibration.
 The smoother operates by sample index: interior points are a convolution
 with the center-row least-squares weights, boundary points fall back to a
 polynomial fit over the truncated one-sided window so profile ends keep
-their real geometry. All operations are pure.
+their real geometry. All operations are pure. The detection, labeling
+and envelope settings are module constants, one value each.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ FIRST20 = "first20"
 LAST20 = "last20"
 UNLABELED = "unlabeled"
 
+#: extrema closer than this keep only the higher (seconds)
+MIN_SEPARATION_S = 1.0
+#: least prominence of an extremum, as a share of the series' range
+PROMINENCE_FRACTION = 0.1
+#: how many first and how many last passes of an ASG log are labeled
+PASSES = 20
 #: sampling fractions of the inter-peak interval for recovery envelopes
 ENVELOPE_FRACTIONS = (0.30, 0.45, 0.60, 0.75, 0.90)
 
@@ -70,20 +77,16 @@ class Series:
 
 @dataclass(frozen=True)
 class DspConfig:
-    """Smoothing and extrema-detection parameters for one sensor kind."""
+    """Smoothing parameters for one sensor kind."""
 
     window: int = 1001
     polyorder: int = 2
-    min_separation_s: float = 1.0
-    prominence_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError("window must be an odd integer >= 3")
         if not (1 <= self.polyorder < self.window):
             raise ValueError("polyorder must satisfy 1 <= polyorder < window")
-        if self.min_separation_s < 0 or not (0 <= self.prominence_fraction <= 1):
-            raise ValueError("bad separation/prominence settings")
 
 
 # The sources quote even windows of 1000/100/50 per sensor family; a centered
@@ -104,7 +107,6 @@ DEFAULT_CONFIGS: dict[str, DspConfig] = {
 @dataclass
 class Extremum:
     kind: str  # maxima | minima
-    index: int
     t: float
     value: float
     label: str = UNLABELED  # first20 | last20 | unlabeled
@@ -113,7 +115,6 @@ class Extremum:
 @dataclass
 class EnvelopePoint:
     pass_index: int  # 1-based ordinal of the owning maximum, in time order
-    fraction: float
     t: float
     value: float
 
@@ -201,12 +202,13 @@ def _edge_weights(window: int, polyorder: int) -> np.ndarray:
     return weights
 
 
-def detect_extrema(series: Series, config: DspConfig) -> list[Extremum]:
+def detect_extrema(series: Series) -> list[Extremum]:
     """Prominent, well-separated maxima and minima, sorted by time.
 
-    Prominence is measured relative to the series' peak-to-peak range, so
-    detection is invariant under positive affine transforms of y. When two
-    candidates fall within the minimum separation the higher one wins.
+    An extremum's prominence must be at least :data:`PROMINENCE_FRACTION`
+    of the series' peak-to-peak range, so detection is invariant under
+    positive affine transforms of y. Of two candidates closer than
+    :data:`MIN_SEPARATION_S` the higher one wins.
     """
     n = len(series)
     if n < 3:
@@ -216,7 +218,7 @@ def detect_extrema(series: Series, config: DspConfig) -> list[Extremum]:
         return []
     from scipy import signal  # imported here: scipy is slow to import
 
-    threshold = config.prominence_fraction * span
+    threshold = PROMINENCE_FRACTION * span
     out: list[Extremum] = []
     for kind, sig in ((MAXIMA, series.y), (MINIMA, -series.y)):
         candidates, _ = signal.find_peaks(sig)
@@ -224,24 +226,17 @@ def detect_extrema(series: Series, config: DspConfig) -> list[Extremum]:
             continue
         prominences = signal.peak_prominences(sig, candidates)[0]
         eligible = candidates[prominences >= threshold]
-        kept = _greedy_separate(
-            eligible, sig, series.t, config.min_separation_s
-        )
         out.extend(
-            Extremum(kind=kind, index=int(i), t=float(series.t[i]),
-                     value=float(series.y[i]))
-            for i in kept
+            Extremum(kind=kind, t=float(series.t[i]), value=float(series.y[i]))
+            for i in _greedy_separate(eligible, sig, series.t)
         )
     out.sort(key=lambda e: (e.t, e.kind))
     return out
 
 
-def _greedy_separate(
-    idx: np.ndarray, sig: np.ndarray, t: np.ndarray, min_sep: float
-) -> list[int]:
-    """Keep-highest greedy thinning under a minimum time separation."""
-    if min_sep <= 0 or len(idx) <= 1:
-        return sorted(int(i) for i in idx)
+def _greedy_separate(idx: np.ndarray, sig: np.ndarray, t: np.ndarray) -> list[int]:
+    """Keep-highest greedy thinning under :data:`MIN_SEPARATION_S`."""
+    min_sep = MIN_SEPARATION_S
     order = sorted(idx, key=lambda i: (-sig[i], t[i]))
     accepted_times: list[float] = []
     accepted: list[int] = []
@@ -256,58 +251,30 @@ def _greedy_separate(
     return sorted(accepted)
 
 
-def select_passes(
-    extrema: list[Extremum], first_n: int = 20, last_n: int = 20
-) -> list[Extremum]:
-    """Label the first/last N maxima as capture passes.
+def select_passes(maxima: list[Extremum]) -> list[Extremum]:
+    """Copies of ``maxima`` (in time order), the first and the last
+    :data:`PASSES` labeled as capture passes.
 
     Each maximum is labeled at most once; on overlap (fewer than
-    ``first_n + last_n`` maxima) the first-pass label wins. A minimum
-    inherits the label of the maximum immediately before it, staying
-    unlabeled when that maximum is unlabeled or absent.
+    ``2 * PASSES`` maxima) the first-pass label wins.
     """
-    out = [replace(e) for e in sorted(extrema, key=lambda e: e.t)]
-    maxima = [e for e in out if e.kind == MAXIMA]
-    for e in maxima:
-        e.label = UNLABELED
-    for e in maxima[:first_n]:
+    out = [replace(e, label=UNLABELED) for e in maxima]
+    for e in out[-PASSES:]:
+        e.label = LAST20
+    for e in out[:PASSES]:
         e.label = FIRST20
-    for e in maxima[-last_n:] if last_n else []:
-        if e.label == UNLABELED:
-            e.label = LAST20
-    last_max: Extremum | None = None
-    for e in out:
-        if e.kind == MAXIMA:
-            last_max = e
-        elif last_max is not None:
-            e.label = last_max.label
     return out
 
 
-def extract_envelope(
-    series: Series,
-    extrema: list[Extremum],
-    k: int = 5,
-    fractions: tuple[float, ...] = ENVELOPE_FRACTIONS,
-) -> list[EnvelopePoint]:
-    """Sample the recovery curve after each labeled maximum.
+def extract_envelope(series: Series, maxima: list[Extremum]) -> list[EnvelopePoint]:
+    """Sample the recovery curve after each labeled one of ``maxima``
+    (in time order).
 
-    For every labeled maximum, ``k`` points are read off the (smoothed)
-    series at the given fractions of the interval to the next maximum;
-    the final maximum uses the interval to the series end. A degenerate
-    zero-length interval yields fewer than ``k`` points and is reported.
+    For every labeled maximum, one point is read off the (smoothed) series
+    at each of the :data:`ENVELOPE_FRACTIONS` of the interval to the next
+    maximum; the final maximum uses the interval to the series end. A
+    degenerate zero-length interval yields no points and is reported.
     """
-    if k == 0:
-        return []
-    if k != len(fractions):
-        fractions = tuple(fractions[:k])
-        if len(fractions) != k:
-            raise ValueError("need one fraction per envelope point")
-    if any(not (0 < f < 1) for f in fractions):
-        raise ValueError("fractions must lie in (0, 1)")
-    maxima = sorted(
-        (e for e in extrema if e.kind == MAXIMA), key=lambda e: e.t
-    )
     out: list[EnvelopePoint] = []
     t_end = float(series.t[-1]) if len(series) else 0.0
     truncated = 0
@@ -319,12 +286,11 @@ def extract_envelope(
         if interval <= 0:
             truncated += 1
             continue
-        for f in fractions:
+        for f in ENVELOPE_FRACTIONS:
             ts = peak.t + f * interval
             out.append(
                 EnvelopePoint(
                     pass_index=ordinal,
-                    fraction=f,
                     t=float(ts),
                     value=float(np.interp(ts, series.t, series.y)),
                 )

@@ -469,7 +469,7 @@ def _sensor_rows(
     meta: FileMeta,
 ) -> list[DataRow]:
     smoothed = dsp.smooth(channel.series, config)
-    extrema = dsp.detect_extrema(smoothed, config)
+    extrema = dsp.detect_extrema(smoothed)
     cal = channel.cal
     coeff = cal.cal_coeff if cal else None
     rated = cal.rated_output if cal else None
@@ -498,17 +498,17 @@ def _sensor_rows(
         return [row(instance, e.kind, e.t, e.value) for e in extrema]
     # labelled maxima, then the envelope after each: ASG labels its first and
     # last passes, a stationary log labels every maximum
-    maxima = [
-        e for e in (dsp.select_passes(extrema) if kind == ASG else extrema)
-        if e.kind == dsp.MAXIMA
-    ]
-    rows: list[DataRow] = []
-    for e in maxima:
-        if kind != ASG:
+    maxima = [e for e in extrema if e.kind == dsp.MAXIMA]
+    if kind == ASG:
+        maxima = dsp.select_passes(maxima)
+    else:
+        for e in maxima:
             e.label = "stationary"
-        if e.label != dsp.UNLABELED:
-            rows.append(row(e.label, dsp.MAXIMA, e.t, e.value))
-    for p in dsp.extract_envelope(smoothed, maxima, k=5):
+    rows = [
+        row(e.label, dsp.MAXIMA, e.t, e.value)
+        for e in maxima if e.label != dsp.UNLABELED
+    ]
+    for p in dsp.extract_envelope(smoothed, maxima):
         rows.append(row(maxima[p.pass_index - 1].label, ENVELOPE, p.t, p.value))
     return rows
 

@@ -206,9 +206,7 @@ def _parse_subject(token: bytes, concrete: bool) -> Subject:
         raise MalformedFrame(str(exc)) from exc
 
 
-def parse_frame(
-    buf: bytes | bytearray | memoryview, start: int = 0
-) -> tuple[Frame, int] | None:
+def parse_frame(buf: bytes | bytearray, start: int = 0) -> tuple[Frame, int] | None:
     """Parse the complete frame that starts at offset ``start`` of ``buf``.
 
     Returns ``(frame, end)``, where ``end`` is the offset just past the
@@ -218,13 +216,12 @@ def parse_frame(
     :class:`PayloadTooLarge`) on garbage.
     """
     # Search and slice in place: the buffer can hold many frames.
-    data = bytes(buf) if isinstance(buf, memoryview) else buf
-    eol = data.find(CRLF, start)
+    eol = buf.find(CRLF, start)
     if eol < 0:
-        if len(data) - start > MAX_CONTROL_LINE:
+        if len(buf) - start > MAX_CONTROL_LINE:
             raise MalformedFrame("control line too long")
         return None
-    line = bytes(data[start:eol])
+    line = bytes(buf[start:eol])
     consumed = eol + 2
     parts = line.split()
     verb = parts[0] if parts else b""
@@ -241,10 +238,10 @@ def parse_frame(
         if length > MAX_PAYLOAD:
             raise PayloadTooLarge(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
         end = consumed + length + 2
-        if len(data) < end:
+        if len(buf) < end:
             return None
-        payload = bytes(data[consumed : consumed + length])
-        if data[consumed + length : end] != CRLF:
+        payload = bytes(buf[consumed : consumed + length])
+        if buf[consumed + length : end] != CRLF:
             raise MalformedFrame("payload not CRLF-terminated")
         kind = PUB if verb == b"PUB" else MSG
         return Frame(kind, subject, sid, payload), end

@@ -28,7 +28,7 @@ from helpers import (
 )
 from paveharvest import cli as cli_mod, etl
 from paveharvest.cli import build_parser, main
-from paveharvest.timeutil import format_rfc3339, parse_duration
+from paveharvest.timeutil import format_rfc3339, now_us, parse_duration
 from paveharvest.tsstore import Sample, Store
 
 
@@ -318,6 +318,32 @@ def test_store_commands_on_a_missing_store_create_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["connector", "run"],
+        ["store", "query", "--sensor", "a",
+         "--from", "2020-01-01T00:00:00Z", "--to", "2020-01-02T00:00:00Z"],
+        ["store", "check"],
+        ["e2e", "run", "--scenario", "scen.json"],
+    ],
+    ids=["connector-run", "store-query", "store-check", "e2e-run"],
+)
+def test_no_store_given_exits_3_and_makes_nothing(tmp_path, capsys, caplog, monkeypatch, command):
+    def connect(*args, **kwargs):
+        pytest.fail("the store must be resolved before any connection is made")
+
+    monkeypatch.delenv("PAVEH_STORE", raising=False)
+    monkeypatch.setattr(cli_mod, "BusClient", connect)
+    monkeypatch.setattr(cli_mod, "Broker", connect)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(command, capsys)
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["--store is required (or PAVEH_STORE)"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_store_query_env_var_config(tmp_path, capsys, monkeypatch):
     root = tmp_path / "db"
     base = make_store(root)
@@ -600,6 +626,29 @@ def test_dsp_inspect_smooths_csv(tmp_path, capsys):
     assert float(sample[2]) == pytest.approx(float(sample[1]), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--window", "4"], ["--window", "11", "--order", "0"], ["--window", "5", "--order", "5"]],
+    ids=["even-window", "order-0", "order-not-below-window"],
+)
+def test_dsp_inspect_bad_window_or_order_is_a_usage_error(tmp_path, capsys, flags):
+    """Checked before the input is read: exit 2 even with no such file."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dsp", "inspect", "--in", str(tmp_path / "missing.csv"), *flags])
+    assert exc.value.code == 2
+    assert "--window/--order" in capsys.readouterr().err
+
+
+def test_dsp_inspect_row_of_one_field_exits_3_naming_the_line(tmp_path, capsys, caplog):
+    src = tmp_path / "in.csv"
+    src.write_text("t,y\n0,1\n1\n2,3\n")
+    code, out, _ = run_cli(["dsp", "inspect", "--in", str(src), "--window", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "line 3" in errors[0] and "'1'" in errors[0]
+
+
 # --- e2e ------------------------------------------------------------
 
 
@@ -693,6 +742,24 @@ def test_bad_scenario_override_exits_3_naming_the_field(
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("start_time", [1, "1970-01-01T00:00:00.000001Z"])
+def test_a_start_time_of_one_microsecond_is_kept(tmp_path, start_time):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(
+        json.dumps({"site": "65", "daq": "1", "sensors": [], "start_time": start_time})
+    )
+    assert cli_mod._load_scenario(str(scenario)).start_time_us == 1
+    assert cli_mod._load_scenario(str(scenario), duration_s=3).start_time_us == 1
+
+
+def test_a_scenario_without_a_start_time_starts_now(tmp_path):
+    scenario = tmp_path / "scen.json"
+    write_scenario(scenario)
+    before = now_us()
+    start = cli_mod._load_scenario(str(scenario)).start_time_us
+    assert before <= start <= now_us()
 
 
 @pytest.mark.parametrize("speedup", ["0.5", "nan", "fast"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paveharvest import dsp
 from paveharvest.dsp import (
     DEFAULT_CONFIGS,
     ENVELOPE_FRACTIONS,
@@ -171,32 +172,43 @@ def test_default_configs_per_sensor_kind():
 # --- extrema ------------------------------------------------------------
 
 
+@pytest.fixture
+def detection(monkeypatch):
+    """Sets the detection constants: ``detection(separation_s, prominence)``."""
+
+    def set_to(min_separation_s: float, prominence_fraction: float) -> None:
+        monkeypatch.setattr(dsp, "MIN_SEPARATION_S", min_separation_s)
+        monkeypatch.setattr(dsp, "PROMINENCE_FRACTION", prominence_fraction)
+
+    return set_to
+
+
 def test_monotone_ramp_has_no_extrema():
     s = series(np.linspace(0, 10, 500))
-    assert detect_extrema(s, DspConfig(window=5)) == []
+    assert detect_extrema(s) == []
 
 
-def test_sine_peak_count_and_spacing():
+def test_sine_peak_count_and_spacing(detection):
     t = np.arange(0.0, 200.0, 0.01)
     s = Series(t=t, y=np.sin(2 * np.pi * t / 10.0))
-    cfg = DspConfig(window=5, min_separation_s=5.0, prominence_fraction=0.1)
-    maxima = [e for e in detect_extrema(s, cfg) if e.kind == MAXIMA]
+    detection(5.0, 0.1)
+    maxima = [e for e in detect_extrema(s) if e.kind == MAXIMA]
     assert len(maxima) == 20
     gaps = np.diff([e.t for e in maxima])
     assert np.allclose(gaps, 10.0, atol=0.02)
-    minima = [e for e in detect_extrema(s, cfg) if e.kind == MINIMA]
+    minima = [e for e in detect_extrema(s) if e.kind == MINIMA]
     assert len(minima) == 20
 
 
-def test_peak_positions_from_formatted_archive_sample():
+def test_peak_positions_from_formatted_archive_sample(detection):
     # reconstruct a response whose maxima sit near the published capture
     # times 9.7004, 19.5662, 30.9986, 42.6466 s
     centers = [9.7004, 19.5662, 30.9986, 42.6466]
     t = np.arange(0.0, 50.0, 0.01)
     y = sum(np.exp(-((t - c) ** 2) / 2.0) for c in centers)
     s = Series(t=t, y=np.asarray(y))
-    cfg = DspConfig(window=5, min_separation_s=5.0, prominence_fraction=0.2)
-    maxima = [e for e in detect_extrema(s, cfg) if e.kind == MAXIMA]
+    detection(5.0, 0.2)
+    maxima = [e for e in detect_extrema(s) if e.kind == MAXIMA]
     assert len(maxima) == 4
     seps = np.diff([e.t for e in maxima])
     assert np.all((seps >= 9.0) & (seps <= 12.0))
@@ -204,25 +216,25 @@ def test_peak_positions_from_formatted_archive_sample():
         assert abs(e.t - c) < 0.1
 
 
-def test_extrema_affine_invariance():
+def test_extrema_affine_invariance(detection):
     rng = np.random.default_rng(5)
     base = np.cumsum(rng.normal(size=2000))
     base = np.convolve(base, np.ones(25) / 25, mode="same")
     s1 = series(base, dt=0.1)
     s2 = series(3.0 * base - 7.0, dt=0.1)
-    cfg = DspConfig(window=5, min_separation_s=2.0, prominence_fraction=0.15)
-    e1 = detect_extrema(s1, cfg)
-    e2 = detect_extrema(s2, cfg)
-    assert [(e.kind, e.index) for e in e1] == [(e.kind, e.index) for e in e2]
+    detection(2.0, 0.15)
+    e1 = detect_extrema(s1)
+    e2 = detect_extrema(s2)
+    assert [(e.kind, e.t) for e in e1] == [(e.kind, e.t) for e in e2]
 
 
-def test_greedy_separation_keeps_highest():
+def test_greedy_separation_keeps_highest(detection):
     # two close peaks: 0.8 at t=1.0, 1.0 at t=1.5 -> only the higher survives
     t = np.arange(0.0, 10.0, 0.01)
     y = 0.8 * np.exp(-((t - 1.0) ** 2) / 0.005) + np.exp(-((t - 1.5) ** 2) / 0.005)
     s = Series(t=t, y=y)
-    cfg = DspConfig(window=5, min_separation_s=1.0, prominence_fraction=0.05)
-    maxima = [e for e in detect_extrema(s, cfg) if e.kind == MAXIMA]
+    detection(1.0, 0.05)
+    maxima = [e for e in detect_extrema(s) if e.kind == MAXIMA]
     assert len(maxima) == 1
     assert abs(maxima[0].t - 1.5) < 0.05
 
@@ -232,7 +244,7 @@ def test_greedy_separation_keeps_highest():
 
 def make_maxima(n, spacing=10.0):
     return [
-        Extremum(kind=MAXIMA, index=i * 10, t=5.0 + i * spacing, value=1.0)
+        Extremum(kind=MAXIMA, t=5.0 + i * spacing, value=1.0)
         for i in range(n)
     ]
 
@@ -266,23 +278,7 @@ def test_select_passes_each_labeled_once(n):
     assert last == max(0, min(n - 20, 20))
 
 
-def test_minima_inherit_preceding_label():
-    ex = [
-        Extremum(kind=MINIMA, index=0, t=1.0, value=-1.0),  # before any max
-        Extremum(kind=MAXIMA, index=10, t=5.0, value=1.0),
-        Extremum(kind=MINIMA, index=15, t=7.0, value=-1.0),
-    ]
-    labeled = select_passes(ex, first_n=1, last_n=0)
-    assert labeled[0].label == UNLABELED
-    assert labeled[1].label == FIRST20
-    assert labeled[2].label == FIRST20
-
-
 # --- envelope ------------------------------------------------------------
-
-
-def test_envelope_k_zero():
-    assert extract_envelope(series(np.ones(10)), make_maxima(5), k=0) == []
 
 
 def test_envelope_forty_passes_gives_two_hundred_points():
@@ -290,12 +286,8 @@ def test_envelope_forty_passes_gives_two_hundred_points():
     t = np.arange(0.0, n_max * 10.0, 0.5)
     y = np.zeros_like(t)
     s = Series(t=t, y=y)
-    maxima = [
-        Extremum(kind=MAXIMA, index=int(5.0 / 0.5) + i * 20, t=5.0 + i * 10.0, value=1.0)
-        for i in range(n_max)
-    ]
-    labeled = select_passes(maxima)
-    points = extract_envelope(s, labeled, k=5)
+    labeled = select_passes(make_maxima(n_max))
+    points = extract_envelope(s, labeled)
     assert len(points) == 200
     per_pass = {}
     for p in points:
@@ -311,13 +303,13 @@ def test_envelope_values_match_closed_form_decay():
     y = np.where(t < t1, 0.0, np.where(t <= t2, 1.0 - (t - t1) / (t2 - t1), 0.0))
     s = Series(t=t, y=y)
     maxima = [
-        Extremum(kind=MAXIMA, index=8, t=t1, value=1.0, label=FIRST20),
-        Extremum(kind=MAXIMA, index=28, t=t2, value=1.0, label=UNLABELED),
+        Extremum(kind=MAXIMA, t=t1, value=1.0, label=FIRST20),
+        Extremum(kind=MAXIMA, t=t2, value=1.0, label=UNLABELED),
     ]
-    points = extract_envelope(s, maxima, k=5)
-    assert len(points) == 5
+    points = extract_envelope(s, maxima)
+    assert len(points) == len(ENVELOPE_FRACTIONS)
     for p, f in zip(points, ENVELOPE_FRACTIONS):
-        assert p.fraction == f
+        assert p.t == t1 + f * (t2 - t1)
         assert t1 < p.t < t2
         want = 1.0 - (p.t - t1) / (t2 - t1)
         assert p.value == pytest.approx(want, abs=1e-12)
@@ -329,31 +321,34 @@ def test_envelope_exponential_recovery_tracks_curve():
     y = np.exp(-np.clip(t - t1, 0.0, None))
     s = Series(t=t, y=y)
     maxima = [
-        Extremum(kind=MAXIMA, index=500, t=t1, value=1.0, label=FIRST20),
-        Extremum(kind=MAXIMA, index=1500, t=t2, value=float(np.exp(-10)), label=UNLABELED),
+        Extremum(kind=MAXIMA, t=t1, value=1.0, label=FIRST20),
+        Extremum(kind=MAXIMA, t=t2, value=float(np.exp(-10)), label=UNLABELED),
     ]
-    for p in extract_envelope(s, maxima, k=5):
+    for p in extract_envelope(s, maxima):
         assert p.value == pytest.approx(np.exp(-(p.t - t1)), rel=1e-6)
 
 
 def test_envelope_fraction_invariants():
     t = np.arange(0.0, 100.0, 0.5)
     s = Series(t=t, y=np.sin(t))
-    maxima = select_passes(make_maxima(8), first_n=20, last_n=20)
-    points = extract_envelope(s, maxima, k=5)
-    for p in points:
-        assert 0 < p.fraction < 1
-        owner = maxima[p.pass_index - 1]
-        assert p.t > owner.t
+    maxima = select_passes(make_maxima(8))
+    points = extract_envelope(s, maxima)
+    ends = [e.t for e in maxima[1:]] + [float(t[-1])]
+    assert [(p.pass_index, p.t) for p in points] == [
+        (ordinal, peak.t + f * (end - peak.t))
+        for ordinal, (peak, end) in enumerate(zip(maxima, ends), start=1)
+        for f in ENVELOPE_FRACTIONS
+    ]
+    assert all(0 < f < 1 for f in ENVELOPE_FRACTIONS)
 
 
 def test_envelope_degenerate_interval_reported(caplog):
     # labeled maximum exactly at the series end -> zero-length interval
     t = np.arange(0.0, 10.5, 0.5)
     s = Series(t=t, y=np.zeros_like(t))
-    maxima = [Extremum(kind=MAXIMA, index=len(t) - 1, t=t[-1], value=0.0, label=FIRST20)]
+    maxima = [Extremum(kind=MAXIMA, t=t[-1], value=0.0, label=FIRST20)]
     with caplog.at_level("WARNING"):
-        points = extract_envelope(s, maxima, k=5)
+        points = extract_envelope(s, maxima)
     assert points == []
     assert any("truncated" in r.message for r in caplog.records)
 
