@@ -26,7 +26,7 @@ import numpy as np
 from . import dsp, etl, tsstore, wire
 from .broker import Broker
 from .client import BusClient
-from .connector import Connector, sensor_key_for
+from .connector import DEFAULT_WILDCARD, Connector, sensor_key_for
 from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
 from .timeutil import (
     US_PER_SECOND,
@@ -67,9 +67,13 @@ class IntegrityExit(CliError):
     exit_code = EXIT_INTEGRITY
 
 
+def _is_port(text: str) -> bool:
+    return text.isascii() and text.isdigit() and int(text) <= 65535
+
+
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not _is_port(port):
         raise CliError(f"address must be host:port, got {text!r}")
     return host, int(port)
 
@@ -526,6 +530,13 @@ def _speedup(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    """A ``--metrics-port`` value, 0 (any free port) to 65535."""
+    if not _is_port(text):
+        raise argparse.ArgumentTypeError(f"must be a port number 0-65535, got {text!r}")
+    return int(text)
+
+
 def _add_broker_commands(sub) -> None:
     serve = sub.add_parser("serve", help="run the broker")
     serve.add_argument("--listen", help="host:port (default 127.0.0.1:4222)")
@@ -547,8 +558,8 @@ def _add_connector_commands(sub) -> None:
     crun = sub.add_parser("run", help="consume and store")
     crun.add_argument("--broker", help="broker host:port")
     crun.add_argument("--store", help="store root directory")
-    crun.add_argument("--subject", default="site.>")
-    crun.add_argument("--metrics-port", type=int)
+    crun.add_argument("--subject", default=DEFAULT_WILDCARD)
+    crun.add_argument("--metrics-port", type=_port)
     crun.set_defaults(func=cmd_connector_run)
     cmet = sub.add_parser("metrics", help="fetch metrics from a connector")
     cmet.add_argument("--endpoint", required=True, help="http://host:port/metrics")
@@ -598,7 +609,7 @@ def _add_e2e_commands(sub) -> None:
     xrun.add_argument("--broker", help="listen host:port (default ephemeral)")
     xrun.add_argument("--duration", type=int)
     xrun.add_argument("--speedup", type=_speedup, default=1.0)
-    xrun.add_argument("--metrics-port", type=int)
+    xrun.add_argument("--metrics-port", type=_port)
     xrun.set_defaults(func=cmd_e2e_run)
 
 

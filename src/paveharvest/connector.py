@@ -33,7 +33,7 @@ from . import wire
 from .broker import SLOW_CONSUMER_GRACE
 from .client import BusClient, BusError
 from .timeutil import now_us
-from .tsstore import Sample, Store
+from .tsstore import ACK, Sample, Store
 from .wire import Subject
 
 logger = logging.getLogger(__name__)
@@ -351,7 +351,7 @@ class Connector:
             statuses = [STORE] * len(batch)
         wall = now_us()
         second = wall // 1_000_000
-        stored = [r for r, status in zip(batch, statuses) if status in ("ack", "duplicate")]
+        stored = [r for r, status in zip(batch, statuses) if status == ACK]
         if self.on_insert is not None:
             for record in stored:
                 self.on_insert(record, wall)

@@ -138,12 +138,9 @@ def savgol_weights(window: int, polyorder: int) -> np.ndarray:
     Fitting a degree-``polyorder`` polynomial over ``window`` consecutive
     samples and reading it at the center is a linear map; these are its
     weights. They sum to 1 and are symmetric. Read-only, as every caller
-    shares them.
+    shares them. ``window`` and ``polyorder`` are a :class:`DspConfig`'s,
+    which checks them.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd integer >= 3")
-    if not (1 <= polyorder < window):
-        raise ValueError("polyorder must satisfy 1 <= polyorder < window")
     half = window // 2
     x = np.arange(-half, half + 1, dtype=float) / half
     design = np.vander(x, polyorder + 1, increasing=True)

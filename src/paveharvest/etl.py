@@ -535,18 +535,9 @@ def _parse_time_of_day(text: str) -> float:
     return int(m.group(1)) * 3600 + int(m.group(2)) * 60 + float(m.group(3))
 
 
-def _format_time_of_day(seconds: float) -> str:
-    # Round to hundredths once, before the split, so 59.996 s carries into
-    # the minute instead of printing as 60.00.
-    text = f"{seconds % 86_400:.2f}"
-    m, s = divmod(int(text[:-3]) % 86_400, 60)
-    h, m = divmod(m, 60)
-    return f"{h:02d}:{m:02d}:{s:02d}{text[-3:]}"
-
-
 def _hundredths_of_day(seconds: np.ndarray) -> np.ndarray:
-    """:func:`_format_time_of_day`'s rounding over an array: each time,
-    wrapped at midnight, as a whole number of hundredths of a second."""
+    """Each time, wrapped at midnight, as a whole number of hundredths of a
+    second, rounded once as ``f"{x:.2f}"`` rounds: 59.996 s is 6000."""
     x = seconds % 86_400
     scaled = x * 100
     hundredths = np.rint(scaled).astype(np.int64)

@@ -7,12 +7,12 @@ Every sample lands in the chunk for its sensor and hour
                     window start i64 LE (us), 8 reserved bytes
     records:        ts i64 LE (us), value f64 LE, 16 bytes each
 
-Duplicates on (sensor, ts) are reported and resolved last-write-wins at
-read time; out-of-order arrival within a chunk is normal. The segment
-file is the only copy of a chunk's values: every read decodes it anew
-into ts-sorted numpy columns, through one function, :func:`_read_segment`,
-and keeps nothing. A chunk that takes writes keeps only its timestamps,
-for duplicate checks.
+Every record is appended; a resent (sensor, ts) is acked like any other
+sample and resolved last-write-wins at read time, and out-of-order
+arrival within a chunk is normal. The segment file is the only copy of a
+chunk's values: every read decodes it anew into ts-sorted numpy columns,
+through one function, :func:`_read_segment`, and keeps nothing. Reads and
+writes check a segment's header with one rule, :func:`_check_header`.
 
 The segment files are the store's only state, and the directory is the
 chunk table: ``<root>/<quoted sensor>/<window start>.seg``. Opening a
@@ -20,20 +20,20 @@ store reads and creates nothing; the first insert makes the root. A query
 lists only its sensor's directory, and a retention sweep lists them all.
 One walk, :func:`_segments`, owns that naming for the store and
 :func:`verify_segments`; any other ``.seg`` name is skipped with a warning.
-A store keeps state only for the chunks its session writes, and ``close``
-releases every one. The sensor names ``""``, ``.`` and ``..`` would name
-the root or its parent, so an insert rejects them as ``bad-sensor`` and a
-read finds nothing for them.
+A writing session keeps one open segment per sensor, the one it wrote
+last, and the keys of segments found corrupt; ``close`` releases every
+handle. The sensor names ``""``, ``.`` and ``..`` would name the root or
+its parent, so an insert rejects them as ``bad-sensor`` and a read finds
+nothing for them.
 
 An insert groups its batch by chunk and gives each touched chunk one
 unbuffered ``write`` of its records, all or nothing: a short or failed
 write is cut back, and only that chunk's samples report the error. No
-user-space buffer holds records once ``insert`` returns. Each sensor
-keeps one segment open, the one it wrote last. One writer per chunk at a
-time; readers see whole records only (a torn trailing record is ignored,
-and cut off before the next append; a file cut inside its header holds no
-records, and the next append writes the header anew). The store never
-calls ``fsync``, so that cut covers a process crash, not a power loss.
+user-space buffer holds records once ``insert`` returns. One writer per
+chunk at a time; readers see whole records only. A torn trailing record
+is ignored, and cut off when a writer opens the segment; a file cut
+inside its header holds no records, and its next append writes the header
+anew. The store never calls ``fsync``: the cut covers a process crash only.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import errno
 import hashlib
 import logging
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -67,7 +68,6 @@ TS_END = 1 << 63  # a record's ts is an i64: a sample needs 0 < ts < TS_END
 DEFAULT_CHUNK_SPAN_US = 3_600_000_000  # 1 hour
 
 ACK = "ack"
-DUPLICATE = "duplicate"
 
 AGGREGATES = ("avg", "min", "max", "count")
 
@@ -182,46 +182,32 @@ def _pack_each(
 class InsertReport:
     """Per-sample outcome of one insert batch."""
 
-    statuses: list[str] = field(default_factory=list)  # ack/duplicate/<reason>
+    statuses: list[str] = field(default_factory=list)  # ack/<reason>
 
     @property
     def accepted(self) -> int:
         return self.statuses.count(ACK)
 
     @property
-    def duplicates(self) -> int:
-        return self.statuses.count(DUPLICATE)
-
-    @property
     def errors(self) -> int:
-        return len(self.statuses) - self.accepted - self.duplicates
+        return len(self.statuses) - self.accepted
 
 
 class _Chunk:
-    """Write state for one on-disk segment: its timestamps, from the chunk's
-    first write on, and its append handle."""
+    """The append handle of one on-disk segment."""
 
     def __init__(self, key: ChunkKey, path: Path):
         self.key = key
         self.path = path
-        # A dict of int keys and None values, not a set: CPython never
-        # GC-tracks such a dict, but tracks every set, and a full collection
-        # would walk every chunk's timestamps.
-        self.stamps: dict[int, None] | None = None
-        self.corrupt = False
         self.size = 0  # bytes of whole records (and header) while open
         self._fh = None
 
-    def held(self) -> dict[int, None]:
-        """Timestamps the chunk holds; once asked for, kept until the store closes."""
-        if self.stamps is None:
-            self.stamps = dict.fromkeys(_read_segment(self.key, self.path)[0].tolist())
-        return self.stamps
-
     def open_for_append(self):
+        """The open handle; opening reads only the header, and checks it."""
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "ab", buffering=0)
+            self._fh = open(self.path, "a+b", buffering=0)
+            _check_header(self.key, self.path, os.pread(self._fh.fileno(), HEADER_SIZE, 0))
             size = self._fh.tell()
             # A crash can leave a torn record at the end; appending after it
             # would misframe every record written from here on.
@@ -230,8 +216,8 @@ class _Chunk:
                 self._fh.truncate(self.size)
         return self._fh
 
-    def append(self, records: bytes, stamps: dict[int, None]) -> None:
-        """Write packed records in one write, all or nothing; call :meth:`held` first.
+    def append(self, records: bytes) -> None:
+        """Write packed records in one write, all or nothing.
 
         A short or failed write is cut back to the previous end (a new
         segment is removed) and raises :class:`OSError`.
@@ -246,12 +232,9 @@ class _Chunk:
             if self.size:
                 fh.truncate(self.size)
             else:
-                self.close()
                 self.path.unlink(missing_ok=True)
             raise
         self.size += len(records)
-        assert self.stamps is not None
-        self.stamps |= stamps
 
     def close(self) -> None:
         if self._fh is not None:
@@ -267,8 +250,8 @@ class Store:
         if self.root.exists() and not self.root.is_dir():  # reads would find nothing in it
             raise NotADirectoryError(errno.ENOTDIR, "store root is not a directory", str(root))
         self._lock = threading.RLock()
-        self._chunks: dict[ChunkKey, _Chunk] = {}
-        self._open_per_sensor: dict[str, ChunkKey] = {}  # the chunk each sensor wrote last
+        self._open_chunks: dict[str, _Chunk] = {}  # the chunk each sensor wrote last, open
+        self._corrupt: set[ChunkKey] = set()  # refused, and logged once, this session
         self._closed = False
 
     def _on_disk(self, sensor: str | None = None) -> list[tuple[ChunkKey, Path]]:
@@ -281,7 +264,7 @@ class Store:
     # -- writes ------------------------------------------------------------
 
     def insert(self, batch: Iterable[Sample]) -> InsertReport:
-        """Append samples, one write per touched chunk; duplicates keep the last write.
+        """Append samples, one write per touched chunk; a resent ts keeps the last write.
 
         Each sample gets a status: ``bad-ts`` for a ts that is not an int in
         ``0 < ts < TS_END``, ``nonfinite`` for a value that is no finite
@@ -336,40 +319,34 @@ class Store:
     ) -> None:
         """Write one chunk's samples, packed in ``records``; on failure set
         all their statuses to the reason."""
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            if not _names_a_chunk(key[0]):  # once per chunk; a per-sample test costs throughput
+        sensor = key[0]
+        prev = chunk = self._open_chunks.get(sensor)
+        if chunk is None or chunk.key != key:
+            if not _names_a_chunk(sensor):  # per chunk opened; a per-sample test costs throughput
                 for i, _, _ in group:
                     statuses[i] = "bad-sensor"
                 return
             key = ChunkKey(*key)
-            chunk = self._chunks[key] = _Chunk(key, _segment_path(self.root, key))
-        key = chunk.key
+            chunk = _Chunk(key, _segment_path(self.root, key))
         failure = "corrupt-segment"
-        try:
-            if chunk.corrupt:
-                raise CorruptSegment
-            held = chunk.held()
-            seen: dict[int, None] = {}  # a dict for the reason given in _Chunk
-            for i, ts, _ in group:
-                if ts in held or ts in seen:
-                    statuses[i] = DUPLICATE
-                seen[ts] = None
-            chunk.append(records, seen)
-        except CorruptSegment as exc:
-            if not chunk.corrupt:
+        if chunk.key not in self._corrupt:
+            try:
+                chunk.append(records)
+            except CorruptSegment as exc:
                 logger.error("%s", exc)
-                chunk.corrupt = True
-        except OSError as exc:
-            logger.error("append to %s failed: %s", chunk.path, exc)
-            failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
-        else:
-            prev = self._open_per_sensor.get(key.sensor)
-            if prev != key:
-                if prev is not None:
-                    self._chunks[prev].close()
-                self._open_per_sensor[key.sensor] = key
-            return
+                self._corrupt.add(chunk.key)
+            except OSError as exc:
+                logger.error("append to %s failed: %s", chunk.path, exc)
+                failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
+            else:
+                if prev is not chunk:
+                    if prev is not None:
+                        prev.close()
+                    self._open_chunks[sensor] = chunk
+                return
+            chunk.close()  # a failed append closes its chunk
+            if prev is chunk:
+                del self._open_chunks[sensor]
         for i, _, _ in group:
             statuses[i] = failure
 
@@ -446,12 +423,12 @@ class Store:
             self._ensure_open()
             for key, path in self._on_disk():
                 if key.window_start + DEFAULT_CHUNK_SPAN_US <= cutoff:
-                    chunk = self._chunks.pop(key, None)
-                    if chunk is not None:
+                    chunk = self._open_chunks.get(key.sensor)
+                    if chunk is not None and chunk.key == key:
                         chunk.close()
+                        del self._open_chunks[key.sensor]
+                    self._corrupt.discard(key)
                     path.unlink(missing_ok=True)
-                    if self._open_per_sensor.get(key.sensor) == key:
-                        del self._open_per_sensor[key.sensor]
                     dropped.append(key)
             for key in dropped:
                 parent = _sensor_dir(self.root, key.sensor)
@@ -461,10 +438,9 @@ class Store:
 
     def close(self) -> None:
         with self._lock:
-            self._open_per_sensor.clear()
-            for chunk in self._chunks.values():
+            for chunk in self._open_chunks.values():
                 chunk.close()
-            self._chunks.clear()  # a closed store holds no timestamps
+            self._open_chunks.clear()
             self._closed = True
 
     def _ensure_open(self) -> None:
@@ -481,23 +457,16 @@ class Store:
 def _read_segment(key: ChunkKey, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """ts-ascending, last-write-wins (ts, v) columns of ``key``'s segment.
 
-    Every read, and a writer's first look at a chunk, decodes the file
-    anew; nothing is kept. A missing file, even one listed a moment ago
-    and removed since, or one cut inside its header by a crash, holds no
-    records.
+    Every read decodes the file anew; nothing is kept. A missing file, even
+    one listed a moment ago and removed since, or one cut inside its header
+    by a crash, holds no records.
     """
-    records = np.empty(0, RECORD_DTYPE)
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
         raw = b""
-    if not _header(key).startswith(raw):
-        try:
-            khash, start, records = _decode_segment(raw)
-        except CorruptSegment as exc:
-            raise CorruptSegment(f"{path}: {exc}") from None
-        if khash != key_hash(key.sensor) or start != key.window_start:
-            raise CorruptSegment(f"{path}: header does not match chunk key")
+    _check_header(key, path, raw[:HEADER_SIZE])
+    records = _records(raw)
     # A stable sort keeps equal stamps in file order, so the last of each
     # run is the stamp's last write.
     ts = records["ts"]
@@ -508,19 +477,28 @@ def _read_segment(key: ChunkKey, path: Path) -> tuple[np.ndarray, np.ndarray]:
     return ts[last], records["v"][order[last]]
 
 
-def _decode_segment(raw: bytes) -> tuple[int, int, np.ndarray]:
-    """Key hash, window start and whole records (``RECORD_DTYPE``) of a segment.
-
-    A torn trailing record is left out. Raises :class:`CorruptSegment` on a
-    short header or a wrong magic or version.
+def _check_header(key: ChunkKey, path: Path, head: bytes) -> None:
+    """Raise :class:`CorruptSegment` unless ``head``, the first ``HEADER_SIZE``
+    bytes of ``key``'s segment, fits the chunk: a whole header matches magic,
+    version, key hash and window start, and fewer bytes (a file empty or cut
+    inside its header, so holding no records) begin the header ``_header`` writes.
     """
-    if len(raw) < HEADER_SIZE:
-        raise CorruptSegment("truncated header")
-    magic, version, khash, start, _ = HEADER.unpack_from(raw)
+    if len(head) < HEADER_SIZE:
+        if _header(key).startswith(head):
+            return
+        raise CorruptSegment(f"{path}: truncated header")
+    magic, version, khash, start, _ = HEADER.unpack(head)
     if magic != MAGIC or version != VERSION:
-        raise CorruptSegment("bad magic/version")
-    whole = (len(raw) - HEADER_SIZE) // RECORD_SIZE
-    return khash, start, np.frombuffer(raw, RECORD_DTYPE, whole, HEADER_SIZE)
+        raise CorruptSegment(f"{path}: bad magic/version")
+    if khash != key_hash(key.sensor) or start != key.window_start:
+        raise CorruptSegment(f"{path}: header does not match chunk key")
+
+
+def _records(raw: bytes) -> np.ndarray:
+    """The whole records (``RECORD_DTYPE``) after a segment's header; a torn
+    trailing record is left out, and a file cut inside its header has none."""
+    whole = max(len(raw) - HEADER_SIZE, 0) // RECORD_SIZE
+    return np.frombuffer(raw, RECORD_DTYPE, whole, min(len(raw), HEADER_SIZE))
 
 
 @dataclass
@@ -542,10 +520,12 @@ def verify_segments(root: str | Path) -> list[SegmentIssue]:
     issues: list[SegmentIssue] = []
     for key, seg in sorted(_segments(Path(root))):
         raw = seg.read_bytes()
-        try:
-            khash, start, records = _decode_segment(raw)
-        except CorruptSegment as exc:
-            issues.append(SegmentIssue(str(seg), str(exc)))
+        if len(raw) < HEADER_SIZE:
+            issues.append(SegmentIssue(str(seg), "truncated header"))
+            continue
+        magic, version, khash, start, _ = HEADER.unpack_from(raw)
+        if magic != MAGIC or version != VERSION:
+            issues.append(SegmentIssue(str(seg), "bad magic/version"))
             continue
         if khash != key_hash(key.sensor):
             issues.append(SegmentIssue(str(seg), "sensor-key hash mismatch"))
@@ -553,7 +533,7 @@ def verify_segments(root: str | Path) -> list[SegmentIssue]:
             issues.append(SegmentIssue(str(seg), "window start mismatch"))
         if (len(raw) - HEADER_SIZE) % RECORD_SIZE:
             issues.append(SegmentIssue(str(seg), "torn trailing record"))
-        ts = records["ts"]
+        ts = _records(raw)["ts"]
         outside = (ts < start) | (ts >= start + DEFAULT_CHUNK_SPAN_US)
         if outside.any():
             first = int(ts[outside.argmax()])

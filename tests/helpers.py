@@ -1,6 +1,6 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
 acceptance tests, the per-row laser rendering the laser table is checked
-against, the row-by-row join ``etl join`` is checked against, the per-row
+against and the time-of-day text rule behind it, the row-by-row join ``etl join`` is checked against, the per-row
 rendering ``store query`` output is checked against, a store's segment
 keys and stored samples counted from its files, the store batches of the
 crash test's writer, the one-sample-at-a-time insert rule the store's
@@ -21,7 +21,7 @@ import numpy as np
 
 from paveharvest import dsp, etl, tsstore
 from paveharvest.daqsim import EPC, MOISTURE, SCG, TEMPERATURE, Scenario, SensorSpec
-from paveharvest.tsstore import ACK, DUPLICATE, Sample
+from paveharvest.tsstore import ACK, Sample
 
 HOUR = 3_600_000_000
 
@@ -97,6 +97,17 @@ def laser_raw_text(n_samples: int = 4000, start_time: str = "10:57:16.47") -> st
 
 
 
+def format_time_of_day(seconds: float) -> str:
+    """A laser sample's time of day as one row's text, ``HH:MM:SS.hh``: the
+    rule ``etl._hundredths_of_day`` is checked against. It rounds to
+    hundredths once, before the split, so 59.996 s carries into the minute
+    instead of printing as 60.00."""
+    text = f"{seconds % 86_400:.2f}"
+    m, s = divmod(int(text[:-3]) % 86_400, 60)
+    h, m = divmod(m, 60)
+    return f"{h:02d}:{m:02d}:{s:02d}{text[-3:]}"
+
+
 @dataclass
 class LaserRow:
     """One laser sample as a row, the form laser logs were once processed in."""
@@ -111,13 +122,13 @@ class LaserRow:
 
 def reference_laser_rows(filename, raw):
     """One LaserRow per sample, as laser logs were once processed row by
-    row: the smoothed reading, the beam column, ``_format_time_of_day``."""
+    row: the smoothed reading, the beam column, :func:`format_time_of_day`."""
     smoothed = dsp.smooth(raw.channels[0].series, dsp.DEFAULT_CONFIGS[raw.kind])
     start = etl._parse_time_of_day(raw.header.get("start_time", "00:00:00"))
     samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), raw.channels[1].series.y.tolist())
     return [
         LaserRow(filename, n, etl.laser_horizontal(n), reading, beam,
-                 etl._format_time_of_day(start + t))
+                 format_time_of_day(start + t))
         for n, (t, reading, beam) in enumerate(samples, start=1)
     ]
 
@@ -257,10 +268,10 @@ def _utf8_str(sensor):
 def reference_insert(root, span, batch, open_per_sensor):
     """``Store.insert`` of ``batch`` one sample at a time, as the store once
     ran it: each sample checked in turn and given a ``ChunkKey``, and each
-    touched chunk's segment read back from disk for duplicates. A ts that is
-    not an int in ``0 < ts < TS_END`` is ``bad-ts``, a value that is no
-    finite float ``nonfinite``, and a sensor that is no UTF-8 str naming a
-    directory below ``root`` ``bad-sensor``, in that order. Writes the
+    written sample acked, a resent ts too. A ts that is not an int in
+    ``0 < ts < TS_END`` is ``bad-ts``, a value that is no finite float
+    ``nonfinite``, and a sensor that is no UTF-8 str naming a directory
+    below ``root`` ``bad-sensor``, in that order. Writes the
     segments under ``root`` in the store's framing, the chunk of each
     sensor's last sample last, sets ``open_per_sensor`` (sensor to the chunk
     it wrote last) and returns the statuses."""
@@ -281,16 +292,10 @@ def reference_insert(root, span, batch, open_per_sensor):
             groups.setdefault(tsstore.ChunkKey(sensor, ts - ts % span), []).append(i)
     for key, indices in sorted(groups.items(), key=lambda item: item[1][-1]):
         path = root / quote(key.sensor, safe="") / f"{key.window_start}.seg"
-        raw = path.read_bytes() if path.exists() else b""
-        held = {ts for ts, _ in tsstore.RECORD.iter_unpack(raw[tsstore.HEADER_SIZE:])}
-        data = b"" if raw else tsstore.HEADER.pack(
+        data = b"" if path.exists() else tsstore.HEADER.pack(
             b"TSEG", 1, tsstore.key_hash(key.sensor), key.window_start, bytes(8))
         for i in indices:
-            _, ts, v = batch[i]
-            if ts in held:
-                statuses[i] = DUPLICATE
-            held.add(ts)
-            data += tsstore.RECORD.pack(ts, v)
+            data += tsstore.RECORD.pack(*batch[i][1:])
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "ab") as fh:
             fh.write(data)

@@ -783,6 +783,48 @@ def test_bad_speedup_is_a_usage_error_before_any_connection(
     assert f"argument --speedup: must be a number >= 1, got '{speedup}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["65536", "70000"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["broker", "serve", "--listen", "127.0.0.1:{port}"], 3),
+        (["daqsim", "run", "--scenario", "scen.json", "--broker", "127.0.0.1:{port}"], 3),
+        (["connector", "run", "--store", "db", "--broker", "127.0.0.1:{port}"], 3),
+        (["e2e", "run", "--scenario", "scen.json", "--store", "db",
+          "--broker", "127.0.0.1:{port}"], 3),
+        (["connector", "run", "--store", "db", "--metrics-port", "{port}"], 2),
+        (["e2e", "run", "--scenario", "scen.json", "--store", "db",
+          "--metrics-port", "{port}"], 2),
+    ],
+    ids=["broker", "daqsim", "connector", "e2e", "connector-metrics", "e2e-metrics"],
+)
+def test_a_port_above_65535_is_refused_before_any_socket_opens(
+    tmp_path, capsys, caplog, monkeypatch, argv, code, port
+):
+    """A broker address is malformed (exit 3) and a metrics port a bad flag
+    value (exit 2) when its port is beyond 65535, which a socket would
+    refuse with an OverflowError or take modulo 65536."""
+    write_scenario(tmp_path / "scen.json", sensors=1, duration=3)
+
+    def connect(*args, **kwargs):
+        pytest.fail("the port must be checked before any socket opens")
+
+    for name in ("BusClient", "Broker", "Connector"):
+        monkeypatch.setattr(cli_mod, name, connect)
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(port=port) for arg in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --metrics-port: must be a port number 0-65535, got '{port}'" in err
+    else:
+        assert main(argv) == 3
+        assert f"address must be host:port, got '127.0.0.1:{port}'" in caplog.text
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scen.json"]
+
+
 def test_e2e_small_run(tmp_path, capsys):
     scenario = tmp_path / "scen.json"
     write_scenario(scenario, sensors=2, duration=4)

@@ -516,7 +516,7 @@ def test_replay_is_idempotent_against_store(tmp_path):
         conn.stop()
         second = store.query_range("65/1/epc3", 0, 10**9)
     assert first == second
-    assert m.accepted == 50  # duplicates still count as stored
+    assert m.accepted == 50  # resent samples are stored again
 
 
 def test_reconnects_after_broker_restart(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     LaserRow,
     asg_raw_text,
+    format_time_of_day,
     laser_raw_text,
     raw_text,
     reference_join,
@@ -823,13 +824,13 @@ _TIE_SECONDS = st.tuples(st.integers(-10**7, 2 * 10**7), st.integers(-2, 2)).map
 )
 def test_laser_writer_matches_the_per_row_reference_on_built_rows(samples, cut):
     rows = [
-        LaserRow(f, n, horiz, reading, beam, etl._format_time_of_day(seconds))
+        LaserRow(f, n, horiz, reading, beam, format_time_of_day(seconds))
         for f, n, horiz, reading, beam, seconds in samples
     ]
     info = build_file_info([FileMeta(filename=f) for f in ("d.txt", "a.txt", "b,c.txt")])
     want = (reference_laser_csv(rows, info), emit_normalized([], info)[1])
     table = built_laser_table(samples)
-    # the columnar tie rounding reads as _format_time_of_day on the tie grid
+    # the columnar tie rounding reads as format_time_of_day on the tie grid
     assert table_rows(table) == rows
     assert emit_laser_normalized(table, info) == want
     parts = [built_laser_table(samples[:cut]), built_laser_table(samples[cut:])]
@@ -882,11 +883,11 @@ def test_parse_time_of_day_takes_a_time_of_day_only():
 
 def test_format_time_of_day_carries_rounded_seconds():
     """Seconds round once, before the split, so 59.996 s never prints as 60."""
-    assert etl._format_time_of_day(59.996) == "00:01:00.00"
-    assert etl._format_time_of_day(3599.999) == "01:00:00.00"
-    assert etl._format_time_of_day(86399.996) == "00:00:00.00"
-    assert etl._format_time_of_day(39436.47) == "10:57:16.47"
-    assert etl._format_time_of_day(39436.5) == "10:57:16.50"
+    assert format_time_of_day(59.996) == "00:01:00.00"
+    assert format_time_of_day(3599.999) == "01:00:00.00"
+    assert format_time_of_day(86399.996) == "00:00:00.00"
+    assert format_time_of_day(39436.47) == "10:57:16.47"
+    assert format_time_of_day(39436.5) == "10:57:16.50"
 
     def split_then_round(seconds):
         seconds = seconds % 86_400
@@ -903,7 +904,7 @@ def test_format_time_of_day_carries_rounded_seconds():
         inputs.append(seconds)
         want = split_then_round(seconds)
         if not want.endswith("60.00"):
-            assert etl._format_time_of_day(seconds) == want, seconds
+            assert format_time_of_day(seconds) == want, seconds
     # the columnar rule that laser tables use gives the same text everywhere
     texts = etl._clock_texts(etl._hundredths_of_day(np.array(inputs)))
-    assert texts == [etl._format_time_of_day(seconds) for seconds in inputs]
+    assert texts == [format_time_of_day(seconds) for seconds in inputs]

@@ -8,7 +8,7 @@ import paveharvest
 SRC = Path(paveharvest.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-#: Public names that nothing in ``src/`` or ``bench/`` reads, kept on purpose.
+#: Names that nothing in ``src/`` or ``bench/`` reads, kept on purpose.
 KEPT_UNREAD = {
     "do_GET": "http.server calls it for each request to /metrics",
     "log_message": "http.server calls it to log a request",
@@ -67,10 +67,10 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unread == {}
 
 
-def unread_public_names(defining: list[str], reading: list[str]) -> list[str]:
-    """Public module-level functions and public methods (of any class, a
-    nested one too) defined in the ``defining`` sources that no source of
-    either list reads, as a name or as an attribute.
+def unread_names(defining: list[str], reading: list[str]) -> list[str]:
+    """Module-level functions and methods (of any class, a nested one too),
+    public or private but not dunder, defined in the ``defining`` sources
+    that no source of either list reads, as a name or as an attribute.
 
     It matches by name alone, so a name that any source reads for another
     purpose hides: ``Store.count`` and ``Store.sensors`` hid behind
@@ -85,7 +85,7 @@ def unread_public_names(defining: list[str], reading: list[str]) -> list[str]:
         defined.update(
             node.name for body in bodies for node in body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))
         )
     for tree in defining_trees + [ast.parse(source) for source in reading]:
         for node in ast.walk(tree):
@@ -101,6 +101,7 @@ def test_unread_public_names_finds_what_it_should():
         "def used(): pass\n"
         "def unused(): pass\n"
         "def _private(): pass\n"
+        "def _helper(): pass\n"
         "class C:\n"
         "    def called(self): pass\n"
         "    def idle(self): pass\n"
@@ -114,13 +115,13 @@ def test_unread_public_names_finds_what_it_should():
         "used()\n"
         "C().make()\n"
     )
-    reader = "from m import C\nC().called()\n[].count(1)\n"
-    assert unread_public_names([source], [reader]) == ["hook", "idle", "unused"]
+    reader = "from m import C, _helper\nC().called()\n[].count(1)\n_helper()\n"
+    assert unread_names([source], [reader]) == ["_private", "hook", "idle", "unused"]
 
 
 def test_every_public_function_and_method_has_a_reader():
-    """A public name only tests call is surface to keep for nothing; move
-    what the tests need to ``tests/helpers.py``."""
+    """A function or method only tests call, public or private, is code to
+    keep for nothing; move what the tests need to ``tests/helpers.py``."""
     defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
     reading = [
         path.read_text(encoding="utf-8") for path in sorted(BENCH.rglob("*.py"))
@@ -128,4 +129,4 @@ def test_every_public_function_and_method_has_a_reader():
     ]
     assert reading, f"no benchmark sources under {BENCH}"
     # a kept name that gains a reader or loses its definition leaves the list
-    assert unread_public_names(defining, reading) == sorted(KEPT_UNREAD)
+    assert unread_names(defining, reading) == sorted(KEPT_UNREAD)

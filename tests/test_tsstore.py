@@ -1,6 +1,5 @@
 """Store partitioning, query, downsample, retention and durability tests."""
 
-import gc
 import os
 import random
 import signal
@@ -31,7 +30,6 @@ from paveharvest import tsstore
 from paveharvest.timeutil import parse_rfc3339
 from paveharvest.tsstore import (
     ACK,
-    DUPLICATE,
     HEADER_SIZE,
     RECORD,
     RECORD_SIZE,
@@ -107,11 +105,12 @@ def test_insert_query_round_trip(tmp_path):
 
 
 def test_duplicate_last_write_wins(tmp_path):
+    """A resent (sensor, ts) is acked like any sample, and a read keeps its
+    last write."""
     with Store(tmp_path / "db") as store:
         r1 = store.insert([Sample("a", 7, 1.0)])
         r2 = store.insert([Sample("a", 7, 2.0)])
-        assert (r1.accepted, r1.duplicates) == (1, 0)
-        assert (r2.accepted, r2.duplicates) == (0, 1)
+        assert r1.statuses == r2.statuses == [ACK]
         assert store.query_range("a", 0, 100) == [Sample("a", 7, 2.0)]
 
 
@@ -357,6 +356,65 @@ def test_corrupt_segment_refuses_writes(tmp_path):
         report = store.insert([Sample("a", 20, 2.0)])
         assert report.errors == 1
         assert report.statuses == ["corrupt-segment"]
+        # a sweep that removes the segment ends the refusal
+        assert store.retention_sweep(now=2 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
+        assert store.insert([Sample("a", 30, 3.0)]).statuses == [ACK]
+        assert store.query_range("a", 0, 100) == [Sample("a", 30, 3.0)]
+
+
+@pytest.mark.parametrize("sensor, window", [("b", HOUR), ("a", 2 * HOUR)],
+                         ids=["other-sensor", "other-window"])
+def test_header_of_another_chunk_is_refused_and_logged_once(tmp_path, caplog, sensor, window):
+    """A whole, well-framed header that names another sensor or window makes
+    the segment corrupt for writes as for reads: every write to it in a
+    session is refused, one error is logged, and no byte changes."""
+    root = tmp_path / "db"
+    seg = root / "a" / f"{HOUR}.seg"
+    seg.parent.mkdir(parents=True)
+    raw = tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash(sensor), window, bytes(8))
+    raw += RECORD.pack(HOUR + 1, 1.0)
+    seg.write_bytes(raw)
+    with caplog.at_level("ERROR", logger="paveharvest.tsstore"), Store(root) as store:
+        for ts in (HOUR + 2, HOUR + 3):
+            report = store.insert([Sample("a", ts, 2.0), Sample("a", ts - HOUR, 3.0)])
+            assert report.statuses == ["corrupt-segment", ACK]
+        with pytest.raises(CorruptSegment, match="header does not match chunk key"):
+            store.query_range("a", HOUR, 2 * HOUR)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{seg}: header does not match chunk key"]
+    assert seg.read_bytes() == raw
+
+
+def test_nonzero_reserved_bytes_are_read_and_appended_alike(tmp_path):
+    """The reserved header bytes are no part of the check, for a write as for
+    a read: a segment that sets them takes appends and keeps them."""
+    root = tmp_path / "db"
+    seg = root / "a" / "0.seg"
+    seg.parent.mkdir(parents=True)
+    header = tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash("a"), 0, b"\xff" * 8)
+    seg.write_bytes(header + RECORD.pack(10, 1.0))
+    with Store(root) as store:
+        assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0)]
+        assert store.insert([Sample("a", 20, 2.0)]).statuses == [ACK]
+        assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0), Sample("a", 20, 2.0)]
+    assert seg.read_bytes() == header + RECORD.pack(10, 1.0) + RECORD.pack(20, 2.0)
+    assert verify_segments(root) == []
+
+
+def test_write_state_stays_one_chunk_per_sensor_over_two_days(tmp_path):
+    """A writer that runs 48 hours of 16 sensors, with late and resent
+    samples, holds write state for one chunk per sensor at most."""
+    rng = random.Random(61)
+    sensors = [f"s{i}" for i in range(16)]
+    with Store(tmp_path / "db") as store:
+        for n in range(48 * 12):  # a batch per 5 minutes, a sample per 15 s
+            now = n * 300_000_000 + 1
+            batch = [Sample(s, max(1, now - rng.randrange(HOUR)), 2.0) for s in sensors]
+            batch += [Sample(s, now + i * 15_000_000, 1.0) for s in sensors for i in range(20)]
+            assert set(store.insert(batch).statuses) == {ACK}
+            assert len(store._open_chunks) + len(store._corrupt) <= 16
+        assert {c.key for c in store._open_chunks.values()} == {
+            ChunkKey(s, 47 * HOUR) for s in sensors}
 
 
 def test_insert_rejects_bad_values(tmp_path):
@@ -421,9 +479,9 @@ def test_inserts_match_the_reference_rule(batches, reopen):
             want = reference_insert(ref_root, 7, samples, ref_open)
             assert store.insert(samples).statuses == want
             assert tree_bytes(root) == tree_bytes(ref_root)
-            assert store._open_per_sensor == ref_open
-            assert all(type(key) is ChunkKey and type(key.window_start) is int
-                       for key in [*store._chunks, *store._open_per_sensor.values()])
+            assert {sensor: chunk.key for sensor, chunk in store._open_chunks.items()} == ref_open
+            assert all(type(chunk.key) is ChunkKey and type(chunk.key.window_start) is int
+                       for chunk in store._open_chunks.values())
             if reopen and n % reopen == 0:
                 store.close()
                 store, ref_open = Store(root), {}
@@ -504,7 +562,7 @@ def test_read_only_session_leaves_the_tree_and_chunks_alone(tmp_path, monkeypatc
     store = Store(root)
     got = store.query_range("b", 2 * HOUR, 3 * HOUR)
     assert got == [Sample("b", 2 * HOUR + 5, 2.0)]
-    assert store._chunks == {}
+    assert store._open_chunks == {}
     store.close()
     assert tree_bytes(root) == before
     assert read == [ChunkKey("b", 2 * HOUR)]
@@ -573,7 +631,7 @@ def test_failed_write_fails_only_its_chunk(tmp_path, fault):
         store.insert([Sample("a", 10, 1.0), Sample("b", 10, 1.0)])
         seg_a = root / "a" / "0.seg"
         before = seg_a.read_bytes()
-        handle = store._chunks[ChunkKey("a", 0)].open_for_append()
+        handle = store._open_chunks["a"].open_for_append()
         real_write = handle.write
 
         def write(data):
@@ -587,7 +645,7 @@ def test_failed_write_fails_only_its_chunk(tmp_path, fault):
         )
         assert report.statuses == ["storage-full", "ack", "storage-full"]
         assert seg_a.read_bytes() == before
-        del handle.write
+        assert handle.closed and "a" not in store._open_chunks  # a failed append closes it
         assert store.insert([Sample("a", 40, 4.0)]).statuses == ["ack"]
         assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0), Sample("a", 40, 4.0)]
         assert store.query_range("b", 0, 100) == [Sample("b", 10, 1.0), Sample("b", 20, 2.0)]
@@ -633,11 +691,9 @@ def test_inserts_match_dict_model(batches, reopen):
         store = Store(tmp)
         for i, batch in enumerate(batches):
             samples = [Sample(s, ts, float(v)) for s, ts, v in batch]
-            want = []
             for s in samples:
-                want.append(DUPLICATE if (s.sensor, s.ts) in model else ACK)
                 model[s.sensor, s.ts] = s.v
-            assert store.insert(samples).statuses == want
+            assert store.insert(samples).statuses == [ACK] * len(samples)
             if reopen and i % 2:
                 store.close()
                 store = Store(tmp)
@@ -725,7 +781,7 @@ def test_close_releases_every_chunk(tmp_path):
     store.insert([Sample(s, h * HOUR + 5, 1.0) for s in "ab" for h in range(3)])
     assert store.query_range("a", 0, 3 * HOUR)
     store.close()
-    assert store._chunks == {}
+    assert store._open_chunks == {}
     with pytest.raises(tsstore.StoreError):
         store.query_range("a", 0, 3 * HOUR)
 
@@ -740,7 +796,7 @@ def test_reads_keep_no_state(tmp_path):
         assert store.downsample("b", 0, 3 * HOUR, HOUR, "avg") == [
             (h * HOUR, float(h)) for h in range(3)
         ]
-        assert store._chunks == {}
+        assert store._open_chunks == {}
 
 
 def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
@@ -756,16 +812,6 @@ def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
     (tmp_path / "file").write_bytes(b"")
     with pytest.raises(NotADirectoryError):
         Store(tmp_path / "file")
-
-
-def test_written_timestamps_are_not_gc_tracked(tmp_path):
-    """A full collection does not walk the timestamps a writer holds."""
-    with Store(tmp_path / "db") as store:
-        store.insert([Sample("a", ts, 1.0) for ts in (5, 9, 5, 7)])
-        store.insert([Sample("a", 11, 2.0), Sample("a", 5, 3.0)])
-        stamps = store._chunks[ChunkKey("a", 0)].stamps
-        assert stamps == {5: None, 7: None, 9: None, 11: None}
-        assert not gc.is_tracked(stamps)
 
 
 def test_segment_removed_after_listing_holds_no_records(tmp_path, monkeypatch):
@@ -806,11 +852,11 @@ def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tsstore.Path, "glob", glob)
     store = Store(root)
-    assert store._chunks == {}
+    assert store._open_chunks == {}
     assert listed == []
     got = store.query_range("b", HOUR, 3 * HOUR)
     assert got == [Sample("b", HOUR + 5, 1.0), Sample("b", 2 * HOUR + 5, 2.0)]
-    assert store._chunks == {}
+    assert store._open_chunks == {}
     assert listed == ["b"]
     assert store.downsample("c", 0, 4 * HOUR, 4 * HOUR, "count") == [(0, 4)]
     assert listed == ["b", "c"]
@@ -818,15 +864,28 @@ def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
 
 
 def test_reopened_writer_loads_only_the_chunk_it_writes(tmp_path, monkeypatch):
-    """A session that writes one chunk of a store loads only that chunk,
-    through its close, however many chunks the store holds."""
+    """A session that writes one chunk of a store decodes no segment, through
+    its close, however many chunks the store holds: before its first append
+    it reads the header of the chunk it writes, and nothing more."""
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample("a", h * HOUR + i, 1.0) for h in range(3) for i in range(1, h + 2)])
     read = record_reads(monkeypatch)
+    preads, real_pread = [], os.pread
+
+    def pread(fd, n, offset):
+        data = real_pread(fd, n, offset)
+        preads.append((os.fstat(fd).st_ino, n, offset, len(data)))
+        return data
+
+    monkeypatch.setattr(tsstore.os, "pread", pread)
+    monkeypatch.setattr(tsstore.Path, "read_bytes", lambda path: pytest.fail(f"read {path}"))
     with Store(root) as store:
-        store.insert([Sample("a", HOUR + 50, 2.0), Sample("a", HOUR + 1, 3.0)])
-    assert read == [ChunkKey("a", HOUR)]
+        assert store.insert(
+            [Sample("a", HOUR + 50, 2.0), Sample("a", HOUR + 1, 3.0)]).statuses == [ACK, ACK]
+    assert read == []
+    written = (root / "a" / f"{HOUR}.seg").stat().st_ino
+    assert preads == [(written, HEADER_SIZE, 0, HEADER_SIZE)]
     monkeypatch.undo()
     with Store(root) as store:
         got = store.downsample("a", 0, 3 * HOUR, HOUR, "count")
@@ -884,7 +943,7 @@ def test_stray_sensor_directory_is_ignored(tmp_path, caplog):
 CRASH_WRITER = """
 import sys
 from helpers import crash_batch
-from paveharvest.tsstore import ACK, DUPLICATE, Store
+from paveharvest.tsstore import ACK, Store
 
 store = Store(sys.argv[1])
 seed = int(sys.argv[2])
@@ -892,7 +951,7 @@ print("ready", flush=True)
 n = 0
 while True:
     statuses = store.insert(crash_batch(seed, n)).statuses
-    if set(statuses) - {ACK, DUPLICATE}:
+    if set(statuses) != {ACK}:
         sys.exit(f"batch {n}: {statuses}")
     print(n, flush=True)  # acked: insert has returned
     n += 1
