@@ -29,6 +29,7 @@ from .client import BusClient
 from .connector import DEFAULT_WILDCARD, Connector, sensor_key_for
 from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
 from .timeutil import (
+    TS_END,
     US_PER_SECOND,
     format_rfc3339_column,
     parse_duration,
@@ -369,7 +370,7 @@ def cmd_store_query(args, config) -> int:
             bucket = parse_duration(args.bucket)
         except ValueError as exc:
             raise UsageError(f"--bucket: {exc}") from None
-        if not 0 < bucket < tsstore.TS_END:
+        if not 0 < bucket < TS_END:
             raise UsageError("--bucket must be positive and shorter than 2**63 us")
     with Store(store_root) as store:
         if bucket is None:
@@ -418,16 +419,13 @@ def cmd_etl_process(args, config) -> int:
     file_info = etl.build_file_info(metas)
     wrote = []
     if data_rows or not laser_tables:
-        data_csv, info_csv = etl.emit_normalized(data_rows, file_info)
-        (out_dir / "data.csv").write_text(data_csv)
+        (out_dir / "data.csv").write_text(etl.emit_normalized(data_rows, file_info))
         wrote.append("data.csv")
     if laser_tables:
-        laser_csv, info_csv = etl.emit_laser_normalized(
-            etl.LaserTable.concat(laser_tables), file_info
-        )
+        laser_csv = etl.emit_laser_normalized(etl.LaserTable.concat(laser_tables), file_info)
         (out_dir / "laser.csv").write_text(laser_csv)
         wrote.append("laser.csv")
-    (out_dir / "file_info.csv").write_text(info_csv)
+    (out_dir / "file_info.csv").write_text(etl.emit_file_info(file_info))
     wrote.append("file_info.csv")
     logger.info(
         "%d file(s) -> %d data rows, %d laser rows (%s)",

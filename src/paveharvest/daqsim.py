@@ -31,8 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import wire
-from .timeutil import US_PER_SECOND, now_us, parse_rfc3339
-from .tsstore import TS_END
+from .timeutil import TS_END, US_PER_SECOND, now_us, parse_rfc3339
 from .wire import SamplePayload, Subject, mqtt_topic_to_subject
 
 logger = logging.getLogger(__name__)

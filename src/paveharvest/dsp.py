@@ -1,13 +1,15 @@
 """Signal processing for static pavement logs.
 
-Least-squares (Savitzky-Golay style) smoothing with per-sensor window
-defaults, prominence-based extrema detection, load-pass labeling,
-elastic-recovery envelope extraction and gauge calibration.
+Least-squares (Savitzky-Golay style) smoothing, prominence-based extrema
+detection, load-pass labeling, elastic-recovery envelope extraction and
+gauge calibration. The module knows no sensor kinds: the caller picks a
+:class:`DspConfig` (``etl.DEFAULT_CONFIGS`` holds one per kind).
 
 The smoother operates by sample index: interior points are a convolution
 with the center-row least-squares weights, boundary points fall back to a
 polynomial fit over the truncated one-sided window so profile ends keep
-their real geometry. All operations are pure. The detection, labeling
+their real geometry. Both come from one least-squares row,
+:func:`_fit_row`. All operations are pure. The detection, labeling
 and envelope settings are module constants, one value each.
 """
 
@@ -89,21 +91,6 @@ class DspConfig:
             raise ValueError("polyorder must satisfy 1 <= polyorder < window")
 
 
-# The sources quote even windows of 1000/100/50 per sensor family; a centered
-# filter needs odd lengths, so the defaults round up to the nearest odd.
-DEFAULT_CONFIGS: dict[str, DspConfig] = {
-    "ASG": DspConfig(window=1001),
-    "CSG": DspConfig(window=1001),
-    "PC": DspConfig(window=101),
-    "TC": DspConfig(window=51),
-    "LASER": DspConfig(window=1001),
-    "LASER_PRETRAFFIC": DspConfig(window=1001),
-    "STATIONARY_ET": DspConfig(window=1001),
-    "STATIONARY_MT": DspConfig(window=1001),
-    "FWD": DspConfig(window=1001),
-}
-
-
 @dataclass
 class Extremum:
     kind: str  # maxima | minima
@@ -131,21 +118,28 @@ class CalibrationSpec:
             raise ValueError("rated output must be positive")
 
 
+def _fit_row(size: int, at: int, half: int, polyorder: int) -> np.ndarray:
+    """Weights that fit a degree-``polyorder`` polynomial (less, if
+    ``size`` samples allow no more) to ``size`` consecutive samples and
+    read it at sample ``at``: the constant-term row of the pseudo-inverse
+    of the design matrix, x counted from ``at`` in units of ``half``."""
+    x = (np.arange(size) - at) / half
+    design = np.vander(x, min(polyorder, size - 1) + 1, increasing=True)
+    return np.linalg.pinv(design)[0]
+
+
 @functools.lru_cache(maxsize=8)
 def savgol_weights(window: int, polyorder: int) -> np.ndarray:
     """Center-row weights of the least-squares polynomial smoother.
 
     Fitting a degree-``polyorder`` polynomial over ``window`` consecutive
     samples and reading it at the center is a linear map; these are its
-    weights. They sum to 1 and are symmetric. Read-only, as every caller
-    shares them. ``window`` and ``polyorder`` are a :class:`DspConfig`'s,
-    which checks them.
+    weights, :func:`_fit_row` at the center. They sum to 1 and are
+    symmetric. Read-only, as every caller shares them. ``window`` and
+    ``polyorder`` are a :class:`DspConfig`'s, which checks them.
     """
     half = window // 2
-    x = np.arange(-half, half + 1, dtype=float) / half
-    design = np.vander(x, polyorder + 1, increasing=True)
-    # a copy: a row view would keep the whole window x window product alive
-    weights = (design @ np.linalg.pinv(design))[half].copy()
+    weights = _fit_row(window, half, half, polyorder).copy()  # not a view of the fit
     weights.flags.writeable = False
     return weights
 
@@ -182,19 +176,14 @@ def _edge_weights(window: int, polyorder: int) -> np.ndarray:
     """Weights giving the first ``window // 2`` smoothed values from the
     first ``window`` samples; read-only, as every caller shares it.
 
-    Row ``i`` fits a polynomial to samples ``0 .. i + half`` (the window
-    centred on ``i``, cut at the series start) and reads it at ``i``. A
-    fit's value is linear in the data, so each row is the constant-term
-    row of the fit's pseudo-inverse. The right edge is the same map on
-    the reversed tail.
+    Row ``i`` is :func:`_fit_row` at ``i`` over samples ``0 .. i + half``:
+    the window centred on ``i``, cut at the series start. The right edge
+    is the same map on the reversed tail.
     """
     half = window // 2
     weights = np.zeros((half, window))
     for i in range(half):
-        x = (np.arange(i + half + 1) - i) / half
-        order = min(polyorder, i + half)
-        design = np.vander(x, order + 1, increasing=True)
-        weights[i, : i + half + 1] = np.linalg.pinv(design)[0]
+        weights[i, : i + half + 1] = _fit_row(i + half + 1, i, half, polyorder)
     weights.flags.writeable = False
     return weights
 

@@ -2,8 +2,10 @@
 
 Parses archive and traffic filenames for metadata, reads the canonical
 raw-log format, runs the signal-processing pipeline appropriate for each
-sensor kind, and emits a data table keyed by ``filename_id`` against a
-deduplicated FILE_INFO table, with a lossless join back.
+sensor kind (with the smoothing of :data:`DEFAULT_CONFIGS`), and emits a
+data table keyed by ``filename_id`` against a deduplicated FILE_INFO table,
+with a lossless join back. A file's id is its position plus 1 in the list
+:func:`build_file_info` returns, which every emitter reads.
 
 Canonical raw format (UTF-8 text): ``#``-prefixed ``key: value`` header
 lines (kind, unit, gage, placement, cal_coeff, rated_output, location,
@@ -57,6 +59,20 @@ UNITS = {
     STATIONARY_ET: "microstrain",
     STATIONARY_MT: "microstrain",
     FWD: "microstrain",
+}
+
+# The sources quote even windows of 1000/100/50 per sensor family; a centered
+# filter needs odd lengths, so the windows round up to the nearest odd.
+DEFAULT_CONFIGS = {
+    ASG: DspConfig(window=1001),
+    CSG: DspConfig(window=1001),
+    PC: DspConfig(window=101),
+    TC: DspConfig(window=51),
+    LASER: DspConfig(window=1001),
+    LASER_PRETRAFFIC: DspConfig(window=1001),
+    STATIONARY_ET: DspConfig(window=1001),
+    STATIONARY_MT: DspConfig(window=1001),
+    FWD: DspConfig(window=1001),
 }
 
 ENVELOPE = "envelope"
@@ -130,13 +146,6 @@ class FileMeta:
     survey_date: str | None = None  # ISO-8601
     description: str | None = None
     unparsed: bool = False
-
-
-@dataclass
-class FileInfoRow:
-    id: int
-    filename: str
-    meta: FileMeta
 
 
 @dataclass
@@ -441,7 +450,7 @@ def process_file(path: str | Path, kind: str = "auto") -> ProcessResult:
     if meta.gage_id is None and raw.channels and raw.channels[0].gage_id:
         meta.gage_id = raw.channels[0].gage_id
     result = ProcessResult(meta=meta, warnings=list(raw.warnings))
-    config = dsp.DEFAULT_CONFIGS[raw.kind]
+    config = DEFAULT_CONFIGS[raw.kind]
     if raw.kind in LASER_KINDS:
         result.laser_rows = _laser_rows(path.name, raw, config)
     else:
@@ -571,16 +580,13 @@ def _clock_texts(hundredths: np.ndarray) -> list[str]:
 # --- normalization ------------------------------------------------------------
 
 
-def build_file_info(metas: list[FileMeta]) -> list[FileInfoRow]:
-    """Unique filenames in first-seen order, ids dense from 1."""
-    rows: list[FileInfoRow] = []
-    seen: dict[str, int] = {}
+def build_file_info(metas: list[FileMeta]) -> list[FileMeta]:
+    """The FILE_INFO list: the first meta of each filename, in first-seen
+    order. A file's id is its position plus 1."""
+    first: dict[str, FileMeta] = {}
     for meta in metas:
-        if meta.filename in seen:
-            continue
-        seen[meta.filename] = len(rows) + 1
-        rows.append(FileInfoRow(id=len(rows) + 1, filename=meta.filename, meta=meta))
-    return rows
+        first.setdefault(meta.filename, meta)
+    return list(first.values())
 
 
 def format_number(x: float | int | None) -> str:
@@ -594,10 +600,8 @@ def format_number(x: float | int | None) -> str:
     return "0" if text == "-0" else text
 
 
-def emit_normalized(
-    rows: list[DataRow], file_info: list[FileInfoRow]
-) -> tuple[str, str]:
-    """Render the sensor data table (by filename_id) and FILE_INFO as CSV."""
+def emit_normalized(rows: list[DataRow], file_info: list[FileMeta]) -> str:
+    """Render the sensor data table as CSV, citing each file by its FILE_INFO id."""
     ids = _id_map(file_info)
     lines = (
         [
@@ -614,13 +618,11 @@ def emit_normalized(
         ]
         for r in rows
     )
-    return _csv(DATA_HEADER, lines), _file_info_csv(file_info)
+    return _csv(DATA_HEADER, lines)
 
 
-def emit_laser_normalized(
-    table: LaserTable, file_info: list[FileInfoRow]
-) -> tuple[str, str]:
-    """Render the laser table (by filename_id) and FILE_INFO as CSV.
+def emit_laser_normalized(table: LaserTable, file_info: list[FileMeta]) -> str:
+    """Render the laser table as CSV, citing each file by its FILE_INFO id.
 
     The table is written column by column: every field is an integer, a
     number or a time of day, so none needs CSV quoting.
@@ -638,7 +640,7 @@ def emit_laser_normalized(
         _clock_texts(table.hundredths),
     ]
     lines = [LASER_HEADER, *map(",".join, zip(*columns)), ""]
-    return "\r\n".join(lines), _file_info_csv(file_info)
+    return "\r\n".join(lines)
 
 
 def _format_distinct(column: np.ndarray) -> Iterable[str]:
@@ -648,10 +650,12 @@ def _format_distinct(column: np.ndarray) -> Iterable[str]:
     return map(texts.__getitem__, inverse.tolist())
 
 
-def _file_info_csv(file_info: list[FileInfoRow]) -> str:
+def emit_file_info(file_info: list[FileMeta]) -> str:
+    """Render FILE_INFO as CSV: one row per file, its id its position plus 1."""
+    _id_map(file_info)
     return _csv(FILE_INFO_HEADER, (
-        [r.id, r.filename] + [getattr(r.meta, c) or "" for c in _FILE_INFO_META]
-        for r in file_info
+        [i, meta.filename] + [getattr(meta, c) or "" for c in _FILE_INFO_META]
+        for i, meta in enumerate(file_info, 1)
     ))
 
 
@@ -669,14 +673,14 @@ def _csv(header: str, rows: Iterable[list]) -> str:
     return out.getvalue()
 
 
-def _id_map(file_info: list[FileInfoRow]) -> dict[str, int]:
+def _id_map(file_info: list[FileMeta]) -> dict[str, int]:
+    """Filename to FILE_INFO id, its position plus 1; a filename listed
+    twice is refused, since it would name two ids."""
     ids: dict[str, int] = {}
-    for row in file_info:
-        if row.filename in ids:
-            raise IntegrityError(f"filename {row.filename!r} listed twice")
-        ids[row.filename] = row.id
-    if sorted(r.id for r in file_info) != list(range(1, len(file_info) + 1)):
-        raise IntegrityError("file info ids must be dense from 1")
+    for i, meta in enumerate(file_info, 1):
+        if meta.filename in ids:
+            raise IntegrityError(f"filename {meta.filename!r} listed twice")
+        ids[meta.filename] = i
     return ids
 
 

@@ -12,6 +12,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 US_PER_SECOND = 1_000_000
+TS_END = 1 << 63  # a stored ts is an i64: a sample needs 0 < ts < TS_END
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)

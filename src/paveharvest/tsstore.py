@@ -11,8 +11,9 @@ Every record is appended; a resent (sensor, ts) is acked like any other
 sample and resolved last-write-wins at read time, and out-of-order
 arrival within a chunk is normal. The segment file is the only copy of a
 chunk's values: every read decodes it anew into ts-sorted numpy columns,
-through one function, :func:`_read_segment`, and keeps nothing. Reads and
-writes check a segment's header with one rule, :func:`_check_header`.
+through one function, :func:`_read_segment`, and keeps nothing. Reads,
+writes and :func:`verify_segments` judge a segment's header by one rule,
+:func:`_check_header`.
 
 The segment files are the store's only state, and the directory is the
 chunk table: ``<root>/<quoted sensor>/<window start>.seg``. Opening a
@@ -32,8 +33,9 @@ write is cut back, and only that chunk's samples report the error. No
 user-space buffer holds records once ``insert`` returns. One writer per
 chunk at a time; readers see whole records only. A torn trailing record
 is ignored, and cut off when a writer opens the segment; a file cut
-inside its header holds no records, and its next append writes the header
-anew. The store never calls ``fsync``: the cut covers a process crash only.
+inside its header holds no records, its next append writes the header
+anew, and ``store check`` passes it. The store never calls ``fsync``: the
+cut covers a process crash only.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from urllib.parse import quote, unquote
 
 import numpy as np
 
+from .timeutil import TS_END
+
 logger = logging.getLogger(__name__)
 
 MAGIC = b"TSEG"
@@ -63,7 +67,6 @@ RECORD = struct.Struct("<qd")
 RECORD_DTYPE = np.dtype([("ts", "<i8"), ("v", "<f8")])
 HEADER_SIZE = HEADER.size  # 32
 RECORD_SIZE = RECORD.size  # 16
-TS_END = 1 << 63  # a record's ts is an i64: a sample needs 0 < ts < TS_END
 
 DEFAULT_CHUNK_SPAN_US = 3_600_000_000  # 1 hour
 
@@ -207,7 +210,9 @@ class _Chunk:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a+b", buffering=0)
-            _check_header(self.key, self.path, os.pread(self._fh.fileno(), HEADER_SIZE, 0))
+            problem = _check_header(self.key, os.pread(self._fh.fileno(), HEADER_SIZE, 0))
+            if problem:
+                raise CorruptSegment(f"{self.path}: {problem}")
             size = self._fh.tell()
             # A crash can leave a torn record at the end; appending after it
             # would misframe every record written from here on.
@@ -353,7 +358,9 @@ class Store:
     # -- reads ------------------------------------------------------------
 
     def _columns(self, sensor: str, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-        """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1."""
+        """ts-ascending (ts, v) of ``sensor`` with t0 <= ts < t1; t0 > t1 is refused."""
+        if t0 > t1:
+            raise ValueError("t0 must not exceed t1")
         ts_parts, v_parts = [np.empty(0, np.int64)], [np.empty(0)]
         first = t0 - t0 % DEFAULT_CHUNK_SPAN_US
         # t0 <= ts < t1 as t0 - 1 < ts <= t1 - 1, with both bounds clamped
@@ -371,8 +378,6 @@ class Store:
 
     def query_range(self, sensor: str, t0: int, t1: int) -> list[Sample]:
         """Samples with t0 <= ts < t1, ascending; unknown sensor is empty."""
-        if t0 > t1:
-            raise ValueError("t0 must not exceed t1")
         with self._lock:
             self._ensure_open()
             ts, v = self._columns(sensor, t0, t1)
@@ -465,7 +470,9 @@ def _read_segment(key: ChunkKey, path: Path) -> tuple[np.ndarray, np.ndarray]:
         raw = path.read_bytes()
     except FileNotFoundError:
         raw = b""
-    _check_header(key, path, raw[:HEADER_SIZE])
+    problem = _check_header(key, raw[:HEADER_SIZE])
+    if problem:
+        raise CorruptSegment(f"{path}: {problem}")
     records = _records(raw)
     # A stable sort keeps equal stamps in file order, so the last of each
     # run is the stamp's last write.
@@ -477,21 +484,21 @@ def _read_segment(key: ChunkKey, path: Path) -> tuple[np.ndarray, np.ndarray]:
     return ts[last], records["v"][order[last]]
 
 
-def _check_header(key: ChunkKey, path: Path, head: bytes) -> None:
-    """Raise :class:`CorruptSegment` unless ``head``, the first ``HEADER_SIZE``
-    bytes of ``key``'s segment, fits the chunk: a whole header matches magic,
-    version, key hash and window start, and fewer bytes (a file empty or cut
-    inside its header, so holding no records) begin the header ``_header`` writes.
+def _check_header(key: ChunkKey, head: bytes) -> str | None:
+    """What is wrong with ``head``, the first ``HEADER_SIZE`` bytes of
+    ``key``'s segment, or None if it fits the chunk: a whole header matches
+    magic, version, key hash and window start, and fewer bytes (a file empty
+    or cut inside its header, so holding no records) begin the header
+    ``_header`` writes. The reserved bytes are not read.
     """
     if len(head) < HEADER_SIZE:
-        if _header(key).startswith(head):
-            return
-        raise CorruptSegment(f"{path}: truncated header")
+        return None if _header(key).startswith(head) else "truncated header"
     magic, version, khash, start, _ = HEADER.unpack(head)
     if magic != MAGIC or version != VERSION:
-        raise CorruptSegment(f"{path}: bad magic/version")
+        return "bad magic/version"
     if khash != key_hash(key.sensor) or start != key.window_start:
-        raise CorruptSegment(f"{path}: header does not match chunk key")
+        return "header does not match chunk key"
+    return None
 
 
 def _records(raw: bytes) -> np.ndarray:
@@ -510,30 +517,25 @@ class SegmentIssue:
 def verify_segments(root: str | Path) -> list[SegmentIssue]:
     """Scan every segment under ``root`` for partition purity and framing.
 
-    Checks header magic/version, that the key hash and window start match
-    the file's location, and that every record ts lies inside the chunk
-    window. The window is ``DEFAULT_CHUNK_SPAN_US`` long, the span the store
-    writes with; the segment header does not record it. Lists segments as
-    the store does, so a file the store ignores is skipped with the same
+    Judges each header by :func:`_check_header`, the rule reads and writes
+    apply, so a file cut inside the header the store would write is clean;
+    then reports a torn trailing record and the first record ts outside the
+    chunk window. The window is ``DEFAULT_CHUNK_SPAN_US`` long, the span the
+    store writes with; the segment header does not record it. Lists segments
+    as the store does, so a file the store ignores is skipped with the same
     warning. Returns a list of issues; empty means the store is clean.
     """
     issues: list[SegmentIssue] = []
     for key, seg in sorted(_segments(Path(root))):
         raw = seg.read_bytes()
-        if len(raw) < HEADER_SIZE:
-            issues.append(SegmentIssue(str(seg), "truncated header"))
+        problem = _check_header(key, raw[:HEADER_SIZE])
+        if problem:
+            issues.append(SegmentIssue(str(seg), problem))
             continue
-        magic, version, khash, start, _ = HEADER.unpack_from(raw)
-        if magic != MAGIC or version != VERSION:
-            issues.append(SegmentIssue(str(seg), "bad magic/version"))
-            continue
-        if khash != key_hash(key.sensor):
-            issues.append(SegmentIssue(str(seg), "sensor-key hash mismatch"))
-        if start != key.window_start:
-            issues.append(SegmentIssue(str(seg), "window start mismatch"))
-        if (len(raw) - HEADER_SIZE) % RECORD_SIZE:
+        if len(raw) >= HEADER_SIZE and (len(raw) - HEADER_SIZE) % RECORD_SIZE:
             issues.append(SegmentIssue(str(seg), "torn trailing record"))
         ts = _records(raw)["ts"]
+        start = key.window_start
         outside = (ts < start) | (ts >= start + DEFAULT_CHUNK_SPAN_US)
         if outside.any():
             first = int(ts[outside.argmax()])

@@ -21,6 +21,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from .timeutil import TS_END
+
 MAX_PAYLOAD = 1 << 20  # the largest payload a frame may carry, on every side
 MAX_CONTROL_LINE = 4096
 SUBJECT_CACHE_SIZE = 4096  # interned subjects; least recently used go first
@@ -326,9 +328,9 @@ def decode_sample(payload: bytes) -> SamplePayload:
     """Strictly decode a sample payload.
 
     Exactly the fields ts/v/seq/unit are allowed; wrong types, extra or
-    missing fields, non-positive ts or negative seq raise
-    :class:`PayloadError`. A non-finite ``v`` decodes successfully so the
-    caller can classify it separately.
+    missing fields, a ts outside the store's ``0 < ts < TS_END`` or a
+    negative seq raise :class:`PayloadError`. A non-finite ``v`` decodes
+    successfully so the caller can classify it separately.
 
     The compact form is decoded by one regex match; any other payload goes
     through ``json.loads``, with the same result.
@@ -347,8 +349,8 @@ def decode_sample(payload: bytes) -> SamplePayload:
     if not isinstance(obj, dict) or set(obj) != _SAMPLE_FIELDS:
         raise PayloadError("payload must have exactly the fields ts, v, seq, unit")
     ts, v, seq, unit = obj["ts"], obj["v"], obj["seq"], obj["unit"]
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts <= 0:
-        raise PayloadError(f"ts must be a positive integer, got {ts!r}")
+    if isinstance(ts, bool) or not isinstance(ts, int) or not 0 < ts < TS_END:
+        raise PayloadError(f"ts must be an integer in 0 < ts < 2**63, got {ts!r}")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise PayloadError(f"v must be a number, got {v!r}")
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:

@@ -1,5 +1,6 @@
 """Synthetic data shared by the tests: raw logs for the ETL, CLI and
-acceptance tests, the per-row laser rendering the laser table is checked
+acceptance tests, the hat-matrix row the smoother's weights are checked
+against, the per-row laser rendering the laser table is checked
 against and the time-of-day text rule behind it, the row-by-row join ``etl join`` is checked against, the per-row
 rendering ``store query`` output is checked against, a store's segment
 keys and stored samples counted from its files, the store batches of the
@@ -120,10 +121,19 @@ class LaserRow:
     sampled_time: str
 
 
+def hat_matrix_row(window, polyorder):
+    """The smoother's interior weights as ``dsp.savgol_weights`` once read
+    them: the center row of the whole ``design @ pinv(design)`` product."""
+    half = window // 2
+    x = np.arange(-half, half + 1, dtype=float) / half
+    design = np.vander(x, polyorder + 1, increasing=True)
+    return (design @ np.linalg.pinv(design))[half]
+
+
 def reference_laser_rows(filename, raw):
     """One LaserRow per sample, as laser logs were once processed row by
     row: the smoothed reading, the beam column, :func:`format_time_of_day`."""
-    smoothed = dsp.smooth(raw.channels[0].series, dsp.DEFAULT_CONFIGS[raw.kind])
+    smoothed = dsp.smooth(raw.channels[0].series, etl.DEFAULT_CONFIGS[raw.kind])
     start = etl._parse_time_of_day(raw.header.get("start_time", "00:00:00"))
     samples = zip(smoothed.t.tolist(), smoothed.y.tolist(), raw.channels[1].series.y.tolist())
     return [
@@ -136,7 +146,7 @@ def reference_laser_rows(filename, raw):
 def reference_laser_csv(rows, file_info):
     """The laser table as the per-row writer rendered it: one ``csv.writer``
     row per LaserRow."""
-    ids = {r.filename: r.id for r in file_info}
+    ids = {meta.filename: i for i, meta in enumerate(file_info, 1)}
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(etl.LASER_HEADER.split(","))

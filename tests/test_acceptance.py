@@ -107,7 +107,7 @@ def test_c2_apt_feature_counts(tmp_path):
         assert len(envelopes) == 200
         assert {r.captured_instance for r in envelopes} == {"first20", "last20"}
         info = etl.build_file_info([result.meta])
-        data_csv, _ = etl.emit_normalized(result.data_rows, info)
+        data_csv = etl.emit_normalized(result.data_rows, info)
         assert len(data_csv.strip().splitlines()) == 1 + 240
 
 
@@ -124,7 +124,7 @@ def test_c3_laser_mapping(tmp_path):
         path.write_text(laser_raw_text(n_samples=4000))
         result = etl.process_file(path)
         info = etl.build_file_info([result.meta])
-        laser_csv, _ = etl.emit_laser_normalized(result.laser_rows, info)
+        laser_csv = etl.emit_laser_normalized(result.laser_rows, info)
         rows = list(csv.reader(io.StringIO(laser_csv)))
         header, body = rows[0], rows[1:]
         assert len(body) == 4000
@@ -181,7 +181,7 @@ def test_c4_normalization_round_trip():
             # duplicates on purpose: every row's meta appears once per row
             info = etl.build_file_info([metas[r.filename] for r in rows])
             assert len(info) == len({r.filename for r in rows})  # collapsed
-            data_csv, info_csv = etl.emit_normalized(rows, info)
+            data_csv, info_csv = etl.emit_normalized(rows, info), etl.emit_file_info(info)
             joined = etl.join_by_filename_id(data_csv, info_csv)
 
             out = io.StringIO()

@@ -26,7 +26,7 @@ from helpers import (
     stored_count,
     tc_raw_text,
 )
-from paveharvest import cli as cli_mod, etl
+from paveharvest import cli as cli_mod, etl, tsstore
 from paveharvest.cli import build_parser, main
 from paveharvest.timeutil import format_rfc3339, now_us, parse_duration
 from paveharvest.tsstore import Sample, Store
@@ -280,6 +280,20 @@ def test_store_check_clean_and_corrupt(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("size", [0, 10])
+def test_store_check_passes_a_segment_cut_inside_its_header(tmp_path, capsys, size):
+    """A crash between creating a segment and its first write leaves a
+    prefix of the header; the store reads it as an empty chunk, and so does
+    ``store check``."""
+    root = tmp_path / "db"
+    seg = root / "z" / "0.seg"
+    seg.parent.mkdir(parents=True)
+    seg.write_bytes(tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash("z"), 0, bytes(8))[:size])
+    code, _, err = run_cli(["store", "check", "--store", str(root)], capsys)
+    assert code == 0
+    assert str(seg) not in err
+
+
 def test_store_check_skips_stray_segment_file(tmp_path, capsys, caplog):
     """`store check` lists segments as the store does: a stray `.seg` name is
     skipped with the store's warning, and the real segments are checked."""
@@ -449,7 +463,8 @@ def test_etl_process_laser_table_matches_the_per_row_reference(tmp_path, capsys)
     paths = sorted(in_dir.iterdir())
     info = etl.build_file_info([etl.FileMeta(filename=p.name) for p in paths])
     info_rows = list(csv.reader(io.StringIO((out_dir / "file_info.csv").read_text())))
-    assert [row[:2] for row in info_rows[1:]] == [[str(r.id), r.filename] for r in info]
+    assert [row[:2] for row in info_rows[1:]] == [
+        [str(i), meta.filename] for i, meta in enumerate(info, 1)]
     want = [
         row
         for p in (paths[0], paths[2])

@@ -333,9 +333,10 @@ def test_conservation_holds_while_a_batch_is_inserted(tmp_path):
     assert max(m.in_flight for m in snapshots) > 0
 
 
-def test_timestamp_beyond_int64_is_one_rejected_store(tmp_path):
-    """The store reports such a sample as bad-ts; the rest of its batch is
-    stored and counted as accepted."""
+def test_timestamp_beyond_int64_is_one_rejected_malformed(tmp_path):
+    """A ts of 2**63 or later is no sample the store can hold: the payload
+    decode refuses it, so it counts as malformed, not as a storage failure,
+    and the rest of its batch is stored and counted as accepted."""
     with Store(tmp_path / "db") as store:
         conn = Connector(store)  # started once all three are queued: one batch
         for seq, ts in enumerate((10, 2**63, 20), 1):
@@ -346,7 +347,7 @@ def test_timestamp_beyond_int64_is_one_rejected_store(tmp_path):
         conn.stop()
         assert stored_count(store.root) == 2
     assert m.accepted == 2
-    assert m.rejected == {"store": 1}
+    assert m.rejected == {"malformed": 1}
     assert conserved(m)
 
 

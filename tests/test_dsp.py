@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import hat_matrix_row
 from paveharvest import dsp
 from paveharvest.dsp import (
-    DEFAULT_CONFIGS,
     ENVELOPE_FRACTIONS,
     FIRST20,
     LAST20,
@@ -87,9 +87,15 @@ def test_weights_are_computed_once_and_read_only():
     assert not w.flags.writeable and w.base is None  # owns no whole projection
     with pytest.raises(ValueError):
         w[0] = 0.0
-    x = np.arange(-50, 51) / 50
-    design = np.vander(x, 3, increasing=True)
-    assert w.tobytes() == (design @ np.linalg.pinv(design))[50].tobytes()
+    assert w.tobytes() == hat_matrix_row(101, 2).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("window", [5, 7, 51, 101, 1001])
+def test_weights_are_the_hat_matrix_center_row_to_the_bit(window, order):
+    """The constant-term row of the fit's pseudo-inverse is the center row of
+    the window x window hat matrix the weights were once read from."""
+    assert savgol_weights(window, order).tobytes() == hat_matrix_row(window, order).tobytes()
 
 
 # --- smoothing ------------------------------------------------------------
@@ -160,15 +166,6 @@ def test_smooth_too_short_raises():
 def test_smooth_keeps_unit():
     out = smooth(series(np.ones(100), unit="microstrain"), DspConfig(window=5))
     assert out.unit == "microstrain"
-
-
-def test_default_configs_per_sensor_kind():
-    assert DEFAULT_CONFIGS["ASG"].window == 1001
-    assert DEFAULT_CONFIGS["CSG"].window == 1001
-    assert DEFAULT_CONFIGS["LASER"].window == 1001
-    assert DEFAULT_CONFIGS["PC"].window == 101
-    assert DEFAULT_CONFIGS["TC"].window == 51
-    assert all(cfg.polyorder == 2 for cfg in DEFAULT_CONFIGS.values())
 
 
 # --- extrema ------------------------------------------------------------

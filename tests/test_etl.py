@@ -31,11 +31,11 @@ from paveharvest.etl import (
     DanglingReference,
     DataRow,
     FileMeta,
-    FileInfoRow,
     FormatError,
     IntegrityError,
     LaserTable,
     build_file_info,
+    emit_file_info,
     emit_laser_normalized,
     emit_normalized,
     format_number,
@@ -538,11 +538,22 @@ EMITTERS = [
 ]
 
 
+def test_default_configs_per_sensor_kind():
+    assert etl.DEFAULT_CONFIGS[etl.ASG].window == 1001
+    assert etl.DEFAULT_CONFIGS[etl.CSG].window == 1001
+    assert etl.DEFAULT_CONFIGS[etl.LASER].window == 1001
+    assert etl.DEFAULT_CONFIGS[etl.PC].window == 101
+    assert etl.DEFAULT_CONFIGS[etl.TC].window == 51
+    assert all(cfg.polyorder == 2 for cfg in etl.DEFAULT_CONFIGS.values())
+    assert set(etl.DEFAULT_CONFIGS) == etl.SENSOR_KINDS
+
+
 def test_build_file_info_dedupes_first_seen():
     metas = [FileMeta(filename="a.txt"), FileMeta(filename="b.txt"),
              FileMeta(filename="a.txt")]
     info = build_file_info(metas)
-    assert [(r.id, r.filename) for r in info] == [(1, "a.txt"), (2, "b.txt")]
+    assert len(info) == 2 and info[0] is metas[0] and info[1] is metas[1]
+    assert [(i, m.filename) for i, m in enumerate(info, 1)] == [(1, "a.txt"), (2, "b.txt")]
 
 
 def test_build_file_info_empty():
@@ -554,14 +565,15 @@ def test_build_file_info_matches_dedup_oracle():
     names = [f"f{rng.randint(0, 9)}.txt" for _ in range(100)]
     info = build_file_info([FileMeta(filename=n) for n in names])
     want = list(dict.fromkeys(names))  # first-seen order oracle
-    assert [r.filename for r in info] == want
-    assert [r.id for r in info] == list(range(1, len(want) + 1))
+    assert [m.filename for m in info] == want
+    written = list(csv.reader(io.StringIO(emit_file_info(info))))[1:]
+    assert [row[:2] for row in written] == [[str(i), n] for i, n in enumerate(want, 1)]
 
 
 def test_emit_assigns_filename_ids():
     rows = [make_row("a.txt", 1.0), make_row("a.txt", 2.0)]
     info = build_file_info([FileMeta(filename="a.txt")])
-    data_csv, info_csv = emit_normalized(rows, info)
+    data_csv, info_csv = emit_normalized(rows, info), emit_file_info(info)
     parsed = list(csv.reader(io.StringIO(data_csv)))
     assert parsed[0] == DATA_HEADER.split(",")
     assert [r[0] for r in parsed[1:]] == ["1", "1"]
@@ -578,20 +590,20 @@ def test_emit_rejects_unknown_file():
 
 
 @pytest.mark.parametrize("emit, make, join", EMITTERS, ids=["data", "laser"])
-@pytest.mark.parametrize(
-    "ids, message",
-    [([(1, "a.txt"), (2, "a.txt")], "listed twice"), ([(1, "a.txt"), (3, "b.txt")], "dense")],
-    ids=["filename-twice", "ids-not-dense"],
-)
-def test_emit_rejects_broken_file_info(emit, make, join, ids, message):
-    info = [FileInfoRow(id=i, filename=name, meta=FileMeta(filename=name)) for i, name in ids]
+@pytest.mark.parametrize("names, message", [(["a.txt", "a.txt"], "listed twice")],
+                         ids=["filename-twice"])
+def test_emit_rejects_broken_file_info(emit, make, join, names, message):
+    """A library caller can pass a list that names a file twice, which
+    would give the file two ids."""
+    info = [FileMeta(filename=name) for name in names]
     with pytest.raises(IntegrityError, match=message):
         emit(join([make("a.txt")]), info)
+    with pytest.raises(IntegrityError, match=message):
+        emit_file_info(info)
 
 
 def test_join_missing_id_is_dangling():
-    info = build_file_info([FileMeta(filename="a.txt")])
-    _, info_csv = emit_normalized([], info)
+    info_csv = emit_file_info(build_file_info([FileMeta(filename="a.txt")]))
     data_csv = DATA_HEADER + "\r\n9,first20,7,36,1,1,maxima,1,1,microstrain\r\n"
     with pytest.raises(DanglingReference):
         join_by_filename_id(data_csv, info_csv)
@@ -606,7 +618,7 @@ def test_join_duplicate_file_info_id_is_integrity_error():
 
 def test_join_empty_data_table():
     info = build_file_info([FileMeta(filename="a.txt")])
-    data_csv, info_csv = emit_normalized([], info)
+    data_csv, info_csv = emit_normalized([], info), emit_file_info(info)
     joined = join_by_filename_id(data_csv, info_csv)
     rows = list(csv.reader(io.StringIO(joined)))
     assert len(rows) == 1  # header only
@@ -719,7 +731,7 @@ def test_normalization_round_trip_lossless():
         ]
         ordered_metas = [metas[r.filename] for r in rows]
         info = build_file_info(ordered_metas)
-        data_csv, info_csv = emit_normalized(rows, info)
+        data_csv, info_csv = emit_normalized(rows, info), emit_file_info(info)
         joined = join_by_filename_id(data_csv, info_csv)
         assert joined == expected_join_csv(rows, metas)
 
@@ -732,6 +744,7 @@ def test_round_trip_is_deterministic(tmp_path):
     info1 = build_file_info([r1.meta])
     info2 = build_file_info([r2.meta])
     assert emit_normalized(r1.data_rows, info1) == emit_normalized(r2.data_rows, info2)
+    assert emit_file_info(info1) == emit_file_info(info2)
 
 
 def test_laser_emit_and_join(tmp_path):
@@ -739,7 +752,7 @@ def test_laser_emit_and_join(tmp_path):
     path.write_text(laser_raw_text(n_samples=1200))
     result = process_file(path)
     info = build_file_info([result.meta])
-    laser_csv, info_csv = emit_laser_normalized(result.laser_rows, info)
+    laser_csv, info_csv = emit_laser_normalized(result.laser_rows, info), emit_file_info(info)
     parsed = list(csv.reader(io.StringIO(laser_csv)))
     assert parsed[0] == LASER_HEADER.split(",")
     assert len(parsed) == 1201
@@ -795,7 +808,7 @@ def test_laser_table_and_writer_match_the_per_row_reference(text):
         want = reference_laser_rows(path.name, parse_raw_log(path))
     assert table_rows(result.laser_rows) == want
     info = build_file_info([result.meta])
-    assert emit_laser_normalized(result.laser_rows, info)[0] == reference_laser_csv(want, info)
+    assert emit_laser_normalized(result.laser_rows, info) == reference_laser_csv(want, info)
 
 
 _LASER_FLOATS = st.one_of(
@@ -828,7 +841,7 @@ def test_laser_writer_matches_the_per_row_reference_on_built_rows(samples, cut):
         for f, n, horiz, reading, beam, seconds in samples
     ]
     info = build_file_info([FileMeta(filename=f) for f in ("d.txt", "a.txt", "b,c.txt")])
-    want = (reference_laser_csv(rows, info), emit_normalized([], info)[1])
+    want = reference_laser_csv(rows, info)
     table = built_laser_table(samples)
     # the columnar tie rounding reads as format_time_of_day on the tie grid
     assert table_rows(table) == rows

@@ -36,6 +36,7 @@ from paveharvest.tsstore import (
     ChunkKey,
     CorruptSegment,
     Sample,
+    SegmentIssue,
     Store,
     verify_segments,
 )
@@ -310,11 +311,13 @@ def test_append_after_a_cut_at_every_offset(tmp_path):
 @pytest.mark.parametrize("size", [0, 10])
 def test_segment_cut_inside_its_header_is_an_empty_chunk(tmp_path, size):
     """A crash between creating a segment and its first write landing leaves
-    a file shorter than a header; every later session can still write it."""
+    a file shorter than a header; every later session can still write it,
+    and ``store check`` judges it by the store's rule, as an empty chunk."""
     root = tmp_path / "db"
     seg = root / "z" / "0.seg"
     seg.parent.mkdir(parents=True)
     seg.write_bytes(tsstore.HEADER.pack(b"TSEG", 1, tsstore.key_hash("z"), 0, bytes(8))[:size])
+    assert verify_segments(root) == []
     first, second = Sample("z", 10, 1.0), Sample("z", 20, 2.0)
     with Store(root) as store:
         assert store.insert([first]).statuses == ["ack"]
@@ -341,7 +344,7 @@ def test_short_segment_with_bad_magic_stays_corrupt(tmp_path):
             with pytest.raises(CorruptSegment):
                 store.query_range("z", 0, 100)
     assert seg.read_bytes() == raw
-    assert [issue.path for issue in verify_segments(root)] == [str(seg)]
+    assert verify_segments(root) == [SegmentIssue(str(seg), "truncated header")]
 
 
 def test_corrupt_segment_refuses_writes(tmp_path):
@@ -383,6 +386,7 @@ def test_header_of_another_chunk_is_refused_and_logged_once(tmp_path, caplog, se
     assert [r.getMessage() for r in caplog.records] == [
         f"{seg}: header does not match chunk key"]
     assert seg.read_bytes() == raw
+    assert verify_segments(root) == [SegmentIssue(str(seg), "header does not match chunk key")]
 
 
 def test_nonzero_reserved_bytes_are_read_and_appended_alike(tmp_path):
@@ -774,6 +778,19 @@ def test_downsample_rejects_a_bucket_beyond_int64(tmp_path, bucket):
         store.insert([Sample("a", 10, 1.0)])
         with pytest.raises(ValueError, match="bucket"):
             store.downsample("a", 0, 100, bucket, "avg")
+
+
+def test_a_range_that_ends_before_it_starts_is_refused_by_every_read(tmp_path):
+    """``t0 > t1`` is one rule of the store's reads: ``downsample`` refuses it
+    as ``query_range`` does, rather than answer an empty list."""
+    with Store(tmp_path / "db") as store:
+        store.insert([Sample("a", 10, 1.0)])
+        with pytest.raises(ValueError, match="t0 must not exceed t1"):
+            store.query_range("a", 100, 0)
+        for agg in tsstore.AGGREGATES:
+            with pytest.raises(ValueError, match="t0 must not exceed t1"):
+                store.downsample("a", 100, 0, 10, agg)
+        assert store.downsample("a", 5, 5, 10, "count") == []
 
 
 def test_close_releases_every_chunk(tmp_path):

@@ -459,6 +459,7 @@ def test_sample_payload_strictness():
         b'{"ts":1,"v":2.5,"seq":0,"unit":"kPa","x":1}',
         b'{"ts":0,"v":2.5,"seq":0,"unit":"kPa"}',
         b'{"ts":-5,"v":2.5,"seq":0,"unit":"kPa"}',
+        b'{"ts":9223372036854775808,"v":2.5,"seq":0,"unit":"kPa"}',  # 2**63: no stored ts
         b'{"ts":1,"v":"2.5","seq":0,"unit":"kPa"}',
         b'{"ts":1,"v":2.5,"seq":-1,"unit":"kPa"}',
         b'{"ts":1,"v":2.5,"seq":0,"unit":7}',
