@@ -21,21 +21,28 @@ store reads and creates nothing; the first insert makes the root. A query
 lists only its sensor's directory, and a retention sweep lists them all.
 One walk, :func:`_segments`, owns that naming for the store and
 :func:`verify_segments`; any other ``.seg`` name is skipped with a warning.
-A writing session keeps one open segment per sensor, the one it wrote
-last, and the keys of segments found corrupt; ``close`` releases every
-handle. The sensor names ``""``, ``.`` and ``..`` would name the root or
-its parent, so an insert rejects them as ``bad-sensor`` and a read finds
-nothing for them.
+A writing session keeps a table of at most ``MAX_OPEN_SEGMENTS`` append
+handles, keyed by chunk, and closes the least recently written handle
+when it needs room for another: a late sample into the previous window
+finds its segment still open, and the fds a store holds stay bounded
+however many sensors it has. It also keeps the keys of segments found
+corrupt; ``close`` releases every handle. The sensor names ``""``, ``.``
+and ``..`` would name the root or its parent, so an insert rejects them
+as ``bad-sensor`` and a read finds nothing for them.
 
 An insert groups its batch by chunk and gives each touched chunk one
-unbuffered ``write`` of its records, all or nothing: a short or failed
-write is cut back, and only that chunk's samples report the error. No
-user-space buffer holds records once ``insert`` returns. One writer per
-chunk at a time; readers see whole records only. A torn trailing record
-is ignored, and cut off when a writer opens the segment; a file cut
-inside its header holds no records, its next append writes the header
-anew, and ``store check`` passes it. The store never calls ``fsync``: the
-cut covers a process crash only.
+unbuffered ``write`` of its records. A batch of ``COLUMNAR_MIN_BATCH``
+samples or more is checked, grouped and packed in one numpy pass; a
+smaller one, or one whose stamps and values do not convert to int64 and
+float64 columns, one sample at a time; both give the same statuses and
+bytes. A write is all or nothing: a short or failed write is cut back,
+and only that chunk's samples report the error. No user-space buffer
+holds records once ``insert`` returns. One writer per chunk at a time;
+readers see whole records only. A torn trailing record is ignored, and
+cut off when a writer opens the segment; a file cut inside its header
+holds no records, its next append writes the header anew, and ``store
+check`` passes it. The store never calls ``fsync``: the cut covers a
+process crash only.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import math
 import os
 import struct
 import threading
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -69,6 +77,8 @@ HEADER_SIZE = HEADER.size  # 32
 RECORD_SIZE = RECORD.size  # 16
 
 DEFAULT_CHUNK_SPAN_US = 3_600_000_000  # 1 hour
+MAX_OPEN_SEGMENTS = 128  # append handles a writer keeps open, well below common fd limits
+COLUMNAR_MIN_BATCH = 80  # smaller batches take the per-sample rule, which is faster there
 
 ACK = "ack"
 
@@ -164,21 +174,87 @@ def _nonfinite(ts) -> str:
     return "nonfinite"
 
 
-def _pack_each(
-    group: list[tuple[int, int, float]], statuses: list[str]
-) -> tuple[list[tuple[int, int, float]], bytes]:
-    """The samples of ``group`` that pack, and their records; each sample
-    that does not is marked ``bad-ts``. Its value passed ``math.isfinite``,
-    which converts as ``RECORD`` does, so only its ts can fail."""
-    kept, records = [], []
-    for sample in group:
+def _group_each(rows: list) -> tuple[list[str], list[tuple]]:
+    """The statuses of ``rows`` and their chunk writes, one sample at a time.
+
+    A write is ``(last, key, records, indices)``: the batch index of the
+    chunk's last sample, the plain ``(sensor, window start)`` tuple, which
+    hashes and compares equal to a ``ChunkKey``, the packed records and the
+    batch indices of the samples they hold.
+    """
+    statuses: list[str] = []
+    groups: dict[tuple[str, int], tuple[list[int], list[bytes]]] = {}
+    span, isfinite, pack = DEFAULT_CHUNK_SPAN_US, math.isfinite, RECORD.pack
+    for i, (sensor, ts, v) in enumerate(rows):
         try:
-            records.append(RECORD.pack(*sample[1:]))
+            if not 0 < ts < TS_END:
+                statuses.append("bad-ts")
+            elif not isfinite(v):
+                statuses.append(_nonfinite(ts))
+            else:
+                record = pack(ts, v)  # a ts that is not an int, such as 1.5, fails here
+                key = (sensor, ts - ts % span)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = ([i], [record])
+                else:
+                    group[0].append(i)
+                    group[1].append(record)
+                statuses.append(ACK)
+        except OverflowError:  # isfinite of an int beyond float range
+            statuses.append(_nonfinite(ts))
         except struct.error:
-            statuses[sample[0]] = "bad-ts"
-        else:
-            kept.append(sample)
-    return kept, b"".join(records)
+            statuses.append("bad-ts")
+    writes = [(indices[-1], key, b"".join(records), indices)
+              for key, (indices, records) in groups.items()]
+    return statuses, writes
+
+
+def _group_columns(rows: list) -> tuple[list[str], list[tuple]] | None:
+    """What :func:`_group_each` gives, in one numpy pass over the batch; or
+    None for a batch that does not convert to an int64 ts column and a
+    float64 value column (a ts such as 1.5 or beyond int64, a value beyond
+    float range, a row that is no triple), which the per-sample rule takes."""
+    try:
+        sensors, stamps, values = zip(*rows)
+        ts = np.frombuffer(array("q", stamps), np.int64)
+        v = np.frombuffer(array("d", values), np.float64)
+        codes = {sensor: code for code, sensor in enumerate(set(sensors))}
+    except (TypeError, ValueError, OverflowError):
+        return None
+    span = DEFAULT_CHUNK_SPAN_US
+    if len(codes) > span:  # one key per chunk needs every code below the span
+        return None
+    # One key per chunk, window start plus sensor code: as uint64 a window
+    # start below 2**63 plus a code below the span cannot overflow.
+    key = (ts - ts % span).view(np.uint64) + np.fromiter(
+        map(codes.__getitem__, sensors), np.uint64, len(sensors))
+    statuses = [ACK] * len(rows)
+    bad = (ts <= 0) | ~np.isfinite(v)
+    if bad.any():
+        for i in np.flatnonzero(bad).tolist():
+            statuses[i] = "bad-ts" if stamps[i] <= 0 else "nonfinite"
+        order = np.flatnonzero(~bad)
+        order = order[key[order].argsort(kind="stable")]
+    else:
+        order = key.argsort(kind="stable")
+    # The stable sort keeps each chunk's samples in batch order.
+    key = key[order]
+    change = np.ones(len(order) + 1, bool)
+    change[1:-1] = key[1:] != key[:-1]
+    bounds = np.flatnonzero(change)  # each chunk's first sample, then the end
+    packed = np.empty((len(order), 2), np.int64)
+    packed[:, 0] = ts[order]
+    packed[:, 1] = v.view(np.int64)[order]
+    records = memoryview(packed.tobytes())
+    firsts, lasts = order[bounds[:-1]].tolist(), order[bounds[1:] - 1].tolist()
+    order, bounds = order.tolist(), bounds.tolist()
+    writes = []
+    for a, b, first, last in zip(bounds, bounds[1:], firsts, lasts):
+        t = stamps[first]
+        writes.append((last, (sensors[first], t - t % span),
+                       records[a * RECORD_SIZE:b * RECORD_SIZE], order[a:b]))
+    return statuses, writes
 
 
 @dataclass
@@ -255,7 +331,8 @@ class Store:
         if self.root.exists() and not self.root.is_dir():  # reads would find nothing in it
             raise NotADirectoryError(errno.ENOTDIR, "store root is not a directory", str(root))
         self._lock = threading.RLock()
-        self._open_chunks: dict[str, _Chunk] = {}  # the chunk each sensor wrote last, open
+        # Open append handles, least recently written first.
+        self._handles: dict[ChunkKey, _Chunk] = {}
         self._corrupt: set[ChunkKey] = set()  # refused, and logged once, this session
         self._closed = False
 
@@ -275,85 +352,53 @@ class Store:
         ``0 < ts < TS_END``, ``nonfinite`` for a value that is no finite
         float (an int beyond float range among them), ``bad-sensor`` for a
         sensor name that can name no chunk, else what its chunk's write gave.
+        A batch of ``COLUMNAR_MIN_BATCH`` samples or more takes the columnar
+        pass, where it converts; the per-sample rule is faster below that.
         """
-        statuses: list[str] = []
-        # Plain (sensor, window start) tuples: they hash and compare equal to
-        # a ChunkKey, which is built only when a chunk is first made.
-        groups: dict[tuple[str, int], list[tuple[int, int, float]]] = {}
-        span, isfinite = DEFAULT_CHUNK_SPAN_US, math.isfinite
+        rows = list(batch)
         with self._lock:
             self._ensure_open()
-            for i, (sensor, ts, v) in enumerate(batch):
-                try:
-                    if not 0 < ts < TS_END:
-                        statuses.append("bad-ts")
-                    elif not isfinite(v):
-                        statuses.append(_nonfinite(ts))
-                    else:
-                        statuses.append(ACK)
-                        key = (sensor, ts - ts % span)
-                        group = groups.get(key)
-                        if group is None:
-                            groups[key] = [(i, ts, v)]
-                        else:
-                            group.append((i, ts, v))
-                except OverflowError:  # isfinite of an int beyond float range
-                    statuses.append(_nonfinite(ts))
-            writes = []
-            for key, group in groups.items():
-                try:
-                    records = b"".join([RECORD.pack(ts, v) for _, ts, v in group])
-                except struct.error:  # a ts that is not an int, such as 1.5
-                    group, records = _pack_each(group, statuses)
-                    if not group:
-                        continue
-                    key = (key[0], group[0][1] - group[0][1] % span)
-                writes.append((group[-1][0], key, group, records))
-            # The chunk of a sensor's last sample goes last and keeps its handle.
+            grouped = _group_columns(rows) if len(rows) >= COLUMNAR_MIN_BATCH else None
+            statuses, writes = grouped or _group_each(rows)
+            # The chunk of a sensor's last sample goes last.
             writes.sort(key=itemgetter(0))
-            for _, key, group, records in writes:
-                self._append(key, group, records, statuses)
+            for _, key, records, indices in writes:
+                status = self._append(key, records)
+                if status is not ACK:
+                    for i in indices:
+                        statuses[i] = status
         return InsertReport(statuses)
 
-    def _append(
-        self,
-        key: tuple[str, int],
-        group: list[tuple[int, int, float]],
-        records: bytes,
-        statuses: list[str],
-    ) -> None:
-        """Write one chunk's samples, packed in ``records``; on failure set
-        all their statuses to the reason."""
-        sensor = key[0]
-        prev = chunk = self._open_chunks.get(sensor)
-        if chunk is None or chunk.key != key:
-            if not _names_a_chunk(sensor):  # per chunk opened; a per-sample test costs throughput
-                for i, _, _ in group:
-                    statuses[i] = "bad-sensor"
-                return
+    def _append(self, key: tuple[str, int], records: bytes) -> str:
+        """Write one chunk's packed ``records``; the status of its samples.
+
+        The handle goes to the end of the table, which closes its least
+        recently written handle first; a failed append closes its handle.
+        """
+        chunk = self._handles.pop(key, None)
+        if chunk is None:
+            if not _names_a_chunk(key[0]):  # per chunk opened; a per-sample test costs throughput
+                return "bad-sensor"
+            if key in self._corrupt:
+                return "corrupt-segment"
+            if len(self._handles) >= MAX_OPEN_SEGMENTS:
+                self._handles.pop(next(iter(self._handles))).close()
             key = ChunkKey(*key)
             chunk = _Chunk(key, _segment_path(self.root, key))
-        failure = "corrupt-segment"
-        if chunk.key not in self._corrupt:
-            try:
-                chunk.append(records)
-            except CorruptSegment as exc:
-                logger.error("%s", exc)
-                self._corrupt.add(chunk.key)
-            except OSError as exc:
-                logger.error("append to %s failed: %s", chunk.path, exc)
-                failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
-            else:
-                if prev is not chunk:
-                    if prev is not None:
-                        prev.close()
-                    self._open_chunks[sensor] = chunk
-                return
-            chunk.close()  # a failed append closes its chunk
-            if prev is chunk:
-                del self._open_chunks[sensor]
-        for i, _, _ in group:
-            statuses[i] = failure
+        try:
+            chunk.append(records)
+        except CorruptSegment as exc:
+            logger.error("%s", exc)
+            self._corrupt.add(chunk.key)
+            failure = "corrupt-segment"
+        except OSError as exc:
+            logger.error("append to %s failed: %s", chunk.path, exc)
+            failure = "storage-full" if exc.errno == errno.ENOSPC else "io-error"
+        else:
+            self._handles[chunk.key] = chunk
+            return ACK
+        chunk.close()
+        return failure
 
     # -- reads ------------------------------------------------------------
 
@@ -428,10 +473,9 @@ class Store:
             self._ensure_open()
             for key, path in self._on_disk():
                 if key.window_start + DEFAULT_CHUNK_SPAN_US <= cutoff:
-                    chunk = self._open_chunks.get(key.sensor)
-                    if chunk is not None and chunk.key == key:
+                    chunk = self._handles.pop(key, None)
+                    if chunk is not None:
                         chunk.close()
-                        del self._open_chunks[key.sensor]
                     self._corrupt.discard(key)
                     path.unlink(missing_ok=True)
                     dropped.append(key)
@@ -443,9 +487,9 @@ class Store:
 
     def close(self) -> None:
         with self._lock:
-            for chunk in self._open_chunks.values():
+            for chunk in self._handles.values():
                 chunk.close()
-            self._open_chunks.clear()
+            self._handles.clear()
             self._closed = True
 
     def _ensure_open(self) -> None:

@@ -275,7 +275,7 @@ def _utf8_str(sensor):
     return True
 
 
-def reference_insert(root, span, batch, open_per_sensor):
+def reference_insert(root, span, batch, handles, bound):
     """``Store.insert`` of ``batch`` one sample at a time, as the store once
     ran it: each sample checked in turn and given a ``ChunkKey``, and each
     written sample acked, a resent ts too. A ts that is not an int in
@@ -283,8 +283,10 @@ def reference_insert(root, span, batch, open_per_sensor):
     ``nonfinite``, and a sensor that is no UTF-8 str naming a directory
     below ``root`` ``bad-sensor``, in that order. Writes the
     segments under ``root`` in the store's framing, the chunk of each
-    sensor's last sample last, sets ``open_per_sensor`` (sensor to the chunk
-    it wrote last) and returns the statuses."""
+    sensor's last sample last, and returns the statuses. ``handles`` holds
+    the keys of the chunks kept open, least recently written first: a
+    written chunk goes to its end, and a chunk not in it first drops its
+    oldest key once it holds ``bound``."""
     statuses, groups = [], {}
     for i, (sensor, ts, v) in enumerate(batch):
         try:
@@ -309,7 +311,11 @@ def reference_insert(root, span, batch, open_per_sensor):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "ab") as fh:
             fh.write(data)
-        open_per_sensor[key.sensor] = key
+        if key in handles:
+            del handles[key]
+        elif len(handles) >= bound:
+            del handles[next(iter(handles))]
+        handles[key] = None
     return statuses
 
 

@@ -405,9 +405,12 @@ def test_nonzero_reserved_bytes_are_read_and_appended_alike(tmp_path):
     assert verify_segments(root) == []
 
 
-def test_write_state_stays_one_chunk_per_sensor_over_two_days(tmp_path):
+def test_write_state_stays_within_the_handle_bound_over_two_days(tmp_path, monkeypatch):
     """A writer that runs 48 hours of 16 sensors, with late and resent
-    samples, holds write state for one chunk per sensor at most."""
+    samples, holds write state for at most ``MAX_OPEN_SEGMENTS`` chunks,
+    here fewer than the sensors' last two windows, and keeps the newest
+    window of every sensor open."""
+    monkeypatch.setattr(tsstore, "MAX_OPEN_SEGMENTS", 24)
     rng = random.Random(61)
     sensors = [f"s{i}" for i in range(16)]
     with Store(tmp_path / "db") as store:
@@ -416,9 +419,9 @@ def test_write_state_stays_one_chunk_per_sensor_over_two_days(tmp_path):
             batch = [Sample(s, max(1, now - rng.randrange(HOUR)), 2.0) for s in sensors]
             batch += [Sample(s, now + i * 15_000_000, 1.0) for s in sensors for i in range(20)]
             assert set(store.insert(batch).statuses) == {ACK}
-            assert len(store._open_chunks) + len(store._corrupt) <= 16
-        assert {c.key for c in store._open_chunks.values()} == {
-            ChunkKey(s, 47 * HOUR) for s in sensors}
+            assert len(store._handles) + len(store._corrupt) <= 24
+        assert {ChunkKey(s, 47 * HOUR) for s in sensors} <= set(store._handles)
+    assert verify_segments(tmp_path / "db") == []
 
 
 def test_insert_rejects_bad_values(tmp_path):
@@ -460,32 +463,51 @@ _any_value = st.one_of(
     st.floats(-1e6, 1e6),
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, 10**300, 3]),
 )
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    batches=st.lists(st.lists(st.tuples(_any_sensor, _any_ts, _any_value), max_size=30),
-                     max_size=6),
-    reopen=st.integers(0, 3),
+# Any batch, or one whose stamps are all ints in int64 range and whose
+# values all convert to float64, which the columnar pass takes whole.
+_any_batch = st.one_of(
+    st.lists(st.tuples(_any_sensor, _any_ts, _any_value), max_size=30),
+    st.lists(st.tuples(
+        _any_sensor,
+        st.one_of(st.integers(1, 60), st.sampled_from([0, -3, 2**63 - 1])),
+        st.one_of(st.floats(-1e6, 1e6), st.sampled_from([float("nan"), float("inf"), 10**300])),
+    ), max_size=30),
 )
-def test_inserts_match_the_reference_rule(batches, reopen):
+
+
+def routes(columnar):
+    """Sends every batch down the columnar pass, or every batch down the
+    per-sample rule: the two routes a batch can take."""
+    return mock.patch.object(tsstore, "COLUMNAR_MIN_BATCH", 0 if columnar else 10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batches=st.lists(_any_batch, max_size=6),
+    reopen=st.integers(0, 3),
+    columnar=st.booleans(),
+    bound=st.integers(1, 4),
+)
+def test_inserts_match_the_reference_rule(batches, reopen, columnar, bound):
     """After each batch the statuses, every segment's path and bytes, and
-    the chunk each sensor keeps open are those of the one-sample-at-a-time
-    rule, over bad values, reserved and unusable sensor names, resends
-    within and across batches, many windows per sensor and reopens."""
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", 7):
+    the chunks kept open, least recently written first, are those of the
+    one-sample-at-a-time rule, on both routes, over bad values, reserved and
+    unusable sensor names, resends within and across batches, many windows
+    per sensor, a handle bound that closes handles, and reopens."""
+    with tempfile.TemporaryDirectory() as tmp, routes(columnar), \
+            mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", 7), \
+            mock.patch.object(tsstore, "MAX_OPEN_SEGMENTS", bound):
         root, ref_root = Path(tmp) / "db", Path(tmp) / "ref"
         ref_root.mkdir()
         store, ref_open = Store(root), {}
         for n, batch in enumerate(batches):
             samples = [Sample(*s) for s in batch]
-            want = reference_insert(ref_root, 7, samples, ref_open)
+            want = reference_insert(ref_root, 7, samples, ref_open, bound)
             assert store.insert(samples).statuses == want
             assert tree_bytes(root) == tree_bytes(ref_root)
-            assert {sensor: chunk.key for sensor, chunk in store._open_chunks.items()} == ref_open
-            assert all(type(chunk.key) is ChunkKey and type(chunk.key.window_start) is int
-                       for chunk in store._open_chunks.values())
+            assert list(store._handles) == list(ref_open)
+            assert all(type(key) is ChunkKey and type(key.window_start) is int
+                       and chunk.key is key for key, chunk in store._handles.items())
             if reopen and n % reopen == 0:
                 store.close()
                 store, ref_open = Store(root), {}
@@ -566,7 +588,7 @@ def test_read_only_session_leaves_the_tree_and_chunks_alone(tmp_path, monkeypatc
     store = Store(root)
     got = store.query_range("b", 2 * HOUR, 3 * HOUR)
     assert got == [Sample("b", 2 * HOUR + 5, 2.0)]
-    assert store._open_chunks == {}
+    assert store._handles == {}
     store.close()
     assert tree_bytes(root) == before
     assert read == [ChunkKey("b", 2 * HOUR)]
@@ -605,9 +627,8 @@ def test_segment_header_size_is_32_bytes(tmp_path):
     assert seg.stat().st_size == 32 + 16
 
 
-def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
-    """Random-order samples over many chunks: one open per touched segment,
-    where a write per sample would reopen a segment on almost every sample."""
+def record_opens(monkeypatch):
+    """The chunk keys of every segment opened for append from here on, in order."""
     opens = []
     real_open = tsstore._Chunk.open_for_append
 
@@ -617,6 +638,13 @@ def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
         return real_open(chunk)
 
     monkeypatch.setattr(tsstore._Chunk, "open_for_append", open_for_append)
+    return opens
+
+
+def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
+    """Random-order samples over many chunks: one open per touched segment,
+    where a write per sample would reopen a segment on almost every sample."""
+    opens = record_opens(monkeypatch)
     rng = random.Random(29)
     samples = [
         Sample(f"s{rng.randrange(3)}", rng.randint(1, 60_000), rng.random())
@@ -628,6 +656,102 @@ def test_batch_opens_each_segment_at_most_once(tmp_path, monkeypatch):
         assert len(opens) == len(set(opens)) == len(segment_keys(tmp_path / "db")) > 100
 
 
+@pytest.mark.parametrize("batch", [500, 16])
+def test_late_samples_open_each_segment_once(tmp_path, monkeypatch, batch):
+    """16 sensors at one sample per tick over 8 windows, in arrival order,
+    with 2 % of samples up to a window late, as the connector hands a store
+    late data: every chunk's segment is opened once, on both routes, though
+    the handle bound of three windows per sensor closes handles all along."""
+    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 600)
+    monkeypatch.setattr(tsstore, "MAX_OPEN_SEGMENTS", 48)
+    opens = record_opens(monkeypatch)
+    rng = random.Random(67)
+    arrivals = []
+    for tick in range(1, 8 * 600):
+        for i in range(16):
+            late = rng.randrange(1, 600) if rng.random() < 0.02 else 0
+            arrivals.append((tick + late, len(arrivals), Sample(f"s{i}", tick, float(tick))))
+    samples = [sample for *_, sample in sorted(arrivals)]
+    root = tmp_path / "db"
+    with Store(root) as store:
+        for a in range(0, len(samples), batch):
+            assert set(store.insert(samples[a:a + batch]).statuses) == {ACK}
+            assert len(store._handles) <= 48
+    assert sorted(opens) == segment_keys(root)
+    assert len(opens) == 16 * 8
+    assert stored_count(root) == len(samples)
+    assert verify_segments(root) == []
+
+
+def child_env():
+    """The environment of a child Python that imports this checkout's
+    ``paveharvest`` and the tests' ``helpers``."""
+    path = [str(Path(paveharvest.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([*path, os.environ.get("PYTHONPATH", "")]))
+
+
+FD_WRITER = """
+import resource, sys
+from collections import Counter
+from paveharvest.tsstore import Sample, Store
+
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, hard), hard))
+sensors = [f"s{i}" for i in range(400)]
+with Store(sys.argv[1]) as store:
+    for n, size in enumerate([400, 400, 16, 16]):
+        batch = [Sample(s, n + 1, float(n)) for s in sensors]
+        statuses = Counter()
+        for a in range(0, len(batch), size):
+            statuses.update(store.insert(batch[a:a + size]).statuses)
+        print(dict(statuses), flush=True)
+"""
+
+
+def test_400_sensors_under_a_256_fd_limit_store_everything(tmp_path):
+    """A writer whose soft fd limit is 256 inserts one sample for each of
+    400 sensors, four times over, in batches of 400 and of 16: the handle
+    bound keeps it below the limit, so every sample is stored."""
+    root = tmp_path / "db"
+    out = subprocess.run(
+        [sys.executable, "-c", FD_WRITER, str(root)],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["{'ack': 400}"] * 4, out.stderr
+    assert stored_count(root) == 4 * 400
+    assert verify_segments(root) == []
+
+
+def test_columnar_pass_takes_what_converts_and_agrees_with_the_per_sample_rule():
+    """Batches of at least ``COLUMNAR_MIN_BATCH`` samples take the columnar
+    pass, which gives the per-sample rule's statuses and writes; a batch it
+    cannot convert is left to the per-sample rule whole."""
+    rows = [Sample(f"s{i % 3}", 1 + (i * 7919) % 5000, float(i)) for i in range(200)]
+    rows[5], rows[9] = Sample("s1", 0, 1.0), Sample("s2", 3, float("nan"))
+    rows[12], rows[15] = Sample("", 4, 1.0), Sample("s0", 2**63 - 1, 1.0)
+
+    def plain(grouped):
+        statuses, writes = grouped
+        return statuses, sorted((last, key, bytes(records), list(indices))
+                                for last, key, records, indices in writes)
+
+    with mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", 1000):
+        assert plain(tsstore._group_columns(rows)) == plain(tsstore._group_each(rows))
+        for odd in (Sample("a", 1.5, 1.0), Sample("a", 2**63, 1.0), Sample("a", 1, 10**400),
+                    Sample(["a"], 1, 1.0), ("a", 1)):
+            assert tsstore._group_columns([*rows, odd]) is None
+        assert tsstore._group_columns([]) is None
+    taken = []
+    real = tsstore._group_columns
+    with mock.patch.object(tsstore, "_group_columns", lambda rows: taken.append(len(rows))
+                           or real(rows)), tempfile.TemporaryDirectory() as tmp:
+        with Store(tmp) as store:
+            for n in (tsstore.COLUMNAR_MIN_BATCH - 1, tsstore.COLUMNAR_MIN_BATCH):
+                store.insert(rows[:n])
+    assert taken == [tsstore.COLUMNAR_MIN_BATCH]
+
+
 @pytest.mark.parametrize("fault", ["short", "enospc"])
 def test_failed_write_fails_only_its_chunk(tmp_path, fault):
     root = tmp_path / "db"
@@ -635,7 +759,7 @@ def test_failed_write_fails_only_its_chunk(tmp_path, fault):
         store.insert([Sample("a", 10, 1.0), Sample("b", 10, 1.0)])
         seg_a = root / "a" / "0.seg"
         before = seg_a.read_bytes()
-        handle = store._open_chunks["a"].open_for_append()
+        handle = store._handles[ChunkKey("a", 0)].open_for_append()
         real_write = handle.write
 
         def write(data):
@@ -649,7 +773,7 @@ def test_failed_write_fails_only_its_chunk(tmp_path, fault):
         )
         assert report.statuses == ["storage-full", "ack", "storage-full"]
         assert seg_a.read_bytes() == before
-        assert handle.closed and "a" not in store._open_chunks  # a failed append closes it
+        assert handle.closed and ChunkKey("a", 0) not in store._handles  # a failed append closes it
         assert store.insert([Sample("a", 40, 4.0)]).statuses == ["ack"]
         assert store.query_range("a", 0, 100) == [Sample("a", 10, 1.0), Sample("a", 40, 4.0)]
         assert store.query_range("b", 0, 100) == [Sample("b", 10, 1.0), Sample("b", 20, 2.0)]
@@ -684,13 +808,14 @@ _model_batch = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(batches=st.lists(_model_batch, max_size=6), reopen=st.booleans())
-def test_inserts_match_dict_model(batches, reopen):
+@settings(max_examples=80, deadline=None)
+@given(batches=st.lists(_model_batch, max_size=6), reopen=st.booleans(), columnar=st.booleans())
+def test_inserts_match_dict_model(batches, reopen, columnar):
     """Statuses and last-write-wins reads follow a dict of (sensor, ts) -> v,
-    across batches with in-batch resends and chunks touched out of order."""
+    on both routes, across batches with in-batch resends and chunks touched
+    out of order."""
     model: dict[tuple[str, int], float] = {}
-    with tempfile.TemporaryDirectory() as tmp, \
+    with tempfile.TemporaryDirectory() as tmp, routes(columnar), \
             mock.patch.object(tsstore, "DEFAULT_CHUNK_SPAN_US", 7):
         store = Store(tmp)
         for i, batch in enumerate(batches):
@@ -798,7 +923,7 @@ def test_close_releases_every_chunk(tmp_path):
     store.insert([Sample(s, h * HOUR + 5, 1.0) for s in "ab" for h in range(3)])
     assert store.query_range("a", 0, 3 * HOUR)
     store.close()
-    assert store._open_chunks == {}
+    assert store._handles == {}
     with pytest.raises(tsstore.StoreError):
         store.query_range("a", 0, 3 * HOUR)
 
@@ -813,7 +938,7 @@ def test_reads_keep_no_state(tmp_path):
         assert store.downsample("b", 0, 3 * HOUR, HOUR, "avg") == [
             (h * HOUR, float(h)) for h in range(3)
         ]
-        assert store._open_chunks == {}
+        assert store._handles == {}
 
 
 def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
@@ -869,11 +994,11 @@ def test_open_lists_nothing_and_a_query_only_its_sensor(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tsstore.Path, "glob", glob)
     store = Store(root)
-    assert store._open_chunks == {}
+    assert store._handles == {}
     assert listed == []
     got = store.query_range("b", HOUR, 3 * HOUR)
     assert got == [Sample("b", HOUR + 5, 1.0), Sample("b", 2 * HOUR + 5, 2.0)]
-    assert store._open_chunks == {}
+    assert store._handles == {}
     assert listed == ["b"]
     assert store.downsample("c", 0, 4 * HOUR, 4 * HOUR, "count") == [(0, 4)]
     assert listed == ["b", "c"]
@@ -981,8 +1106,7 @@ def test_writer_killed_mid_insert_loses_and_invents_nothing(tmp_path):
     any other value read is from the batch in flight at the kill; and the
     only damage ``store check`` finds is a torn trailing record."""
     root = tmp_path / "db"
-    path = [str(Path(paveharvest.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*path, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     rng = random.Random(53)
     state: dict[tuple[str, int], float] = {}  # what the store held before this writer
     for seed in range(12):
