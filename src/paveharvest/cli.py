@@ -228,8 +228,9 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
     def on_insert(record, wall_us):
         join.insert((record.sensor_key, record.seq), wall_us)
 
-    broker = Broker(*config.broker_address)
     store = Store(config.store_root)
+    store.insert([])  # claims the root, or refuses, before any socket or thread starts
+    broker = Broker(*config.broker_address)
     connector = None
     publisher_client = None
     try:
@@ -333,6 +334,7 @@ def cmd_connector_run(args, config) -> int:
         )
     except wire.InvalidSubject as exc:
         raise UsageError(f"--subject {args.subject!r}: {exc}") from None
+    store.insert([])  # claims the root, or refuses, before any socket or thread starts
     connector.start()
     if connector.metrics_port is not None:
         logger.info("metrics on http://127.0.0.1:%d/metrics", connector.metrics_port)

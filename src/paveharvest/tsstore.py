@@ -17,18 +17,23 @@ writes and :func:`verify_segments` judge a segment's header by one rule,
 
 The segment files are the store's only state, and the directory is the
 chunk table: ``<root>/<quoted sensor>/<window start>.seg``. Opening a
-store reads and creates nothing; the first insert makes the root. A query
-lists only its sensor's directory, and a retention sweep lists them all.
-One walk, :func:`_segments`, owns that naming for the store and
-:func:`verify_segments`; any other ``.seg`` name is skipped with a warning.
+store reads and creates nothing; the first insert makes the root and
+claims it with an exclusive ``flock`` on the root directory, held until
+``close``, so a second writer on the root is refused before it writes.
+``flock`` is advisory and local: a root on a network file system is not
+supported. Readers take no lock. A query lists only its sensor's
+directory, and :func:`verify_segments` lists them all. One walk,
+:func:`_segments`, owns that naming for both; any other ``.seg`` name is
+skipped with a warning. The store removes no data: the one file it
+deletes is a new segment whose first write failed.
 A writing session keeps a table of at most ``MAX_OPEN_SEGMENTS`` append
 handles, keyed by chunk, and closes the least recently written handle
 when it needs room for another: a late sample into the previous window
 finds its segment still open, and the fds a store holds stay bounded
 however many sensors it has. It also keeps the keys of segments found
-corrupt; ``close`` releases every handle. The sensor names ``""``, ``.``
-and ``..`` would name the root or its parent, so an insert rejects them
-as ``bad-sensor`` and a read finds nothing for them.
+corrupt; ``close`` releases every handle and the root. The sensor names
+``""``, ``.`` and ``..`` would name the root or its parent, so an insert
+rejects them as ``bad-sensor`` and a read finds nothing for them.
 
 An insert groups its batch by chunk and gives each touched chunk one
 unbuffered ``write`` of its records. A batch of ``COLUMNAR_MIN_BATCH``
@@ -37,12 +42,11 @@ smaller one, or one whose stamps and values do not convert to int64 and
 float64 columns, one sample at a time; both give the same statuses and
 bytes. A write is all or nothing: a short or failed write is cut back,
 and only that chunk's samples report the error. No user-space buffer
-holds records once ``insert`` returns. One writer per chunk at a time;
-readers see whole records only. A torn trailing record is ignored, and
-cut off when a writer opens the segment; a file cut inside its header
-holds no records, its next append writes the header anew, and ``store
-check`` passes it. The store never calls ``fsync``: the cut covers a
-process crash only.
+holds records once ``insert`` returns. Readers see whole records only. A
+torn trailing record is ignored, and cut off when a writer opens the
+segment; a file cut inside its header holds no records, its next append
+writes the header anew, and ``store check`` passes it. The store never
+calls ``fsync``: the cut covers a process crash only.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import math
 import os
 import struct
 import threading
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -174,6 +179,22 @@ def _nonfinite(ts) -> str:
     return "nonfinite"
 
 
+def _untyped(ts, v) -> str:
+    """Status of a sample whose checks raised :class:`TypeError`: ``bad-ts``
+    for a ts that does not compare with ints, such as ``None``, then
+    :func:`_nonfinite` for a value that is no number, such as ``"x"``; what
+    is left is a sensor that cannot key a chunk, such as a list."""
+    try:
+        0 < ts  # raises for a ts such as None or "x"
+    except TypeError:
+        return "bad-ts"
+    try:
+        math.isfinite(v)
+    except TypeError:
+        return _nonfinite(ts)
+    return "bad-sensor"
+
+
 def _group_each(rows: list) -> tuple[list[str], list[tuple]]:
     """The statuses of ``rows`` and their chunk writes, one sample at a time.
 
@@ -205,6 +226,8 @@ def _group_each(rows: list) -> tuple[list[str], list[tuple]]:
             statuses.append(_nonfinite(ts))
         except struct.error:
             statuses.append("bad-ts")
+        except TypeError:  # a ts or value of no number type, or a sensor no dict can key
+            statuses.append(_untyped(ts, v))
     writes = [(indices[-1], key, b"".join(records), indices)
               for key, (indices, records) in groups.items()]
     return statuses, writes
@@ -334,14 +357,9 @@ class Store:
         # Open append handles, least recently written first.
         self._handles: dict[ChunkKey, _Chunk] = {}
         self._corrupt: set[ChunkKey] = set()  # refused, and logged once, this session
+        # Closes the fd that holds this writer's lock on the root.
+        self._release_root: weakref.finalize | None = None
         self._closed = False
-
-    def _on_disk(self, sensor: str | None = None) -> list[tuple[ChunkKey, Path]]:
-        """``(key, path)`` of the segments, of one sensor or of all, in key
-        order; none before the first insert makes the root."""
-        if not self.root.exists():
-            return []
-        return sorted(_segments(self.root, sensor))
 
     # -- writes ------------------------------------------------------------
 
@@ -354,10 +372,15 @@ class Store:
         sensor name that can name no chunk, else what its chunk's write gave.
         A batch of ``COLUMNAR_MIN_BATCH`` samples or more takes the columnar
         pass, where it converts; the per-sample rule is faster below that.
+        The first insert, an empty one too, makes the root and claims it for
+        this writer; while another writer holds it, it raises
+        :class:`StoreError` and writes nothing.
         """
         rows = list(batch)
         with self._lock:
             self._ensure_open()
+            if self._release_root is None:
+                self._claim_root()
             grouped = _group_columns(rows) if len(rows) >= COLUMNAR_MIN_BATCH else None
             statuses, writes = grouped or _group_each(rows)
             # The chunk of a sensor's last sample goes last.
@@ -368,6 +391,24 @@ class Store:
                     for i in indices:
                         statuses[i] = status
         return InsertReport(statuses)
+
+    def _claim_root(self) -> None:
+        """Make the root and take an exclusive ``flock`` on its directory,
+        held until ``close``, or until the store is collected unclosed: two
+        writers on one root would each write a header into a new segment,
+        and cut back each other's records."""
+        import fcntl  # only a writer locks; importing the CLI skips it
+
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(fd)
+            if isinstance(exc, BlockingIOError):
+                raise StoreError(f"store {self.root} has another writer") from None
+            raise
+        self._release_root = weakref.finalize(self, os.close, fd)
 
     def _append(self, key: tuple[str, int], records: bytes) -> str:
         """Write one chunk's packed ``records``; the status of its samples.
@@ -412,7 +453,9 @@ class Store:
         # to the stored range 0 < ts < TS_END: an int beyond int64 would
         # make numpy compare in float64, where TS_END - 1 rounds to TS_END.
         bounds = [min(max(t - 1, 0), TS_END - 1) for t in (t0, t1)]
-        for key, path in self._on_disk(sensor):
+        # No segment before the first insert makes the root.
+        on_disk = sorted(_segments(self.root, sensor)) if self.root.exists() else []
+        for key, path in on_disk:
             if not first <= key.window_start < t1:
                 continue
             ts, v = _read_segment(key, path)
@@ -461,35 +504,16 @@ class Store:
             values = (np.minimum if agg == "min" else np.maximum).reduceat(v, first)
         return list(zip((index[first] * bucket).tolist(), values.tolist()))
 
-    # -- maintenance ------------------------------------------------------------
-
-    def retention_sweep(self, now: int, keep: int) -> list[ChunkKey]:
-        """Drop whole chunks whose window end <= now - keep."""
-        if keep <= 0:
-            raise ValueError("keep must be positive")
-        cutoff = now - keep
-        dropped = []
-        with self._lock:
-            self._ensure_open()
-            for key, path in self._on_disk():
-                if key.window_start + DEFAULT_CHUNK_SPAN_US <= cutoff:
-                    chunk = self._handles.pop(key, None)
-                    if chunk is not None:
-                        chunk.close()
-                    self._corrupt.discard(key)
-                    path.unlink(missing_ok=True)
-                    dropped.append(key)
-            for key in dropped:
-                parent = _sensor_dir(self.root, key.sensor)
-                if parent.exists() and not any(parent.iterdir()):
-                    parent.rmdir()
-        return dropped
+    # -- closing ------------------------------------------------------------
 
     def close(self) -> None:
+        """Release the writer's handles, then its claim on the root."""
         with self._lock:
             for chunk in self._handles.values():
                 chunk.close()
             self._handles.clear()
+            if self._release_root is not None:
+                self._release_root()
             self._closed = True
 
     def _ensure_open(self) -> None:

@@ -291,7 +291,7 @@ def reference_insert(root, span, batch, handles, bound):
     for i, (sensor, ts, v) in enumerate(batch):
         try:
             finite = math.isfinite(v)
-        except OverflowError:
+        except (OverflowError, TypeError):  # an int beyond float range, or no number
             finite = False
         if not isinstance(ts, int) or not 0 < ts < tsstore.TS_END:
             statuses.append("bad-ts")

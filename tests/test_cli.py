@@ -66,6 +66,12 @@ def test_cli_import_leaves_the_http_modules_unloaded():
     assert loaded_by_cli_import("urllib.request", "http.server") == []
 
 
+def test_cli_import_leaves_fcntl_unloaded():
+    """Only a store's first insert locks its root, so only a writer pays for
+    importing ``fcntl``."""
+    assert loaded_by_cli_import("fcntl") == []
+
+
 # --- argument parsing -----------------------------------------------------
 
 
@@ -838,6 +844,34 @@ def test_a_port_above_65535_is_refused_before_any_socket_opens(
         assert main(argv) == 3
         assert f"address must be host:port, got '127.0.0.1:{port}'" in caplog.text
     assert sorted(path.name for path in tmp_path.iterdir()) == ["scen.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["connector", "run", "--store", "db", "--broker", "127.0.0.1:1"],
+     ["e2e", "run", "--scenario", "scen.json", "--store", "db"]],
+    ids=["connector", "e2e"],
+)
+def test_a_store_with_another_writer_exits_3_before_any_socket_opens(
+    tmp_path, caplog, monkeypatch, argv
+):
+    """One writer per store: while another holds the root, ``connector
+    run`` and ``e2e run`` exit 3 naming it, before a broker, client or
+    connector thread starts, and write nothing to the store."""
+    write_scenario(tmp_path / "scen.json", sensors=1, duration=3)
+
+    def start(*args, **kwargs):
+        pytest.fail("the store must be claimed before any socket or thread starts")
+
+    for name in ("BusClient", "Broker"):
+        monkeypatch.setattr(cli_mod, name, start)
+    monkeypatch.setattr(cli_mod.Connector, "start", start)
+    monkeypatch.chdir(tmp_path)
+    with Store("db") as holder:
+        holder.insert([])
+        assert main(argv) == 3
+        assert "store db has another writer" in caplog.text
+    assert list((tmp_path / "db").iterdir()) == []
 
 
 def test_e2e_small_run(tmp_path, capsys):

@@ -16,7 +16,6 @@ KEPT_UNREAD = {
     "unsubscribe": "BusClient's half of the documented UNSUB verb",
     "stats": "the broker's delivery counters, kept for an operator-facing reader",
     "session_count": "the broker's live sessions, kept beside stats() for that reader",
-    "retention_sweep": "the store's documented retention, until it is wired in or deleted",
 }
 
 

@@ -1,7 +1,8 @@
-"""Store partitioning, query, downsample, retention and durability tests."""
+"""Store partitioning, query, downsample, writer-lock and durability tests."""
 
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from paveharvest.tsstore import (
     Sample,
     SegmentIssue,
     Store,
+    StoreError,
     verify_segments,
 )
 
@@ -197,35 +199,6 @@ def test_downsample_matches_reference(tmp_path, monkeypatch):
                     assert value == want
 
 
-def test_retention_keeps_recent(tmp_path):
-    with Store(tmp_path / "db") as store:
-        now = 10 * HOUR
-        store.insert([Sample("a", now - 100, 1.0)])
-        assert store.retention_sweep(now, keep=2 * HOUR) == []
-
-
-def test_retention_drops_whole_old_chunks(tmp_path):
-    with Store(tmp_path / "db") as store:
-        old_ts = HOUR + 5
-        new_ts = 9 * HOUR + 5
-        store.insert([Sample("a", old_ts, 1.0), Sample("a", new_ts, 2.0)])
-        dropped = store.retention_sweep(now=10 * HOUR, keep=2 * HOUR)
-        assert dropped == [ChunkKey("a", HOUR)]
-        assert store.query_range("a", 0, 10 * HOUR) == [Sample("a", new_ts, 2.0)]
-
-
-def test_retention_matches_age_filter(tmp_path, monkeypatch):
-    rng = random.Random(13)
-    monkeypatch.setattr(tsstore, "DEFAULT_CHUNK_SPAN_US", 1000)
-    with Store(tmp_path / "db") as store:
-        samples = [Sample("a", rng.randint(1, 50_000), 0.0) for _ in range(300)]
-        store.insert(samples)
-        keys_before = segment_keys(tmp_path / "db")
-        now, keep = 40_000, 10_000
-        want = [k for k in keys_before if k.window_start + 1000 <= now - keep]
-        assert store.retention_sweep(now, keep) == want
-
-
 def test_reopen_preserves_query_results(tmp_path, monkeypatch):
     rng = random.Random(17)
     samples = [
@@ -359,8 +332,8 @@ def test_corrupt_segment_refuses_writes(tmp_path):
         report = store.insert([Sample("a", 20, 2.0)])
         assert report.errors == 1
         assert report.statuses == ["corrupt-segment"]
-        # a sweep that removes the segment ends the refusal
-        assert store.retention_sweep(now=2 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
+    seg.unlink()  # an operator drops the window while no writer runs
+    with Store(root) as store:
         assert store.insert([Sample("a", 30, 3.0)]).statuses == [ACK]
         assert store.query_range("a", 0, 100) == [Sample("a", 30, 3.0)]
 
@@ -435,33 +408,44 @@ def test_insert_rejects_bad_values(tmp_path):
 
 
 def test_a_bad_value_is_reported_per_sample_and_never_raises(tmp_path):
-    """A ts that is not an int and an int value beyond float range get a
-    status of their own, as does a sensor that can name no directory, and
-    the samples around them are stored as if they were not there."""
-    root = tmp_path / "db"
-    with Store(root) as store:
-        report = store.insert([Sample("a", 30, 1.0), Sample("b", 1.5, 2.0)])
-        assert report.statuses == ["ack", "bad-ts"]
-        report = store.insert(
-            [Sample("b", 7.0, 1.0),  # first of its chunk's group
-             Sample("b", 8, 2.0), Sample("c", 9, 10**400), Sample("c", 10, 10**300),
-             Sample("c", 11, -(10**400)), Sample(5, 12, 1.0), Sample("\udcff", 13, 1.0)]
-        )
-        assert report.statuses == [
-            "bad-ts", "ack", "nonfinite", "ack", "nonfinite", "bad-sensor", "bad-sensor"]
-        assert store.query_range("a", 0, 100) == [Sample("a", 30, 1.0)]
-        assert store.query_range("b", 0, 100) == [Sample("b", 8, 2.0)]
-        assert store.query_range("c", 0, 100) == [Sample("c", 10, 1e300)]
-    assert sorted(tree_bytes(root)) == ["a/0.seg", "b/0.seg", "c/0.seg"]
-    assert verify_segments(root) == []
+    """A ts that is not an int and a value that is no finite float, an int
+    beyond float range or no number at all, get a status of their own, as
+    does a sensor that can name no directory, on both routes, and the
+    samples around them are stored as if they were not there."""
+    odd = [Sample("b", "x", 1.0), Sample("b", None, 1.0), Sample("b", 14, "x"),
+           Sample("b", 15, None), Sample(["x"], 16, 1.0), Sample(["x"], None, "x"),
+           Sample(["x"], 17, None), Sample("b", 1.5, None), Sample("b", 18, 3.0)]
+    want = reference_insert(tmp_path / "ref", HOUR, odd, {}, 1)
+    assert want == [
+        "bad-ts", "bad-ts", "nonfinite", "nonfinite", "bad-sensor", "bad-ts",
+        "nonfinite", "bad-ts", "ack"]
+    for columnar in (False, True):
+        root = tmp_path / f"db{columnar}"
+        with Store(root) as store, routes(columnar):
+            report = store.insert([Sample("a", 30, 1.0), Sample("b", 1.5, 2.0)])
+            assert report.statuses == ["ack", "bad-ts"]
+            report = store.insert(
+                [Sample("b", 7.0, 1.0),  # first of its chunk's group
+                 Sample("b", 8, 2.0), Sample("c", 9, 10**400), Sample("c", 10, 10**300),
+                 Sample("c", 11, -(10**400)), Sample(5, 12, 1.0), Sample("\udcff", 13, 1.0)]
+            )
+            assert report.statuses == [
+                "bad-ts", "ack", "nonfinite", "ack", "nonfinite", "bad-sensor", "bad-sensor"]
+            assert store.insert(odd).statuses == want
+            assert store.query_range("a", 0, 100) == [Sample("a", 30, 1.0)]
+            assert store.query_range("b", 0, 100) == [Sample("b", 8, 2.0), Sample("b", 18, 3.0)]
+            assert store.query_range("c", 0, 100) == [Sample("c", 10, 1e300)]
+        assert sorted(tree_bytes(root)) == ["a/0.seg", "b/0.seg", "c/0.seg"]
+        assert verify_segments(root) == []
 
 
-_any_sensor = st.sampled_from(["a", "b/x", "", ".", "..", 5, "\udcff"])
+_any_sensor = st.sampled_from(["a", "b/x", "", ".", "..", 5, "\udcff", ["x"]])
 _any_ts = st.one_of(
-    st.integers(1, 60), st.sampled_from([0, -3, 2**63 - 1, 2**63, 1.5, 14.0, float("nan")]))
+    st.integers(1, 60),
+    st.sampled_from([0, -3, 2**63 - 1, 2**63, 1.5, 14.0, float("nan"), "x", None]))
 _any_value = st.one_of(
     st.floats(-1e6, 1e6),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, 10**300, 3]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, 10**300, 3, "x", None]),
 )
 # Any batch, or one whose stamps are all ints in int64 range and whose
 # values all convert to float64, which the columnar pass takes whole.
@@ -573,8 +557,7 @@ def test_segment_files_are_the_only_files(tmp_path):
         store.insert(
             [Sample("a", 10, 1.0), Sample("b/x", 2 * HOUR + 1, 2.0), Sample("b/x", 3 * HOUR, 3.0)]
         )
-        assert store.retention_sweep(now=3 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
-    assert set(tree_bytes(root)) == {f"b%2Fx/{2 * HOUR}.seg", f"b%2Fx/{3 * HOUR}.seg"}
+    assert set(tree_bytes(root)) == {"a/0.seg", f"b%2Fx/{2 * HOUR}.seg", f"b%2Fx/{3 * HOUR}.seg"}
 
 
 def test_read_only_session_leaves_the_tree_and_chunks_alone(tmp_path, monkeypatch):
@@ -946,7 +929,6 @@ def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
     store = Store(root)
     assert store.query_range("a", 0, HOUR) == []
     assert store.downsample("a", 0, HOUR, 60, "max") == []
-    assert store.retention_sweep(now=HOUR, keep=1) == []
     store.close()
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(FileNotFoundError):
@@ -957,8 +939,8 @@ def test_missing_store_reads_as_empty_and_is_not_made(tmp_path):
 
 
 def test_segment_removed_after_listing_holds_no_records(tmp_path, monkeypatch):
-    """A segment removed after a query listed it, as a retention sweep in
-    another process may, reads as no records and the query goes on."""
+    """A segment removed after a query listed it, as an operator who drops
+    a window may, reads as no records and the query goes on."""
     root = tmp_path / "db"
     with Store(root) as store:
         store.insert([Sample("a", h * HOUR + 5, float(h)) for h in range(3)])
@@ -1055,11 +1037,6 @@ def test_stray_segment_file_is_ignored(tmp_path, caplog, name):
     with open(root / "a" / "0.seg", "ab") as fh:  # the real segment is still checked
         fh.write(RECORD.pack(2 * HOUR, 1.0))
     assert [issue.path for issue in verify_segments(root)] == [str(root / "a" / "0.seg")]
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
-        with Store(root) as store:  # a sweep of every sensor lists window 0 once
-            assert store.retention_sweep(now=2 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
-    assert warning in caplog.text
     assert stray.exists()
 
 
@@ -1075,11 +1052,74 @@ def test_stray_sensor_directory_is_ignored(tmp_path, caplog):
     (tmp_path / "0.seg").write_bytes(b"beside the root")
     with caplog.at_level("WARNING", logger="paveharvest.tsstore"):
         assert verify_segments(root) == []
-        with Store(root) as store:
-            assert store.retention_sweep(now=2 * HOUR, keep=HOUR) == [ChunkKey("a", 0)]
-    assert caplog.text.count(f"ignoring stray directory {stray}") == 2
+    assert caplog.text.count(f"ignoring stray directory {stray}") == 1
     assert (stray / "0.seg").exists()
     assert (tmp_path / "0.seg").read_bytes() == b"beside the root"
+
+
+def test_a_second_writer_is_refused_until_the_first_closes(tmp_path):
+    """One writer per root: a second ``Store`` on it, even in the same
+    process (each takes its own ``flock``), is refused at its first insert,
+    an empty one too, and writes nothing, so the read-back is what the first
+    writer acked. A reader takes no lock. Once the first writer closes, the
+    second claims the root; a writer collected unclosed releases it too."""
+    root = tmp_path / "db"
+    refused = re.escape(f"store {root} has another writer")
+    hours = [Sample("a", h * HOUR + 1, float(h)) for h in range(60)]
+    first, second = Store(root), Store(root)
+    assert set(first.insert(hours[:30]).statuses) == {ACK}
+    before = tree_bytes(root)
+    for batch in ([], hours[30:]):
+        with pytest.raises(StoreError, match=refused):
+            second.insert(batch)
+    assert tree_bytes(root) == before
+    assert set(first.insert(hours[30:]).statuses) == {ACK}
+    with Store(root) as reader:
+        assert reader.query_range("a", 0, 60 * HOUR) == hours
+    first.close()
+    assert second.insert([Sample("a", 1, -1.0)]).statuses == [ACK]  # a resend
+    with pytest.raises(StoreError, match=refused):
+        Store(root).insert([])
+    second.close()
+    dropped = Store(root)
+    dropped.insert([])
+    del dropped  # a writer collected unclosed releases the root too
+    with Store(root) as third:
+        third.insert([])
+        assert third.query_range("a", 0, 60 * HOUR) == [Sample("a", 1, -1.0), *hours[1:]]
+    assert verify_segments(root) == []
+
+
+LOCK_HOLDER = """
+import sys
+from paveharvest.tsstore import Store
+
+store = Store(sys.argv[1])
+store.insert([])
+print("claimed", flush=True)
+sys.stdin.read()  # holds the root until its stdin closes
+"""
+
+
+def test_a_second_writer_process_is_refused_until_the_first_exits(tmp_path):
+    """The claim holds across processes, and goes with the process that
+    held it."""
+    root = tmp_path / "db"
+    with subprocess.Popen(
+        [sys.executable, "-c", LOCK_HOLDER, str(root)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=child_env(),
+    ) as holder:
+        try:
+            assert holder.stdout.readline() == "claimed\n"
+            refused = re.escape(f"store {root} has another writer")
+            with Store(root) as store, pytest.raises(StoreError, match=refused):
+                store.insert([Sample("a", 1, 1.0)])
+        finally:
+            holder.stdin.close()
+    assert holder.returncode == 0
+    assert list(root.iterdir()) == []
+    with Store(root) as store:
+        assert store.insert([Sample("a", 1, 1.0)]).statuses == [ACK]
 
 
 CRASH_WRITER = """
