@@ -7,14 +7,16 @@ belongs to the store, not the bus.
 
 One thread runs a ``selectors`` loop over the listener and every session,
 so no state is shared between threads. The frames one read completes are
-parsed in one walk of an offset, and the input buffer is cut once per
-read; a frame that arrives over many reads is appended to in place. Each
-session keeps the encoded frames it has not yet sent and writes them with
-one ``send`` per writable event. A session whose frames land in a peer
-already holding ``DEFAULT_QUEUE_FRAMES`` pending frames is not read again
-until that peer drains to half of that, so TCP pushes back on publishers;
-the peer may be the session itself, for its own ``+OK`` and ``PONG``
-replies.
+taken in one pass of ``wire.read_frames``: a PUB line in the canonical
+spelling is read by one regex match and routed without a ``Frame``
+object, and any other frame is parsed by ``wire.parse_frame``. The input
+buffer is cut once per read; a frame that arrives over many reads is
+appended to in place. Each session keeps the encoded frames it has not
+yet sent and writes them with one ``send`` per writable event. A session
+whose frames land in a peer already holding ``DEFAULT_QUEUE_FRAMES``
+pending frames is not read again until that peer drains to half of that,
+so TCP pushes back on publishers; the peer may be the session itself,
+for its own ``+OK`` and ``PONG`` replies.
 A peer that holds a session back, or sits at the bound, and drains
 nothing for ``SLOW_CONSUMER_GRACE`` seconds is evicted as a slow
 consumer. SUB/UNSUB are acknowledged with ``+OK`` so clients can
@@ -316,29 +318,32 @@ class Broker:
     def _parse(self, session: _Session) -> None:
         """Dispatch buffered frames until the input runs out or is paused.
 
-        The walk moves an offset through the buffer and cuts it once, past
-        the last frame dispatched."""
+        ``wire.read_frames`` walks the buffer in one pass, which stops at
+        the frame that pauses or closes the session; the buffer is then cut
+        once, past the last frame dispatched."""
         self._reading = session
         buf, pos = session.inbuf, 0
-        while not session.held_by and not session.closing:
+        if not (session.held_by or session.closing):
             try:
-                got = wire.parse_frame(buf, pos)
+                for subject, sid, payload, pos in wire.read_frames(buf):
+                    if subject is None:
+                        self._dispatch(session, payload)
+                    elif sid is None:
+                        self.route(subject, payload)
+                    else:
+                        self._protocol_error(session, f"unexpected verb {wire.MSG}")
+                    if session.held_by or session.closing:
+                        break
             except wire.MalformedFrame as exc:
                 self._protocol_error(session, str(exc))
-                break
-            if got is None:
-                break
-            frame, pos = got
-            self._dispatch(session, frame)
         session.inbuf = wire.unparsed(buf, pos)
         self._reading = None
         self._watch(session)
 
     def _dispatch(self, session: _Session, frame: Frame) -> None:
+        """Act on a frame that is neither a PUB nor a MSG."""
         k = frame.kind
-        if k == wire.PUB:
-            self.route(frame.subject, frame.payload)
-        elif k == wire.SUB:
+        if k == wire.SUB:
             try:
                 self.router.register(session.id, frame.sid, frame.subject)
             except ValueError as exc:

@@ -1,11 +1,13 @@
 """Minimal TCP client for the subject bus.
 
-One reader thread per connection parses what each socket read returns in
-one pass. It hands every run of consecutive MSG frames for one sid to that
+One reader thread per connection takes what each socket read returns in
+one pass of ``wire.read_frames``, which reads a MSG line in the canonical
+spelling by one regex match and builds no ``Frame`` for it. The reader
+hands every run of consecutive MSG frames for one sid to that
 subscription's handler in one call, as ``(subject, payload)`` pairs in
 arrival order, answers server PINGs, and wakes subscribers waiting on +OK.
 Handlers run on the reader thread; keep them short or hand off to a
-queue.
+queue. ``publish`` formats its PUB bytes itself.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ class BusClient:
     # -- sending ---------------------------------------------------------------
 
     def _send(self, frame: Frame) -> None:
-        data = wire.encode_frame(frame)
+        self._send_bytes(wire.encode_frame(frame))
+
+    def _send_bytes(self, data: bytes) -> None:
         try:
             with self._send_lock:
                 self._sock.sendall(data)
@@ -69,7 +73,8 @@ class BusClient:
         """Send ``payload`` on ``subject``; a pattern raises
         :class:`wire.InvalidSubject` and a payload over ``wire.MAX_PAYLOAD``
         :class:`wire.PayloadTooLarge` before anything is sent, as the broker
-        would evict the session for either."""
+        would evict the session for either. The PUB bytes are formatted
+        here, as ``wire.encode_frame`` would give them."""
         if isinstance(subject, str):
             subject = wire.intern_subject(subject.encode(), True)
         elif subject.is_pattern:
@@ -78,7 +83,7 @@ class BusClient:
             raise wire.PayloadTooLarge(
                 f"payload of {len(payload)} bytes exceeds {wire.MAX_PAYLOAD}"
             )
-        self._send(Frame(wire.PUB, subject=subject, payload=payload))
+        self._send_bytes(b"PUB %s %d\r\n%s\r\n" % (subject.raw, len(payload), payload))
 
     def subscribe(self, pattern: Subject | str, handler: MessageHandler) -> int:
         """Register ``handler`` for ``pattern``; blocks until the broker acks.
@@ -131,17 +136,18 @@ class BusClient:
         run: list[tuple[Subject, bytes]] = []  # consecutive MSGs for ``sid``
         sid = pos = 0
         try:
-            while (got := wire.parse_frame(buf, pos)) is not None:
-                frame, pos = got
-                if frame.kind == wire.MSG:
-                    if frame.sid != sid:
-                        self._deliver(sid, run)
-                        run, sid = [], frame.sid
-                    run.append((frame.subject, frame.payload))
-                else:
+            # A PUB, which no broker sends, comes with sid None, so its run
+            # reaches no handler and still ends the run before it.
+            for subject, frame_sid, payload, pos in wire.read_frames(buf):
+                if subject is None:
                     self._deliver(sid, run)
                     run = []
-                    self._handle(frame)
+                    self._handle(payload)
+                elif frame_sid == sid:
+                    run.append((subject, payload))
+                else:
+                    self._deliver(sid, run)
+                    run, sid = [(subject, payload)], frame_sid
         except wire.MalformedFrame:
             self._deliver(sid, run)
             raise

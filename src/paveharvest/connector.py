@@ -7,8 +7,11 @@ storage is counted by reason and never retried; gaps are surfaced through
 per-sensor sequence accounting instead.
 
 The bus reader hands each run of messages that one socket read completes
-to ``ingest``, which transforms them one by one and then counts and queues
-the whole run under one hold of a lock, with one wake of the writer. The
+to ``ingest``. A run whose payloads are all in the compact form the
+simulator writes is decoded in one regex pass over its joined payloads,
+each sample becoming its store record directly; any other run is
+transformed message by message. ``ingest`` then counts and queues the
+whole run under one hold of a lock, with one wake of the writer. The
 queue is a bounded list under that lock and its condition. A full list
 stalls the reader, so the bus holds the publisher back; the writer takes
 up to ``DEFAULT_BATCH_SIZE`` records the moment its last insert returns
@@ -120,6 +123,36 @@ def transform(subject: Subject, payload: bytes, recv_wall_us: int) -> StoreRecor
     if not math.isfinite(sample.v):
         raise RejectNonFinite(f"non-finite value for {key}")
     return StoreRecord(key, sample.ts, sample.v, sample.seq, recv_wall_us)
+
+
+def transform_run(
+    messages: list[tuple[Subject, bytes]], recv_wall_us: int
+) -> list[StoreRecord | str]:
+    """:func:`transform` over a run of messages: each one's record, or the
+    reason it is rejected, in order.
+
+    A run whose payloads are all in the compact form is decoded in one
+    pass (``wire.decode_compact_run``) and each sample becomes its record
+    directly; any other run takes :func:`transform` message by message.
+    """
+    samples = wire.decode_compact_run([payload for _, payload in messages])
+    out: list[StoreRecord | str] = []
+    if samples is None:
+        for subject, payload in messages:
+            try:
+                out.append(transform(subject, payload, recv_wall_us))
+            except Reject as exc:
+                out.append(exc.reason)
+        return out
+    isfinite = math.isfinite
+    for (subject, _), (ts, v, seq) in zip(messages, samples):
+        try:
+            key = _sensor_key(subject.raw)
+        except RejectBadSubject:
+            out.append(BAD_SUBJECT)
+            continue
+        out.append(StoreRecord(key, ts, v, seq, recv_wall_us) if isfinite(v) else NONFINITE)
+    return out
 
 
 @dataclass
@@ -238,9 +271,9 @@ class Connector:
         """Count a run of delivered ``(subject, payload)`` messages, in
         order, and hand them to the writer.
 
-        Each message is transformed on its own, stamped with one receive
-        time for the run; the run is then counted and queued under one
-        hold of the lock, with one wake of the writer. While the handoff
+        The run is transformed by :func:`transform_run`, stamped with one
+        receive time; it is then counted and queued under one hold of the
+        lock, with one wake of the writer. While the handoff
         is full this waits for the writer to take a batch. Only once the
         writer has taken nothing for ``SLOW_CONSUMER_GRACE`` (the broker's
         own eviction grace) is a record counted as overflow, so a stalled
@@ -248,13 +281,7 @@ class Connector:
         connector. Each record is counted as it is queued or rejected, so
         the counters balance at every snapshot, also while a long run waits.
         """
-        recv_wall_us = now_us()
-        records: list[StoreRecord | str] = []  # a record, or why it was rejected
-        for subject, payload in messages:
-            try:
-                records.append(transform(subject, payload, recv_wall_us))
-            except Reject as exc:
-                records.append(exc.reason)
+        records = transform_run(messages, now_us())
         pending, cap = self._queue, DEFAULT_QUEUE_CAP
         wake = False  # the writer may be waiting for the records queued
         with self._mlock:  # the condition's lock, without its Python-level wrapper

@@ -10,8 +10,10 @@ Text-line frames, CRLF-terminated, with an explicit payload byte length:
 
 Subjects are dot-separated token paths. In patterns, ``*`` matches exactly
 one token and a trailing ``>`` matches one or more remaining tokens.
-Everything here is pure functions over byte buffers. The one shared
-state is the subject intern, a bounded cache of immutable subjects.
+Everything here is pure functions over byte buffers: ``read_frames``
+takes a read's frames in one pass, and ``parse_frame`` one frame in any
+spelling the grammar allows. The one shared state is the subject intern,
+a bounded cache of immutable subjects.
 """
 
 from __future__ import annotations
@@ -275,6 +277,59 @@ def parse_frame(buf: bytes | bytearray, start: int = 0) -> tuple[Frame, int] | N
     raise MalformedFrame(f"unknown verb: {verb!r}")
 
 
+#: A PUB or MSG line as ``encode_frame`` spells it: single spaces, a
+#: concrete subject, a plain-digit sid and length. ``parse_frame`` reads
+#: every line this matches the same way, once the length is checked
+#: against ``MAX_PAYLOAD``; the groups are the PUB subject, the MSG subject,
+#: the sid and the length.
+_DATA_LINE = re.compile(
+    rb"(?:PUB ([A-Za-z0-9_-]+(?:\.[A-Za-z0-9_-]+)*)"
+    rb"|MSG ([A-Za-z0-9_-]+(?:\.[A-Za-z0-9_-]+)*) ([0-9]{1,18}))"
+    rb" ([0-9]{1,7})\r\n"
+)
+
+
+def read_frames(buf: bytes | bytearray):
+    """Yield each complete frame at the start of ``buf``, in order.
+
+    A PUB or MSG comes as ``(subject, sid, payload, end)``, ``sid`` being
+    None on a PUB; a frame of any other kind as ``(None, None, frame, end)``.
+    ``end`` is the offset past the frame, so a reader that stops early knows
+    where the next frame starts. The frames, offsets and errors are those of
+    one :func:`parse_frame` call per frame: a line ``_DATA_LINE`` matches,
+    with its payload and CRLF complete, is taken by that one match, and any
+    other bytes go to ``parse_frame``, which returns the frame, raises, or
+    returns None at an incomplete tail, where the loop ends.
+    """
+    match = _DATA_LINE.match
+    limit = MAX_PAYLOAD
+    pos = 0
+    whole = type(buf) is bytes  # a bytearray's slices are copied to bytes
+    while True:
+        m = match(buf, pos)
+        if m is not None:
+            pub, msg, sid, length = m.groups()
+            length = int(length)
+            start = m.end()
+            end = start + length
+            if length <= limit and buf[end : end + 2] == CRLF:
+                payload = buf[start:end] if whole else bytes(buf[start:end])
+                pos = end + 2
+                if pub is not None:
+                    yield intern_subject(pub, True), None, payload, pos
+                else:
+                    yield intern_subject(msg, True), int(sid), payload, pos
+                continue
+        got = parse_frame(buf, pos)
+        if got is None:
+            return
+        frame, pos = got
+        if frame.kind in (PUB, MSG):
+            yield frame.subject, frame.sid, frame.payload, pos
+        else:
+            yield None, None, frame, pos
+
+
 def unparsed(buf: bytes | bytearray, end: int) -> bytes | bytearray:
     """The bytes of ``buf`` from offset ``end`` on, for a reader that
     appends its next read to them with ``+=``.
@@ -362,3 +417,26 @@ def decode_sample(payload: bytes) -> SamplePayload:
     except OverflowError as exc:  # an integer beyond float range
         raise PayloadError(f"v is out of float range: {exc}") from exc
     return SamplePayload(ts=ts, v=v, seq=seq, unit=unit)
+
+
+#: The compact form as a whole line, for one search over payloads joined by
+#: newlines; no compact payload holds a newline.
+_COMPACT_LINES = re.compile(b"^" + _COMPACT_SAMPLE.pattern + b"$", re.M)
+
+
+def decode_compact_run(payloads: list[bytes]) -> list[tuple[int, float, int]] | None:
+    """``(ts, v, seq)`` of every payload, in order, as :func:`decode_sample`
+    gives them, when every payload is in the compact form; otherwise None.
+
+    One ``findall`` runs over the payloads joined by newlines. Its matches
+    are whole lines, so with one match per payload and one newline fewer,
+    each payload is one line and that line matched.
+    """
+    joined = b"\n".join(payloads)
+    found = _COMPACT_LINES.findall(joined)
+    if len(found) != len(payloads) or joined.count(b"\n") != len(payloads) - 1:
+        return None
+    return [
+        (int(ts), float(v) if tail else float(int(v)), int(seq))
+        for ts, v, tail, seq, _unit in found
+    ]

@@ -5,9 +5,10 @@ against and the time-of-day text rule behind it, the row-by-row join ``etl join`
 rendering ``store query`` output is checked against, a store's segment
 keys and stored samples counted from its files, the store batches of the
 crash test's writer, the one-sample-at-a-time insert rule the store's
-inserts are checked against, the connector's rejections in total, and the
-publish failure patterns the retry rule and the connector's seq counters
-are checked under."""
+inserts are checked against, the one-``parse_frame``-per-frame read that
+``wire.read_frames`` is checked against, the connector's rejections in
+total, and the publish failure patterns the retry rule and the
+connector's seq counters are checked under."""
 
 import csv
 import io
@@ -20,7 +21,7 @@ from urllib.parse import quote, unquote
 
 import numpy as np
 
-from paveharvest import dsp, etl, tsstore
+from paveharvest import dsp, etl, tsstore, wire
 from paveharvest.daqsim import EPC, MOISTURE, SCG, TEMPERATURE, Scenario, SensorSpec
 from paveharvest.tsstore import ACK, Sample
 
@@ -317,6 +318,23 @@ def reference_insert(root, span, batch, handles, bound):
             del handles[next(iter(handles))]
         handles[key] = None
     return statuses
+
+
+def reference_read_frames(buf):
+    """The frames at the start of ``buf`` by one ``wire.parse_frame`` call
+    per frame, in ``wire.read_frames``'s form, and the type and message of
+    the error that ended the read (None when it ended at the tail)."""
+    frames, pos = [], 0
+    try:
+        while (got := wire.parse_frame(buf, pos)) is not None:
+            frame, pos = got
+            if frame.kind in (wire.PUB, wire.MSG):
+                frames.append((frame.subject, frame.sid, frame.payload, pos))
+            else:
+                frames.append((None, None, frame, pos))
+    except wire.MalformedFrame as exc:
+        return frames, (type(exc), str(exc))
+    return frames, None
 
 
 def rejected_total(m) -> int:

@@ -386,6 +386,48 @@ def test_slow_subscriber_paces_publisher_without_loss(small_queue, quiet_pings):
     assert got == list(range(n_msg))
 
 
+def test_session_held_mid_read_resumes_at_the_next_frame(small_queue):
+    """A read of many PUBs stops right after the one that fills the
+    subscriber's queue and keeps the rest from the next frame on; once the
+    subscriber drains, the rest is routed in order, each frame once, odd
+    spellings and PINGs among them."""
+    b = Broker()
+    socks = [*socket.socketpair(), *socket.socketpair()]
+    publisher = broker_mod._Session(1, socks[0])
+    subscriber = broker_mod._Session(2, socks[2])
+    b._sessions.update({1: publisher, 2: subscriber})
+    b.router.register(2, 9, Subject.parse("a.>"))
+    stream, pub_end = b"", {}  # the offset past each seq's PUB
+    for seq in range(40):
+        spelling = [b"PUB a.b %d\r\n", b"PUB  a.b  %d\r\n", b"PUB a.b 00%d\r\n"][seq % 3]
+        stream += spelling % len(b"%d" % seq) + b"%d\r\n" % seq
+        pub_end[seq] = len(stream)
+        if seq % 7 == 3:
+            stream += b"PING\r\n"
+    publisher.inbuf = stream
+    delivered = []
+    try:
+        for _ in range(2):  # 40 PUBs fill the queue of 16 twice
+            b._parse(publisher)
+            assert publisher.held_by == {subscriber}
+            assert len(subscriber.out) == broker_mod.DEFAULT_QUEUE_FRAMES
+            delivered += [int(frame.split()[-1]) for frame in subscriber.out]
+            assert len(stream) - len(publisher.inbuf) == pub_end[delivered[-1]]
+            subscriber.out = []
+            b._release(subscriber)
+            assert b._ready == [publisher]
+            b._ready.clear()
+        b._parse(publisher)
+        delivered += [int(frame.split()[-1]) for frame in subscriber.out]
+    finally:
+        b._selector.close()
+        for sock in socks:
+            sock.close()
+    assert not publisher.held_by and publisher.inbuf == b""
+    assert delivered == list(range(40))
+    assert publisher.out == [b"PONG\r\n"] * 6
+
+
 def test_stop_after_the_loop_has_ended():
     """stop() sets the flag before it wakes the loop; a loop already awake
     can see the flag, end and close its wake pair first."""

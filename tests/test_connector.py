@@ -124,6 +124,85 @@ def test_transform_rejects_bad_subject_shape():
             transform(Subject.parse(text), payload(), 42)
 
 
+def transform_each(messages, recv_wall_us):
+    """The per-message rule ``transform_run`` is checked against."""
+    out = []
+    for subject, body in messages:
+        try:
+            out.append(transform(subject, body, recv_wall_us))
+        except Reject as exc:
+            out.append(exc.reason)
+    return out
+
+
+def fuzz_run(rng):
+    """A run of up to ten messages: all in the compact form half the time,
+    else mixed with every other form a payload may take."""
+    subjects = [EPC_SUBJ, Subject.parse("site.65.daq.2.sensor.t1"),
+                Subject.parse("site.65.x.1.sensor.epc3")]  # the last is a bad subject
+    ts = [1, 10**18 - 1, 1_700_000_000_000_000, 2**63 - 1, 2**63, 0]
+    v = ["12.5", "-0", "-0.0", "0", "3", "-1.5e+3", "1E5", "2.5e-7", "1e999", "-1e999",
+         "123456789012345678", "NaN", "Infinity", "-Infinity"]
+
+    def compact():
+        return (b'{"ts":%d,"v":%s,"seq":%d,"unit":"kPa"}'
+                % (rng.choice(ts[:3]), rng.choice(v[:11]).encode(), rng.randint(0, 300)))
+
+    def other():
+        fields = {"ts": rng.choice(ts), "v": rng.choice(v), "seq": rng.randint(0, 300),
+                  "unit": rng.choice(["kPa", 'k"Pa'])}
+        keys = rng.sample(list(fields), 4)
+        text = ", ".join(f'"{k}": {fields[k] if k != "unit" else json.dumps(fields[k])}'
+                         for k in keys)
+        return rng.choice([
+            ("{%s}" % text).encode(),  # reordered or whitespaced
+            ("{%s}" % text.replace(", ", ",\n")).encode(),  # an embedded newline
+            compact() + b"\n" + compact(),  # two compact lines in one payload
+            compact()[:-1], b"not json", b"",
+        ])
+
+    make = compact if rng.random() < 0.5 else lambda: rng.choice([compact, other])()
+    return [(rng.choice(subjects), make()) for _ in range(rng.randint(1, 10))]
+
+
+def test_transform_run_matches_transform_per_message(tmp_path, monkeypatch):
+    """Over fuzzed runs, ``transform_run`` gives ``transform``'s record or
+    reject reason for every message, ``-0`` and ``-0.0`` told apart, and a
+    connector fed the runs through either rule ends with the same queue and
+    counters. Both the one-pass decode and the per-message rule run."""
+    monkeypatch.setattr(connector_mod, "now_us", lambda: 42)
+    rng = random.Random(3301)
+    runs = [fuzz_run(rng) for _ in range(400)]
+    # as many matches as payloads, but one payload holds two lines
+    two_lines = payload(seq=1) + b"\n" + payload(seq=2)
+    runs.append([(EPC_SUBJ, two_lines), (EPC_SUBJ, b"not json")])
+
+    def spelled(records):
+        return [r if isinstance(r, str) else (r.sensor_key, r.ts, repr(r.v), r.seq, r.recv_wall_us)
+                for r in records]
+
+    one_pass = sum(
+        connector_mod.wire.decode_compact_run([body for _, body in run]) is not None
+        for run in runs
+    )
+    assert 150 < one_pass < len(runs) - 100
+    for run in runs:
+        assert spelled(connector_mod.transform_run(run, 7)) == spelled(transform_each(run, 7))
+    with Store(tmp_path / "db") as store:
+        conns = [Connector(store), Connector(store)]  # counting only; writers not started
+        for run in runs:
+            conns[0].ingest(run)
+        monkeypatch.setattr(connector_mod, "transform_run", transform_each)
+        for run in runs:
+            conns[1].ingest(run)
+    got, want = (c.metrics_snapshot() for c in conns)
+    assert got == want
+    assert spelled(conns[0]._queue) == spelled(conns[1]._queue)
+    assert got.accepted == 0 and got.received == sum(map(len, runs))
+    assert set(got.rejected) == {"malformed", "nonfinite", "bad_subject"}
+    assert got.seq_gaps and got.duplicate_seq
+
+
 def test_sensor_key_is_cached_per_subject_and_a_bad_one_raises_on_repeat():
     cached = connector_mod._sensor_key
     assert cached.cache_info().maxsize == SUBJECT_CACHE_SIZE
@@ -582,7 +661,7 @@ def test_stop_stores_the_run_the_reader_is_ingesting(tmp_path, monkeypatch):
     """stop() closes the client, and the writer ends only after the reader
     has handed over the run it was transforming and that run is stored."""
     entered, release = threading.Event(), threading.Event()
-    transform_now = connector_mod.transform
+    transform_now = connector_mod.transform_run
 
     def held_transform(*args):
         entered.set()
@@ -592,7 +671,7 @@ def test_stop_stores_the_run_the_reader_is_ingesting(tmp_path, monkeypatch):
     with Broker().start() as broker, Store(tmp_path / "db") as store:
         conn = Connector(store, broker_addr=broker.address).start()
         assert conn.wait_ready()
-        monkeypatch.setattr(connector_mod, "transform", held_transform)
+        monkeypatch.setattr(connector_mod, "transform_run", held_transform)
         with BusClient(*broker.address) as pub:
             pub.publish(EPC_SUBJ, payload(seq=1))
         assert entered.wait(10)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from paveharvest import wire
 from paveharvest.broker import Broker
+from paveharvest.client import BusClient
 from paveharvest.daqsim import DEFAULT_UNITS
 from paveharvest.wire import (
     Frame,
@@ -29,6 +30,8 @@ from paveharvest.wire import (
     parse_frame,
     subject_matches,
 )
+
+from helpers import reference_read_frames
 
 TOKEN_ST = st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True)
 
@@ -266,6 +269,87 @@ def test_frame_over_many_reads_is_appended_in_place():
     assert copies == 1  # the PUB's first piece, left over from the PING's read
 
 
+# --- the one-pass read ----------------------------------------------------------
+
+
+def read_all(buf):
+    """``wire.read_frames`` over ``buf``, in ``reference_read_frames``'s form."""
+    frames = []
+    try:
+        frames.extend(wire.read_frames(buf))
+    except MalformedFrame as exc:
+        return frames, (type(exc), str(exc))
+    return frames, None
+
+
+def fuzz_item(rng):
+    """One frame as a peer may send it: canonical PUB/MSG and control frames
+    most often, else an odd spelling that ``parse_frame`` takes or refuses."""
+    subject = rng.choice([b"a", b"a.b", b"site.65.daq.1.sensor.epc0", b"A-b_9.c"])
+    payload = rng.randbytes(rng.randint(0, 12))
+    n = len(payload)
+    canonical = [
+        b"PUB %s %d\r\n%s\r\n" % (subject, n, payload),
+        b"MSG %s %d %d\r\n%s\r\n" % (subject, rng.randint(0, 2**32), n, payload),
+        b"PING\r\n", b"PONG\r\n", b"+OK\r\n", b"-ERR\r\n", b"-ERR no such sid\r\n",
+        b"SUB a.*.> 3\r\n", b"UNSUB 3\r\n",
+    ]
+    odd = [
+        b"PUB  %s  %d\r\n%s\r\n" % (subject, n, payload),  # double spaces
+        b"PUB\t%s %d\r\n%s\r\n" % (subject, n, payload),  # a tab
+        b"MSG %s\n1 %d\r\n%s\r\n" % (subject, n, payload),  # a bare \n
+        b"PUB %s 00%d\r\n%s\r\n" % (subject, n, payload),  # leading zeros
+        b"MSG %s 007 %08d\r\n%s\r\n" % (subject, n, payload),
+        b"PUB %s %d\r\n" % (subject, wire.MAX_PAYLOAD + 1),  # oversize
+        b"MSG %s 1 99999999\r\n" % subject,
+        b"PUB a.* 1\r\nx\r\n", b"MSG a.> 1 1\r\nx\r\n",  # wildcards
+        b"PUB a.\xc3\xa9 1\r\nx\r\n", b"MSG \xff 1 1\r\nx\r\n",  # non-ASCII
+        b"PUB a..b 1\r\nx\r\n", b"PUB .a 1\r\nx\r\n",  # empty tokens
+        b"PUB a.b 1 1\r\nx\r\n", b"MSG a.b 1\r\nx\r\n",  # a sid too many, too few
+        b"PUB a.b 1\r\nxYZ", b"MSG a.b 1 2\r\nhi\n\r",  # no CRLF after the payload
+        b"pub a.b 1\r\nx\r\n", b"\r\n", b"HELLO\r\n",
+    ]
+    return rng.choice(canonical if rng.random() < 0.75 else odd)
+
+
+@mock.patch.object(wire, "MAX_PAYLOAD", 10)  # some whole frames in a buffer are oversize
+def test_read_frames_matches_a_parse_frame_per_frame_at_every_split():
+    """Received in two reads cut at any offset, each read's buffer gives the
+    frames, end offsets and error of one ``parse_frame`` per frame, and
+    every payload is ``bytes``, from a ``bytearray`` buffer too."""
+    rng = random.Random(3303)
+    for _ in range(150):
+        stream = b"".join(fuzz_item(rng) for _ in range(rng.randint(1, 6)))
+        for cut in range(len(stream) + 1):
+            first = stream[:cut]
+            got = read_all(first)
+            assert got == reference_read_frames(first), (stream, cut)
+            if got[1] is not None:
+                continue
+            rest = wire.unparsed(first, got[0][-1][3] if got[0] else 0)
+            rest += stream[cut:]
+            second = read_all(rest)
+            assert second == reference_read_frames(rest), (stream, cut)
+            for frames, _ in (got, second):
+                assert all(type(f[2]) is bytes for f in frames if f[0] is not None)
+
+
+def test_read_frames_parses_only_what_the_header_rule_does_not_take():
+    """Canonical PUB and MSG frames take no ``parse_frame`` call; a control
+    frame and the incomplete tail take one each."""
+    frames = [
+        encode_frame(Frame(wire.PUB, subject=Subject(("a", "b")), payload=b"%d" % i))
+        for i in range(50)
+    ] + [encode_frame(Frame(wire.MSG, subject=Subject(("c",)), sid=7, payload=b"p"))] * 50
+    stream = b"".join(frames[:60]) + b"PING\r\n" + b"".join(frames[60:]) + b"PUB a.b 5\r\nab"
+    with mock.patch.object(wire, "parse_frame", wraps=wire.parse_frame) as parse:
+        got = list(wire.read_frames(stream))
+    assert parse.call_count == 2
+    assert len(got) == 101
+    assert got[60][2] == Frame(wire.PING)
+    assert got[-1] == (Subject(("c",)), 7, b"p", len(stream) - len(b"PUB a.b 5\r\nab"))
+
+
 # --- the subject intern ------------------------------------------------------
 
 
@@ -326,6 +410,22 @@ def test_msg_bytes_match_encode_frame(tokens, sids, payload):
         (sid, wire.encode_frame(wire.Frame(wire.MSG, subject=subject, sid=sid, payload=payload)))
         for sid in sids
     )
+
+
+@given(
+    st.lists(st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True), min_size=1, max_size=6),
+    st.binary(max_size=200),
+)
+def test_publish_bytes_match_encode_frame(tokens, payload):
+    """The PUB ``BusClient.publish`` formats is byte-identical to
+    ``encode_frame``'s, for a ``Subject`` and for its text alike."""
+    client = BusClient.__new__(BusClient)  # no connection: its sends are kept
+    sent = []
+    client._send_bytes = sent.append
+    subject = Subject(tuple(tokens))
+    client.publish(subject, payload)
+    client.publish(str(subject), payload)
+    assert sent == [encode_frame(Frame(wire.PUB, subject=subject, payload=payload))] * 2
 
 
 # --- subjects ----------------------------------------------------------------
