@@ -26,7 +26,7 @@ import numpy as np
 from . import dsp, etl, tsstore, wire
 from .broker import Broker
 from .client import BusClient
-from .connector import DEFAULT_WILDCARD, Connector, sensor_key_for
+from .connector import DEFAULT_WILDCARD, Connector, sensor_key
 from .daqsim import Scenario, ScenarioRun, bus_publisher, run_scenario
 from .timeutil import (
     TS_END,
@@ -83,9 +83,12 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} must hold a JSON object")
+    return config
 
 
 def _resolve(flag_value, name: str, config: dict, default=None):
@@ -95,15 +98,16 @@ def _resolve(flag_value, name: str, config: dict, default=None):
     env = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
     if env is not None:
         return env
-    if name in config:
-        return config[name]
-    return default
+    value = config.get(name, default)
+    if name in config and not isinstance(value, str):
+        raise CliError(f"config entry {name!r} must be a string, got {value!r}")
+    return value
 
 
 def _store_root(args, config: dict) -> str:
     """``--store``, else ``PAVEH_STORE``, else the config file's ``store``."""
     store_root = _resolve(args.store, "store", config)
-    if store_root is None:
+    if not store_root:  # unset, or empty: never the working directory
         raise CliError("--store is required (or PAVEH_STORE)")
     return store_root
 
@@ -219,7 +223,7 @@ def run_e2e(config: PipelineConfig) -> E2EReport:
     scenario = _load_scenario(config.scenario_path, duration_s=config.duration_s)
     report = E2EReport(duration_s=scenario.duration_s, speedup=config.speedup)
     keys = {
-        state.topic: sensor_key_for(wire.mqtt_topic_to_subject(state.topic))
+        state.topic: sensor_key(wire.mqtt_topic_to_subject(state.topic).raw)
         for state in ScenarioRun(scenario).states
     }
 
@@ -655,9 +659,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
-    config = _load_config(args.config)
     try:
-        return args.func(args, config)
+        return args.func(args, _load_config(args.config))
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
         return EXIT_USAGE  # unreachable

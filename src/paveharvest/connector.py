@@ -7,15 +7,15 @@ storage is counted by reason and never retried; gaps are surfaced through
 per-sensor sequence accounting instead.
 
 The bus reader hands each run of messages that one socket read completes
-to ``ingest``. A run whose payloads are all in the compact form the
-simulator writes is decoded in one regex pass over its joined payloads,
-each sample becoming its store record directly; any other run is
-transformed message by message. ``ingest`` then counts and queues the
-whole run under one hold of a lock, with one wake of the writer. The
-queue is a bounded list under that lock and its condition. A full list
-stalls the reader, so the bus holds the publisher back; the writer takes
-up to ``DEFAULT_BATCH_SIZE`` records the moment its last insert returns
-(group commit).
+to ``ingest``. A run of payloads all in the simulator's compact form is
+decoded in one regex pass, each sample becoming its store record; a run
+with any other payload takes the strict JSON rule message by message.
+Each message gives its record or its reject reason. ``ingest`` then
+counts and queues the whole run under one hold of a lock, with one wake
+of the writer. The queue is a bounded list under that lock and its
+condition. A full list stalls the reader, so the bus holds the publisher
+back; the writer takes up to ``DEFAULT_BATCH_SIZE`` records the moment
+its last insert returns (group commit).
 
 Metrics are readable at any time as a consistent snapshot, and optionally
 served as plaintext ``GET /metrics``.
@@ -63,24 +63,6 @@ LATENCY_BOUNDS_US = (
 )
 
 
-class Reject(Exception):
-    """A message that cannot be ingested; ``reason`` names the counter."""
-
-    reason = "unknown"
-
-
-class RejectMalformed(Reject):
-    reason = MALFORMED
-
-
-class RejectNonFinite(Reject):
-    reason = NONFINITE
-
-
-class RejectBadSubject(Reject):
-    reason = BAD_SUBJECT
-
-
 @dataclass
 class StoreRecord:
     """A validated sample bound for the store."""
@@ -92,36 +74,31 @@ class StoreRecord:
     recv_wall_us: int
 
 
-def sensor_key_for(subject: Subject) -> str:
-    """Derive the stable store key from a sensor subject.
+@functools.lru_cache(maxsize=wire.SUBJECT_CACHE_SIZE)
+def sensor_key(raw: bytes) -> str | None:
+    """The stable store key of the sensor subject spelled ``raw``.
 
     ``site.<site>.daq.<daq>.sensor.<id>`` becomes ``<site>/<daq>/<id>``;
-    anything shaped differently is rejected.
+    anything shaped differently gives None, cached as a key is.
     """
-    return _sensor_key(subject.raw)
-
-
-@functools.lru_cache(maxsize=wire.SUBJECT_CACHE_SIZE)
-def _sensor_key(raw: bytes) -> str:
-    """:func:`sensor_key_for` by the subject's wire spelling; a rejection
-    is not cached, so it raises again on a repeat."""
-    text = raw.decode("ascii")
-    toks = text.split(".")
+    toks = raw.decode("ascii").split(".")
     if len(toks) != 6 or toks[0] != "site" or toks[2] != "daq" or toks[4] != "sensor":
-        raise RejectBadSubject(f"unexpected subject shape: {text}")
+        return None
     return f"{toks[1]}/{toks[3]}/{toks[5]}"
 
 
-def transform(subject: Subject, payload: bytes, recv_wall_us: int) -> StoreRecord:
+def transform(subject: Subject, payload: bytes, recv_wall_us: int) -> StoreRecord | str:
     """Validate a delivered message and map it onto a store record
-    received at ``recv_wall_us``."""
-    key = sensor_key_for(subject)
+    received at ``recv_wall_us``, or name the reason it is rejected."""
+    key = sensor_key(subject.raw)
+    if key is None:
+        return BAD_SUBJECT
     try:
         sample = wire.decode_sample(payload)
-    except wire.PayloadError as exc:
-        raise RejectMalformed(str(exc)) from exc
+    except wire.PayloadError:
+        return MALFORMED
     if not math.isfinite(sample.v):
-        raise RejectNonFinite(f"non-finite value for {key}")
+        return NONFINITE
     return StoreRecord(key, sample.ts, sample.v, sample.seq, recv_wall_us)
 
 
@@ -136,19 +113,13 @@ def transform_run(
     directly; any other run takes :func:`transform` message by message.
     """
     samples = wire.decode_compact_run([payload for _, payload in messages])
-    out: list[StoreRecord | str] = []
     if samples is None:
-        for subject, payload in messages:
-            try:
-                out.append(transform(subject, payload, recv_wall_us))
-            except Reject as exc:
-                out.append(exc.reason)
-        return out
+        return [transform(subject, payload, recv_wall_us) for subject, payload in messages]
+    out: list[StoreRecord | str] = []
     isfinite = math.isfinite
     for (subject, _), (ts, v, seq) in zip(messages, samples):
-        try:
-            key = _sensor_key(subject.raw)
-        except RejectBadSubject:
+        key = sensor_key(subject.raw)
+        if key is None:
             out.append(BAD_SUBJECT)
             continue
         out.append(StoreRecord(key, ts, v, seq, recv_wall_us) if isfinite(v) else NONFINITE)

@@ -13,7 +13,9 @@ one token and a trailing ``>`` matches one or more remaining tokens.
 Everything here is pure functions over byte buffers: ``read_frames``
 takes a read's frames in one pass, and ``parse_frame`` one frame in any
 spelling the grammar allows. The one shared state is the subject intern,
-a bounded cache of immutable subjects.
+a bounded cache of immutable subjects. ``decode_sample`` is the strict
+JSON rule for a sample payload; ``decode_compact_run`` decodes a run of
+payloads all in the compact form in one regex pass.
 """
 
 from __future__ import annotations
@@ -367,36 +369,15 @@ class SamplePayload:
 
 _SAMPLE_FIELDS = {"ts", "v", "seq", "unit"}
 
-#: The compact form :meth:`SamplePayload.encode` writes: keys in order, no
-#: whitespace, ``ts``/``seq`` canonical with at most 18 digits (below 2**63
-#: and the ``int`` digit limit), ``v`` a bounded JSON number (group 3 holds
-#: its fraction and exponent) and ``unit`` printable ASCII with no escape.
-_COMPACT_SAMPLE = re.compile(
-    rb'\{"ts":([1-9][0-9]{0,17}),'
-    rb'"v":(-?(?:0|[1-9][0-9]{0,17})((?:\.[0-9]{1,20})?(?:[eE][-+]?[0-9]{1,3})?)),'
-    rb'"seq":(0|[1-9][0-9]{0,17}),'
-    rb'"unit":"([ !#-\[\]-~]*)"\}'
-)
-
 
 def decode_sample(payload: bytes) -> SamplePayload:
-    """Strictly decode a sample payload.
+    """Strictly decode a sample payload with ``json.loads``.
 
     Exactly the fields ts/v/seq/unit are allowed; wrong types, extra or
     missing fields, a ts outside the store's ``0 < ts < TS_END`` or a
     negative seq raise :class:`PayloadError`. A non-finite ``v`` decodes
     successfully so the caller can classify it separately.
-
-    The compact form is decoded by one regex match; any other payload goes
-    through ``json.loads``, with the same result.
     """
-    m = _COMPACT_SAMPLE.fullmatch(payload)
-    if m is not None:
-        ts, v, tail, seq, unit = m.groups()
-        # An integer v converts as json.loads + float() would: -0 gives 0.0.
-        return SamplePayload(
-            int(ts), float(v) if tail else float(int(v)), int(seq), unit.decode("ascii")
-        )
     try:
         obj = json.loads(payload)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -419,9 +400,18 @@ def decode_sample(payload: bytes) -> SamplePayload:
     return SamplePayload(ts=ts, v=v, seq=seq, unit=unit)
 
 
-#: The compact form as a whole line, for one search over payloads joined by
-#: newlines; no compact payload holds a newline.
-_COMPACT_LINES = re.compile(b"^" + _COMPACT_SAMPLE.pattern + b"$", re.M)
+#: The compact form :meth:`SamplePayload.encode` writes, as one line of
+#: payloads joined by newlines (none holds one): keys in order, no whitespace,
+#: ``ts``/``seq`` canonical with at most 18 digits (below 2**63 and the
+#: ``int`` digit limit), ``v`` a bounded JSON number (group 3 holds its
+#: fraction and exponent) and ``unit`` printable ASCII with no escape.
+_COMPACT_LINES = re.compile(
+    rb'^\{"ts":([1-9][0-9]{0,17}),'
+    rb'"v":(-?(?:0|[1-9][0-9]{0,17})((?:\.[0-9]{1,20})?(?:[eE][-+]?[0-9]{1,3})?)),'
+    rb'"seq":(0|[1-9][0-9]{0,17}),'
+    rb'"unit":"[ !#-\[\]-~]*"\}$',
+    re.M,
+)
 
 
 def decode_compact_run(payloads: list[bytes]) -> list[tuple[int, float, int]] | None:
@@ -436,7 +426,8 @@ def decode_compact_run(payloads: list[bytes]) -> list[tuple[int, float, int]] | 
     found = _COMPACT_LINES.findall(joined)
     if len(found) != len(payloads) or joined.count(b"\n") != len(payloads) - 1:
         return None
+    # An integer v converts as json.loads + float() would: -0 gives 0.0.
     return [
         (int(ts), float(v) if tail else float(int(v)), int(seq))
-        for ts, v, tail, seq, _unit in found
+        for ts, v, tail, seq in found
     ]

@@ -364,6 +364,50 @@ def test_no_store_given_exits_3_and_makes_nothing(tmp_path, capsys, caplog, monk
     assert list(tmp_path.iterdir()) == []
 
 
+STORE_QUERY = ["store", "query", "--sensor", "a",
+               "--from", "2020-01-01T00:00:00Z", "--to", "2020-01-02T00:00:00Z"]
+EMPTY_STORE = "--store is required (or PAVEH_STORE)"  # an empty root is no root
+
+
+@pytest.mark.parametrize(
+    "config, env, argv, message",
+    [
+        ("null", None, STORE_QUERY, "config cfg.json must hold a JSON object"),
+        ('["store"]', None, STORE_QUERY, "config cfg.json must hold a JSON object"),
+        ('{"store": 5}', None, STORE_QUERY, "config entry 'store' must be a string, got 5"),
+        ('{"broker": ["x"]}', None, ["daqsim", "run", "--scenario", "scen.json"],
+         "config entry 'broker' must be a string, got ['x']"),
+        ("{}", "", STORE_QUERY, EMPTY_STORE),
+        ("{}", None, [*STORE_QUERY, "--store", ""], EMPTY_STORE),
+        ("{}", None, ["store", "check", "--store", ""], EMPTY_STORE),
+        ("{}", None, ["connector", "run", "--store", ""], EMPTY_STORE),
+    ],
+    ids=["null", "list", "store-int", "broker-list", "env-empty", "flag-empty",
+         "check-flag-empty", "connector-flag-empty"],
+)
+def test_a_bad_config_or_an_empty_store_exits_3_naming_it_and_makes_nothing(
+    tmp_path, caplog, monkeypatch, config, env, argv, message
+):
+    """A config file that is not an object, a config entry a command reads
+    that is not a string, and an empty store root are refused before any
+    store, socket or thread is made."""
+
+    def connect(*args, **kwargs):
+        pytest.fail("the config must be checked before any connection is made")
+
+    for name in ("BusClient", "Broker", "Connector"):
+        monkeypatch.setattr(cli_mod, name, connect)
+    monkeypatch.delenv("PAVEH_STORE", raising=False)
+    if env is not None:
+        monkeypatch.setenv("PAVEH_STORE", env)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(config)
+    assert main(["--config", "cfg.json", *argv]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [message]
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_store_query_env_var_config(tmp_path, capsys, monkeypatch):
     root = tmp_path / "db"
     base = make_store(root)

@@ -19,12 +19,8 @@ from paveharvest.connector import (
     LATENCY_BOUNDS_US,
     Connector,
     IngestMetrics,
-    Reject,
-    RejectBadSubject,
-    RejectMalformed,
-    RejectNonFinite,
     render_metrics_text,
-    sensor_key_for,
+    sensor_key,
     transform,
 )
 from paveharvest.daqsim import run_scenario
@@ -107,32 +103,23 @@ def test_transform_field_mapping():
 
 
 def test_transform_rejects_empty_object():
-    with pytest.raises(RejectMalformed):
-        transform(EPC_SUBJ, b"{}", 42)
+    assert transform(EPC_SUBJ, b"{}", 42) == "malformed"
 
 
 def test_transform_rejects_nonfinite():
-    with pytest.raises(RejectNonFinite):
-        transform(EPC_SUBJ, b'{"ts":1,"v":NaN,"seq":1,"unit":"kPa"}', 42)
-    with pytest.raises(RejectNonFinite):
-        transform(EPC_SUBJ, b'{"ts":1,"v":Infinity,"seq":1,"unit":"kPa"}', 42)
+    assert transform(EPC_SUBJ, b'{"ts":1,"v":NaN,"seq":1,"unit":"kPa"}', 42) == "nonfinite"
+    assert transform(EPC_SUBJ, b'{"ts":1,"v":Infinity,"seq":1,"unit":"kPa"}', 42) == "nonfinite"
 
 
 def test_transform_rejects_bad_subject_shape():
     for text in ("site.65.daq.1.sensor", "a.b.c.d.e.f", "site.65.x.1.sensor.epc3"):
-        with pytest.raises(RejectBadSubject):
-            transform(Subject.parse(text), payload(), 42)
+        assert transform(Subject.parse(text), payload(), 42) == "bad_subject"
+        assert transform(Subject.parse(text), b"{}", 42) == "bad_subject"
 
 
 def transform_each(messages, recv_wall_us):
     """The per-message rule ``transform_run`` is checked against."""
-    out = []
-    for subject, body in messages:
-        try:
-            out.append(transform(subject, body, recv_wall_us))
-        except Reject as exc:
-            out.append(exc.reason)
-    return out
+    return [transform(subject, body, recv_wall_us) for subject, body in messages]
 
 
 def fuzz_run(rng):
@@ -203,18 +190,17 @@ def test_transform_run_matches_transform_per_message(tmp_path, monkeypatch):
     assert got.seq_gaps and got.duplicate_seq
 
 
-def test_sensor_key_is_cached_per_subject_and_a_bad_one_raises_on_repeat():
-    cached = connector_mod._sensor_key
-    assert cached.cache_info().maxsize == SUBJECT_CACHE_SIZE
-    cached.cache_clear()
-    first = sensor_key_for(EPC_SUBJ)
-    assert sensor_key_for(Subject.parse("site.65.daq.1.sensor.epc3")) is first
-    assert cached.cache_info().hits == 1
-    bad = Subject.parse("site.65.x.1.sensor.epc3")
+def test_sensor_key_is_cached_per_subject_and_a_bad_one_as_none():
+    assert sensor_key.cache_info().maxsize == SUBJECT_CACHE_SIZE
+    sensor_key.cache_clear()
+    first = sensor_key(EPC_SUBJ.raw)
+    assert first == "65/1/epc3"
+    assert sensor_key(Subject.parse("site.65.daq.1.sensor.epc3").raw) is first
+    assert sensor_key.cache_info().hits == 1
     for _ in range(3):
-        with pytest.raises(RejectBadSubject, match="site.65.x.1.sensor.epc3"):
-            sensor_key_for(bad)
-    assert cached.cache_info().currsize == 1
+        assert sensor_key(b"site.65.x.1.sensor.epc3") is None
+    assert sensor_key.cache_info().hits == 3
+    assert sensor_key.cache_info().currsize == 2
 
 
 def test_latency_histogram_matches_a_per_record_count():

@@ -1186,3 +1186,63 @@ def test_writer_killed_mid_insert_loses_and_invents_nothing(tmp_path):
         assert {issue.problem for issue in verify_segments(root)} <= {"torn trailing record"}
         state = got
     assert len(state) > 1000  # the writers got well past their first batches
+
+
+BESIDE_WRITER = """
+import sys
+from helpers import crash_batch
+from paveharvest.tsstore import ACK, Store
+
+with Store(sys.argv[1]) as store:
+    store.insert([])
+    print("claimed", flush=True)
+    for n in range(int(sys.argv[2])):
+        statuses = store.insert(crash_batch(101, n)).statuses
+        if set(statuses) != {ACK}:
+            sys.exit(f"batch {n}: {statuses}")
+"""
+
+
+def test_a_reader_process_beside_a_writer_process_sees_only_written_values(tmp_path):
+    """Readers take no lock. While a writer process inserts batches with
+    resends into 4 sensors over 6 windows, each full-range query here comes
+    back strictly ts-ascending, every value one the writer wrote for its
+    stamp. Once the writer has exited, a read holds each stamp's last
+    write and ``store check`` finds nothing."""
+    root, batches = tmp_path / "db", 3000
+    written: dict[tuple[str, int], set[float]] = {}
+    last: dict[tuple[str, int], float] = {}
+    for n in range(batches):
+        for s in crash_batch(101, n):
+            written.setdefault((s.sensor, s.ts), set()).add(s.v)
+            last[(s.sensor, s.ts)] = s.v
+
+    def read_all():
+        with Store(root) as reader:
+            rows = [s for sensor in CRASH_SENSORS
+                    for s in reader.query_range(sensor, 0, CRASH_WINDOWS * HOUR)]
+        for a, b in zip(rows, rows[1:]):
+            assert a.sensor != b.sensor or a.ts < b.ts, (a, b)
+        return rows
+
+    rounds = 0
+    with subprocess.Popen(
+        [sys.executable, "-c", BESIDE_WRITER, str(root), str(batches)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+    ) as writer:
+        watchdog = threading.Timer(60, writer.kill)
+        watchdog.start()
+        try:
+            assert writer.stdout.readline() == "claimed\n"
+            while writer.poll() is None:
+                for s in read_all():
+                    assert s.v in written.get((s.sensor, s.ts), ()), s
+                rounds += 1
+        finally:
+            watchdog.cancel()
+            writer.kill()
+        err = writer.stderr.read()
+    assert writer.returncode == 0, err
+    assert rounds >= 5  # the reads overlapped the writes
+    assert {(s.sensor, s.ts): s.v for s in read_all()} == last
+    assert verify_segments(root) == []

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-import re
 import struct
 from unittest import mock
 
@@ -24,6 +23,7 @@ from paveharvest.wire import (
     PayloadTooLarge,
     SamplePayload,
     Subject,
+    decode_compact_run,
     decode_sample,
     encode_frame,
     mqtt_topic_to_subject,
@@ -577,29 +577,24 @@ def test_sample_payload_nonfinite_decodes():
     assert not math.isfinite(p.v)
 
 
-# The decode_sample path without the compact fast path: json.loads alone.
-_NEVER = re.compile(rb"(?!)")
-
-
-def json_path_decode(payload):
-    with mock.patch.object(wire, "_COMPACT_SAMPLE", _NEVER):
-        return decode_sample(payload)
-
-
-def decode_outcome(decode, payload):
-    """What ``decode`` makes of ``payload``, with ``v`` as its bit pattern;
-    any exception but PayloadError propagates."""
+def assert_compact_agrees(payload):
+    """Where ``decode_compact_run`` takes ``payload`` alone, it gives the
+    ts, the bits of v and the seq that ``decode_sample`` gives; where
+    ``decode_sample`` raises PayloadError, it gives None. Any other
+    exception propagates. Returns whether the run decoder took it."""
+    got = decode_compact_run([payload])
     try:
-        p = decode(payload)
+        p = decode_sample(payload)
     except PayloadError:
-        return "PayloadError"
-    return p.ts, struct.pack("<d", p.v), p.seq, p.unit, type(p.v)
-
-
-def assert_same_decode(payload):
-    assert decode_outcome(decode_sample, payload) == decode_outcome(
-        json_path_decode, payload
+        assert got is None, payload
+        return False
+    if got is None:
+        return False
+    ((ts, v, seq),) = got
+    assert (ts, struct.pack("<d", v), seq, type(v)) == (
+        p.ts, struct.pack("<d", p.v), p.seq, type(p.v)
     ), payload
+    return True
 
 
 NUMBER_TEXT = st.one_of(
@@ -662,22 +657,25 @@ def sample_payloads(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(sample_payloads())
-def test_decode_sample_agrees_with_the_json_path(payload):
-    """The fast path returns what json.loads would, to the bit of v, and
-    raises PayloadError exactly when that path does."""
-    assert_same_decode(payload)
+def test_decode_compact_run_agrees_with_decode_sample(payload):
+    """The run decoder returns what the strict JSON rule would, to the bit
+    of v, and None wherever that rule raises PayloadError."""
+    assert_compact_agrees(payload)
 
 
-def test_decode_sample_agrees_with_the_json_path_on_edge_numbers():
+def test_decode_compact_run_agrees_with_decode_sample_on_edge_numbers():
     edges = ["-0", "-0.0", "0", "-0e0", "0e-0", "1E+3", "1e-05", "5e-324", "-5e-324",
              "1.7976931348623157e+308", "1e308", "1e309", "-1e309", "2.5e-400",
              "9" * 18, "9" * 19, "-" + "9" * 18, "1" + "0" * 17 + ".5",
              "0." + "1" * 20, "0." + "1" * 21, "1e999", "1e1000", "123456789012345678.5",
              "00", "01", "-01", "1.e5", "1e+", "NaN", "-NaN", "Infinity", "-Infinity"]
     ints = ["1", "9" * 18, "9" * 19, str(2**63 - 1), str(2**63), "0", "-1", "01", "1.0", "1e3"]
-    for v, ts, seq in itertools.product(edges, ints, ints):
-        assert_same_decode(b'{"ts":%s,"v":%s,"seq":%s,"unit":"kPa"}' % (
+    taken = sum(
+        assert_compact_agrees(b'{"ts":%s,"v":%s,"seq":%s,"unit":"kPa"}' % (
             ts.encode(), v.encode(), seq.encode()))
+        for v, ts, seq in itertools.product(edges, ints, ints)
+    )
+    assert taken == 120  # 2 ts, 3 seq and 20 v spellings in the compact form
 
 
 @settings(max_examples=500)
@@ -688,14 +686,11 @@ def test_decode_sample_agrees_with_the_json_path_on_edge_numbers():
     st.sampled_from(UNITS),
 )
 def test_compact_fast_path_takes_every_encoded_sample(ts, v, seq, unit):
-    """Every payload the project's producer writes for a finite value takes
-    the fast path, and decodes to the sample encoded, -0.0 included."""
-    sample = SamplePayload(ts=ts, v=v, seq=seq, unit=unit)
-    payload = sample.encode()
-    assert wire._COMPACT_SAMPLE.fullmatch(payload) is not None, payload
-    got = decode_sample(payload)
-    assert got == sample
-    assert struct.pack("<d", got.v) == struct.pack("<d", v)
+    """Every payload the project's producer writes for a finite value is
+    taken by the run decoder, which gives the sample encoded, -0.0 included."""
+    got = decode_compact_run([SamplePayload(ts=ts, v=v, seq=seq, unit=unit).encode()])
+    assert got == [(ts, v, seq)]
+    assert struct.pack("<d", got[0][1]) == struct.pack("<d", v)
 
 
 def test_token_with_trailing_newline_is_rejected():
